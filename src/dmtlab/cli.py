@@ -138,6 +138,8 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
     snr_db = tuple(float(v) for v in _require(doc, "snr_db", "config"))
+    if not np.all(np.isfinite(snr_db)):
+        raise ConfigError("snr_db: entries must be finite")
     if list(snr_db) != sorted(snr_db):
         raise ConfigError("snr_db: grid must be ascending")
     rate_doc = _require(doc, "rate", "config")
@@ -348,6 +350,13 @@ def _cmd_oracle_check(args):
     return 2
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dmtlab",
@@ -370,7 +379,7 @@ def build_parser():
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--min-events", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_outage)
 
@@ -381,7 +390,7 @@ def build_parser():
     p.add_argument("--with-outage", action="store_true")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_error_sim)
 

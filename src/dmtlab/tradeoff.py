@@ -41,8 +41,8 @@ class SnrPoint:
     rate_mode: object
 
     def __post_init__(self):
-        if self.snr <= 0:
-            raise ValueError("snr must be a positive linear power ratio")
+        if not (np.isfinite(self.snr) and self.snr > 0):
+            raise ValueError("snr must be a finite positive linear power ratio")
 
     def rate_nats(self):
         return float(self.rate_mode.rate_at(self.snr))
@@ -88,12 +88,8 @@ def mutual_information(realization, snr):
     """Average log-det mutual information of the per-slot channels, in nats."""
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    num_tx = realization.dims.num_tx
-    total = 0.0
-    for block in realization.blocks:
-        gram = np.eye(block.shape[0]) + (snr / num_tx) * block @ block.conj().T
-        total += np.linalg.slogdet(gram)[1]
-    return total / realization.dims.block_len
+    blocks = realization.blocks[None]
+    return float(_mutual_information_batch(blocks, snr, realization.dims.num_tx)[0])
 
 
 def jensen_mutual_information(realization, snr):
@@ -101,11 +97,8 @@ def jensen_mutual_information(realization, snr):
     per-slot average by concavity of log det."""
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    dims = realization.dims
-    stack = realization.jensen_stack()
-    gram = stack @ stack.conj().T
-    scaled = np.eye(gram.shape[0]) + (snr / (dims.num_tx * dims.block_len)) * gram
-    return float(np.linalg.slogdet(scaled)[1])
+    blocks = realization.blocks[None]
+    return float(_jensen_information_batch(blocks, snr, realization.dims.num_tx)[0])
 
 
 def singularity_levels(realization, snr):
@@ -116,17 +109,13 @@ def singularity_levels(realization, snr):
     """
     if snr <= 1:
         raise ValueError("snr must exceed 1 so that log(snr) is positive")
-    dims = realization.dims
     log_snr = np.log(snr)
-    per_slot = np.empty((dims.block_len, dims.min_ant))
-    for n, block in enumerate(realization.blocks):
-        sv = np.linalg.svd(block, compute_uv=False)
-        eig = np.sort(sv ** 2)  # ascending, exactly min_ant values
-        with np.errstate(divide="ignore"):
-            per_slot[n] = -np.log(eig) / log_snr
+    # ascending, exactly min_ant values per slot
+    per_slot_eig = np.sort(np.linalg.svd(realization.blocks, compute_uv=False) ** 2, axis=-1)
     stack = realization.jensen_stack()
     eig = np.sort(np.linalg.svd(stack, compute_uv=False) ** 2)
     with np.errstate(divide="ignore"):
+        per_slot = -np.log(per_slot_eig) / log_snr
         jensen = -np.log(eig) / log_snr  # ascending eigenvalues give descending levels
     return SingularityLevels(per_slot=per_slot, jensen=jensen)
 
@@ -160,27 +149,46 @@ def jensen_dmt_curve(rho, dims, variant="jensen"):
     return DmtCurve(points=tuple(points))
 
 
+def _logdet_identity_plus(h, a):
+    """log det(I + a h h^H) over a (..., k, m) batch of wide matrices, k <= m.
+
+    For k <= 2 rows this is the closed form log1p(a ||h||_F^2 + a^2 det(h h^H)),
+    where det(h h^H) is the sum of the squared 2x2 minors of h (Cauchy-Binet;
+    |det h|^2 when h is square). Summing minors avoids the cancellation of the
+    Gram determinant on near-singular h. Wider row counts use slogdet.
+    """
+    k, m = h.shape[-2:]
+    if k > 2:
+        gram = np.einsum("...ij,...kj->...ik", h, h.conj())
+        return np.linalg.slogdet(np.eye(k) + a * gram)[1]
+    if k == 1:
+        return np.log1p(a * (np.abs(h[..., 0, :]) ** 2).sum(axis=-1))
+    power = (np.abs(h) ** 2).sum(axis=(-2, -1))
+    top, bottom = h[..., 0, :], h[..., 1, :]
+    det = 0.0
+    for shift in range(1, m):  # all minors on columns (j, j + shift) at once
+        minor = top[..., :-shift] * bottom[..., shift:] - top[..., shift:] * bottom[..., :-shift]
+        det = det + (minor.real ** 2 + minor.imag ** 2).sum(axis=-1)
+    return np.log1p(a * power + a * a * det)
+
+
+def _wide(blocks):
+    """Slot matrices with min(M_R, M_T) rows: transposed when M_R > M_T,
+    which leaves log det(I + a H H^H) unchanged."""
+    return blocks if blocks.shape[-2] <= blocks.shape[-1] else blocks.swapaxes(-1, -2)
+
+
 def _mutual_information_batch(blocks, snr, num_tx):
     """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
-    count, n, num_rx, _ = blocks.shape
-    if num_rx == 1 and num_tx == 1:
-        power = np.abs(blocks[:, :, 0, 0]) ** 2
-        return np.log1p(snr * power).mean(axis=1)
-    gram = np.einsum("cnij,cnkj->cnik", blocks, blocks.conj())
-    gram = np.eye(num_rx) + (snr / num_tx) * gram
-    return np.linalg.slogdet(gram)[1].sum(axis=1) / n
+    return _logdet_identity_plus(_wide(blocks), snr / num_tx).mean(axis=1)
 
 
 def _jensen_information_batch(blocks, snr, num_tx):
-    count, n, num_rx, _ = blocks.shape
-    if num_rx <= num_tx:
-        gram = np.einsum("cnij,cnkj->cik", blocks, blocks.conj())
-        side = num_rx
-    else:
-        gram = np.einsum("cnji,cnjk->cik", blocks.conj(), blocks)
-        side = num_tx
-    gram = np.eye(side) + (snr / (num_tx * n)) * gram
-    return np.linalg.slogdet(gram)[1]
+    """Per-draw log-det of the (count, min_ant, N * max_ant) stacked channel."""
+    count, n = blocks.shape[:2]
+    wide = _wide(blocks)
+    stack = wide.transpose(0, 2, 1, 3).reshape(count, wide.shape[2], -1)
+    return _logdet_identity_plus(stack, snr / (num_tx * n))
 
 
 def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=0,

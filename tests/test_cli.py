@@ -65,6 +65,32 @@ def test_load_config_validation_errors(tmp_path):
         load_config(missing)
 
 
+@pytest.mark.parametrize("grid", ["[5.0, NaN, 10.0]", "[5.0, 10.0, Infinity]",
+                                  "[-Infinity, 5.0, 10.0]"])
+def test_load_config_rejects_non_finite_snr(tmp_path, grid):
+    # json.load accepts these tokens, and NaN slips through the ascending check
+    path = tmp_path / "c.json"
+    _write_config(path)
+    path.write_text(path.read_text().replace("[5.0, 10.0]", grid))
+    with pytest.raises(ConfigError, match="snr_db"):
+        load_config(path)
+    out = tmp_path / "outage.csv"
+    assert dispatch(["outage", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_must_be_positive(tmp_path, workers):
+    cfg = _write_config(tmp_path / "c.json")
+    book = _antipodal_book(tmp_path)
+    out = tmp_path / "out.csv"
+    assert dispatch(["outage", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 2
+    assert dispatch(["error-sim", "--config", str(cfg), "--codebook", str(book),
+                     "--out", str(out), "--workers", workers]) == 2
+    assert not out.exists()
+
+
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(
         model=CyclicIsi(2, (1.0, 0.5)),

@@ -22,8 +22,10 @@ from dmtlab.tradeoff import (
     jensen_mutual_information,
     mutual_information,
     singularity_levels,
+    _jensen_information_batch,
+    _mutual_information_batch,
 )
-from dmtlab._util import spawn_rng
+from dmtlab._util import complex_normal, db_to_linear, spawn_rng
 
 
 def _realization(blocks, num_tx, num_rx):
@@ -85,6 +87,105 @@ def test_jensen_dominates_full_information(model, n):
             real = sample_channel(cov, dims, rng)
             full = mutual_information(real, 12.0)
             assert jensen_mutual_information(real, 12.0) >= full - 1e-10
+
+
+KERNEL_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4)]  # (M_R, M_T)
+KERNEL_SNR_DB = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+KERNELS = ((_mutual_information_batch, "full"), (_jensen_information_batch, "jensen"))
+
+
+def _dense_information(blocks, snr, num_tx, bound):
+    """Gram + slogdet reference for either bound over a (count, N, M_R, M_T) batch."""
+    n, num_rx = blocks.shape[1:3]
+    if bound == "full":
+        gram = np.einsum("cnij,cnkj->cnik", blocks, blocks.conj())
+        return np.linalg.slogdet(np.eye(num_rx) + snr / num_tx * gram)[1].mean(axis=1)
+    if num_rx <= num_tx:
+        gram = np.einsum("cnij,cnkj->cik", blocks, blocks.conj())
+    else:
+        gram = np.einsum("cnji,cnjk->cik", blocks.conj(), blocks)
+    return np.linalg.slogdet(np.eye(gram.shape[-1]) + snr / (num_tx * n) * gram)[1]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("num_rx,num_tx", KERNEL_SHAPES)
+def test_closed_form_matches_dense_slogdet(num_rx, num_tx, n):
+    blocks = complex_normal(spawn_rng(14, num_rx, num_tx, n), (400, n, num_rx, num_tx))
+    for snr in db_to_linear(KERNEL_SNR_DB):
+        for kernel, bound in KERNELS:
+            # slogdet takes the log of a determinant near 1, so the oracle itself
+            # is only accurate to ~1e-16 absolute where the information is tiny
+            np.testing.assert_allclose(kernel(blocks, snr, num_tx),
+                                       _dense_information(blocks, snr, num_tx, bound),
+                                       rtol=1e-12, atol=1e-15)
+
+
+def _near_singular_blocks(rng, count, n, num_rx, num_tx):
+    """Draws whose two wide rows are parallel up to a relative 1e-9..1e-3."""
+    wide = max(num_rx, num_tx)
+    top = complex_normal(rng, (count, n, wide))
+    ratio = complex_normal(rng, (count, 1, 1))
+    spread = 10.0 ** rng.uniform(-9, -3, (count, 1, 1))
+    bottom = ratio * top + spread * complex_normal(rng, (count, n, wide))
+    rows = np.stack([top, bottom], axis=2)  # (count, n, 2, wide)
+    return rows if num_rx <= num_tx else rows.swapaxes(-1, -2)
+
+
+def _mp_logdet(rows, a, mpmath):
+    """40-digit log det(I + a h h^H) of a 2 x m matrix given as its two rows."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        h = [[mpmath.mpc(z) for z in row] for row in rows]
+        g = [[mpmath.fsum(x * mpmath.conj(y) for x, y in zip(r, c)) for c in h] for r in h]
+        det = (1 + a * g[0][0]) * (1 + a * g[1][1]) - a * a * g[0][1] * g[1][0]
+        return float(mpmath.log(det.real))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("num_rx,num_tx", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_closed_form_matches_mpmath_on_near_singular_draws(num_rx, num_tx, n):
+    mpmath = pytest.importorskip("mpmath")
+    rng = spawn_rng(15, num_rx, num_tx, n)
+    blocks = _near_singular_blocks(rng, 12, n, num_rx, num_tx)
+    wide = blocks if num_rx <= num_tx else blocks.swapaxes(-1, -2)
+    dense_worst = 0.0
+    for snr in db_to_linear(KERNEL_SNR_DB):
+        a_slot, a_stack = snr / num_tx, snr / (num_tx * n)
+        refs = {
+            "full": np.array([np.mean([_mp_logdet(w, a_slot, mpmath) for w in draw])
+                              for draw in wide]),
+            "jensen": np.array([_mp_logdet(np.concatenate(list(draw), axis=1), a_stack, mpmath)
+                                for draw in wide]),
+        }
+        for kernel, bound in KERNELS:
+            ref = refs[bound]
+            np.testing.assert_allclose(kernel(blocks, snr, num_tx), ref, rtol=1e-14, atol=0)
+            dense = _dense_information(blocks, snr, num_tx, bound)
+            dense_worst = max(dense_worst, np.max(np.abs(dense / ref - 1)))
+    # the draws are hard: the Gram + slogdet path misses the bound held above
+    assert dense_worst > 1e-14
+
+
+def test_three_antenna_case_takes_slogdet_path(monkeypatch):
+    blocks = complex_normal(spawn_rng(16), (200, 4, 3, 3))
+    snr = 100.0
+    refs = {bound: _dense_information(blocks, snr, 3, bound) for _, bound in KERNELS}
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def recording_slogdet(mat):
+        calls.append(mat.shape)
+        return slogdet(mat)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    for kernel, bound in KERNELS:
+        calls.clear()
+        np.testing.assert_allclose(kernel(blocks, snr, 3), refs[bound], rtol=1e-12, atol=0)
+        assert calls and calls[0][-2:] == (3, 3)
+    calls.clear()
+    for kernel, _ in KERNELS:
+        kernel(blocks[..., :2, :], snr, 3)
+    assert not calls  # two rows take the closed form
 
 
 def test_singularity_levels_trivia():
@@ -205,6 +306,12 @@ def test_outage_scaling_rate_validation():
         estimate_outage(cov, dims, SnrPoint(10.0, ScalingRate(1.5)), trials=10)
     with pytest.raises(ValueError):
         SnrPoint(0.0, FixedRate(1.0))
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+def test_snr_point_rejects_non_finite(snr):
+    with pytest.raises(ValueError):
+        SnrPoint(snr, FixedRate(1.0))
 
 
 def test_slope_fit_exact_power_laws():
