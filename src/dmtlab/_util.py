@@ -41,11 +41,12 @@ def forward_shift_matrix(n, power=1):
 
 
 def rank_tolerance(values, n):
-    """Threshold below which eigen/singular values count as zero."""
+    """Threshold below which eigen/singular values count as zero; one
+    threshold per row of the last axis."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return 0.0
-    return RANK_TOL_FACTOR * np.max(np.abs(values)) * n
+    return RANK_TOL_FACTOR * np.max(np.abs(values), axis=-1) * n
 
 
 def numerical_rank(mat):
@@ -55,9 +56,11 @@ def numerical_rank(mat):
 
 
 def eig_rank(eigvals, n):
-    """Rank from the eigenvalues of an n x n Hermitian PSD matrix."""
+    """Rank from the eigenvalues of an n x n Hermitian PSD matrix; a stack
+    of eigenvalue rows (last axis) gives an array of ranks."""
     w = np.asarray(eigvals, dtype=float)
-    return int(np.count_nonzero(w > rank_tolerance(w, n)))
+    ranks = np.count_nonzero(w > np.expand_dims(rank_tolerance(w, n), -1), axis=-1)
+    return ranks if w.ndim > 1 else int(ranks)
 
 
 def assert_hermitian(mat, what="matrix", rtol=1e-10):

@@ -175,6 +175,8 @@ class CovarianceMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("covariance entries must be finite")
         assert_hermitian(entries, "covariance")
         n = entries.shape[0]
         w, v = np.linalg.eigh(entries)

@@ -25,9 +25,9 @@ from .channel import (
     TimeFrequency,
     build_covariance,
 )
-from .codes import Codebook, verify_dmt_criterion, verify_rank_r0
+from .codes import Codebook, pair_chunks, pair_eigvals, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
-from .sim import TraceBoundInstance, pep_chernoff, simulate_error_prob, trace_oracle
+from .sim import TraceBoundInstance, chernoff_bound, simulate_error_prob, trace_oracle
 from .tradeoff import (
     FixedRate,
     ScalingRate,
@@ -213,7 +213,7 @@ def _cmd_dmt_curve(args):
 
 def _cmd_outage(args):
     config = load_config(args.config)
-    trials = args.trials or config.trials
+    trials = config.trials if args.trials is None else args.trials
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
     rows = []
@@ -231,7 +231,7 @@ def _cmd_outage(args):
 
 def _cmd_error_sim(args):
     config = load_config(args.config)
-    trials = args.trials or config.trials
+    trials = config.trials if args.trials is None else args.trials
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
     with open(args.codebook) as fh:
@@ -298,16 +298,15 @@ def _cmd_pep(args):
         cov = CovarianceMatrix.from_json(json.load(fh))
     with open(args.codebook) as fh:
         book = Codebook.from_json(json.load(fh), num_rx=args.mr)
-    words = book.words
-    rows = []
-    for snr_db in args.snr_db:
-        snr = float(db_to_linear(snr_db))
-        worst = 0.0
-        for i in range(len(book)):
-            for j in range(i + 1, len(book)):
-                bound = pep_chernoff(cov, words[i] - words[j], snr, args.mr)
-                worst = max(worst, bound.value)
-        rows.append([snr_db, worst])
+    num, num_tx, n = book.words.shape
+    keep = min(cov.rank * num_tx, n)
+    snrs = [float(db_to_linear(v)) for v in args.snr_db]
+    worst = np.zeros(len(snrs))
+    for ii, jj in pair_chunks(num, n * n):
+        eigs = pair_eigvals(book.words, cov.entries.T, ii, jj)[:, n - keep:]
+        for k, snr in enumerate(snrs):
+            worst[k] = max(worst[k], chernoff_bound(eigs, snr, num_tx, args.mr).max())
+    rows = [[snr_db, float(value)] for snr_db, value in zip(args.snr_db, worst)]
     write_report({"columns": ["snr_db", "pep_bound"], "rows": rows}, "csv", args.out)
     return 0
 
@@ -376,7 +375,7 @@ def build_parser():
     p = sub.add_parser("outage", help="Monte-Carlo outage sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--bound", choices=["full", "jensen"], default="full")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--min-events", type=int, default=100)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -388,7 +387,7 @@ def build_parser():
     p.add_argument("--codebook", required=True,
                    help="codebook JSON; the same words are reused at every grid SNR")
     p.add_argument("--with-outage", action="store_true")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")

@@ -58,6 +58,8 @@ def qam_family(snr, r):
     unit-step integer grid, scaled by sqrt(2/snr**r) so the squared minimum
     distance is exactly 2/snr**r.
     """
+    if not (math.isfinite(snr) and math.isfinite(r)):
+        raise ValueError("snr and multiplexing rate must be finite")
     if snr < 1:
         raise ValueError("snr must be at least 1")
     if r < 0:
@@ -89,6 +91,10 @@ class PermutationCode:
     @property
     def num_slots(self):
         return len(self.perms)
+
+    @property
+    def mux_rate(self):
+        return self.family.mux_rate
 
     @property
     def words(self):
@@ -148,6 +154,77 @@ class Codebook:
                    dims=ChannelDims(num_tx=mt, num_rx=num_rx, block_len=n))
 
 
+# ---------------------------------------------------------------------------
+# pairwise sweeps
+
+
+def chunk_size(per_pair):
+    """Pairs per sweep chunk when each pair holds ``per_pair`` array elements."""
+    return max(1, _PAIR_SWEEP_BUDGET // per_pair)
+
+
+def pair_chunks(num, per_pair):
+    """Unordered pairs i < j of ``num`` items as (ii, jj) index batches in
+    ``np.triu_indices(num, 1)`` order, ``chunk_size(per_pair)`` at a time."""
+    rows = np.arange(num)
+    starts = rows * (2 * num - rows - 1) // 2  # linear index of pair (i, i + 1)
+    total = num * (num - 1) // 2
+    step = chunk_size(per_pair)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        span = rows[np.searchsorted(starts, lo, "right") - 1:
+                    np.searchsorted(starts, hi - 1, "right")]
+        counts = (np.minimum(starts[span] + num - 1 - span, hi)
+                  - np.maximum(starts[span], lo))
+        ii = np.repeat(span, counts)
+        yield ii, np.arange(lo, hi) - np.repeat(starts[span], counts) + ii + 1
+
+
+def _sort_slots(values):
+    """Sort along the first (slot) axis in place: an odd-even transposition
+    network of elementwise min/max, faster than ``np.sort`` on a few slots."""
+    count = len(values)
+    for phase in range(count):
+        for s in range(phase % 2, count - 1, 2):
+            low = np.minimum(values[s], values[s + 1])
+            np.maximum(values[s], values[s + 1], out=values[s + 1])
+            values[s] = low
+    return values
+
+
+def sorted_pair_distances(words, ii, jj):
+    """Squared slot distances |w_i - w_j|**2 of scalar codewords
+    (cardinality, num_slots), as a (num_slots, pairs) array sorted along
+    the slot axis."""
+    slots = np.ascontiguousarray(words.T)
+    diffs = np.take(slots, ii, axis=1) - np.take(slots, jj, axis=1)
+    return _sort_slots(diffs.real ** 2 + diffs.imag ** 2)
+
+
+def pair_eigvals(words, weight, ii, jj):
+    """Ascending eigenvalues of ``weight * (e^H e)`` for e = w_i - w_j, over
+    words (cardinality, ..., num_tx, block_len): with the transposed slot
+    covariance as ``weight``, the effective-difference eigenvalues."""
+    n = words.shape[-1]
+    if weight.shape != (n, n):
+        raise ValueError("difference length does not match the covariance size")
+    diffs = words[ii] - words[jj]
+    gram = np.einsum("...mi,...mj->...ij", diffs.conj(), diffs)
+    return np.linalg.eigvalsh(weight * gram)
+
+
+class WorstPair:
+    """Running minimum of a per-pair statistic; ties keep the first pair."""
+
+    def __init__(self):
+        self.value, self.pair = np.inf, (-1, -1)
+
+    def update(self, values, ii, jj):
+        k = int(np.argmin(values))
+        if values[k] < self.value:
+            self.value, self.pair = float(values[k]), (int(ii[k]), int(jj[k]))
+
+
 @dataclass(frozen=True)
 class MinProducts:
     """Worst-pair distance statistics of a scalar codebook."""
@@ -173,29 +250,17 @@ def pairwise_min_products(words, m):
     if num < 2:
         raise ValueError("need at least two codewords")
     m = min(m, slots)
-    chunk = max(1, _PAIR_SWEEP_BUDGET // (num * slots))
-    best = {"full": (np.inf, (-1, -1)), "msmall": (np.inf, (-1, -1)),
-            "entry": (np.inf, (-1, -1))}
-    cols = np.arange(num)[None, :]
-    for lo in range(0, num, chunk):
-        hi = min(lo + chunk, num)
-        diffs = words[lo:hi, None, :] - words[None, :, :]
-        dist2 = diffs.real ** 2 + diffs.imag ** 2
-        dist2.sort(axis=-1)
-        invalid = cols <= np.arange(lo, hi)[:, None]
-        stats = {"full": dist2.prod(axis=-1),
-                 "msmall": dist2[..., :m].prod(axis=-1),
-                 "entry": dist2[..., 0]}
-        for name, arr in stats.items():
-            arr[invalid] = np.inf
-            idx = np.unravel_index(np.argmin(arr), arr.shape)
-            if arr[idx] < best[name][0]:
-                best[name] = (float(arr[idx]), (lo + idx[0], int(idx[1])))
-    i, j = best["entry"][1]
+    full, msmall, entry = WorstPair(), WorstPair(), WorstPair()
+    for ii, jj in pair_chunks(num, slots):
+        dist2 = sorted_pair_distances(words, ii, jj)
+        full.update(dist2.prod(axis=0), ii, jj)
+        msmall.update(dist2[:m].prod(axis=0), ii, jj)
+        entry.update(dist2[0], ii, jj)
+    i, j = entry.pair
     slot = int(np.argmin(np.abs(words[i] - words[j]) ** 2)) if i >= 0 else -1
-    return MinProducts(full_min=best["full"][0], full_pair=best["full"][1],
-                       msmall_min=best["msmall"][0], msmall_pair=best["msmall"][1],
-                       entry_min=best["entry"][0], entry_pair=best["entry"][1],
+    return MinProducts(full_min=full.value, full_pair=full.pair,
+                       msmall_min=msmall.value, msmall_pair=msmall.pair,
+                       entry_min=entry.value, entry_pair=entry.pair,
                        entry_slot=slot)
 
 
@@ -226,23 +291,25 @@ def _torus_bound_score(maps, per_dim):
 
     For affine slot maps the image coordinate difference is congruent to the
     mapped difference mod per_dim, so its magnitude is at least the circular
-    distance. Returns (min 2-smallest product, min full product) over all
-    nonzero index differences, in grid units.
+    distance. ``maps`` is (candidates, num_slots, 6); returns per candidate
+    (min 2-smallest product, min full product) over all nonzero index
+    differences, in grid units.
     """
     q = per_dim
-    da, db = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    slot_dist = []
-    for a, b, c, d, _, _ in maps:
+    maps = np.asarray(maps, dtype=np.int32).transpose(1, 0, 2)  # slot axis first
+    slots, count, _ = maps.shape
+    da, db = np.divmod(np.arange(1, q * q, dtype=np.int32), q)
+    two_small, full = np.empty(count), np.empty(count)
+    step = chunk_size(slots * q * q)
+    for lo in range(0, count, step):
+        a, b, c, d = (maps[:, lo:lo + step, k, None] for k in range(4))
         va = (a * da + b * db) % q
         vb = (c * da + d * db) % q
-        circ_a = np.minimum(va, q - va)
-        circ_b = np.minimum(vb, q - vb)
-        slot_dist.append((circ_a ** 2 + circ_b ** 2).astype(float))
-    dist = np.sort(np.stack(slot_dist), axis=0)
-    dist = dist.reshape(len(maps), -1)[:, 1:]  # drop the zero difference
-    two_small = (dist[0] * dist[1]).min() if len(maps) >= 2 else dist[0].min()
-    full = dist.prod(axis=0).min()
-    return float(two_small), float(full)
+        dist = _sort_slots((np.minimum(va, q - va) ** 2
+                            + np.minimum(vb, q - vb) ** 2).astype(float))
+        two_small[lo:lo + step] = (dist[0] * dist[1] if slots >= 2 else dist[0]).min(axis=-1)
+        full[lo:lo + step] = dist.prod(axis=0).min(axis=-1)
+    return two_small, full
 
 
 @dataclass(frozen=True)
@@ -321,15 +388,15 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
                 candidates.append((combo, "exhaustive"))
         else:
             ident_map = (1, 0, 0, 1, 0, 0)
-            screened = []
-            for _ in range(budget):
-                maps = [ident_map] + [_random_affine(fam.per_dim, rng)
-                                      for _ in range(n_slots - 1)]
-                screened.append((_torus_bound_score(maps, fam.per_dim), maps))
-            screened.sort(key=lambda item: item[0], reverse=True)
+            maps = [[ident_map] + [_random_affine(fam.per_dim, rng)
+                                   for _ in range(n_slots - 1)]
+                    for _ in range(budget)]
+            two_small, full = _torus_bound_score(maps, fam.per_dim)
+            order = sorted(range(budget), key=lambda k: (two_small[k], full[k]),
+                           reverse=True)
             finalists = 1 if size > 2048 else 3  # exact sweeps dominate at scale
-            for _, maps in screened[:finalists]:
-                combo = tuple(tuple(_affine_perm(mp, fam.per_dim)) for mp in maps)
+            for k in order[:finalists]:
+                combo = tuple(tuple(_affine_perm(mp, fam.per_dim)) for mp in maps[k])
                 candidates.append((combo, "structured"))
             if size <= 256:
                 for _ in range(max(1, budget // 8)):
@@ -398,10 +465,6 @@ class XiMetric:
     num_eigs: int
 
 
-def _pair_differences(words, lo, hi):
-    return words[lo:hi, None, :, :] - words[None, :, :, :]
-
-
 def xi_metric(codebook, cov):
     """Minimum over codeword pairs of the product of the ``min_ant`` smallest
     structurally nonzero eigenvalues of the effective difference.
@@ -417,41 +480,35 @@ def xi_metric(codebook, cov):
     if num < 2:
         raise ValueError("need at least two codewords")
     m = codebook.dims.min_ant
-    cov_t = cov.entries.T
-    chunk = max(1, _PAIR_SWEEP_BUDGET // (num * n * n))
-    best_val, best_pair = np.inf, (-1, -1)
-    cols = np.arange(num)[None, :]
-    for lo in range(0, num, chunk):
-        hi = min(lo + chunk, num)
-        diffs = _pair_differences(words, lo, hi)
-        gram = np.einsum("xpmi,xpmj->xpij", diffs.conj(), diffs)
-        eig = np.linalg.eigvalsh(cov_t * gram)
-        prod = eig[..., n - keep:n - keep + m].prod(axis=-1)
-        prod[cols <= np.arange(lo, hi)[:, None]] = np.inf
-        idx = np.unravel_index(np.argmin(prod), prod.shape)
-        if prod[idx] < best_val:
-            best_val, best_pair = float(prod[idx]), (lo + idx[0], int(idx[1]))
+    worst = WorstPair()
+    for ii, jj in pair_chunks(num, n * n):
+        eig = pair_eigvals(words, cov.entries.T, ii, jj)
+        worst.update(eig[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
     with np.errstate(divide="ignore"):
-        log_value = float(np.log(best_val)) if best_val > 0 else -np.inf
-    return XiMetric(value=best_val, log_value=log_value, pair=best_pair, num_eigs=keep)
+        log_value = float(np.log(worst.value)) if worst.value > 0 else -np.inf
+    return XiMetric(value=worst.value, log_value=log_value, pair=worst.pair,
+                    num_eigs=keep)
 
 
 def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
     """Check the worst-pair eigenvalue product against the rate threshold
     at every grid SNR.
 
-    ``codebook_gen`` maps an SNR to the codebook of the family at that SNR.
-    Returns a report dict with per-SNR margins; ``passed`` is the overall
-    verdict.
+    ``codebook_gen`` maps an SNR to the codebook of the family at that SNR;
+    when it returns the same object as for the previous SNR, the metric is
+    not recomputed. Returns a report dict with per-SNR margins; ``passed``
+    is the overall verdict.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     results = []
+    book = None
     for snr in snr_grid:
         if snr <= 1:
             raise ValueError("grid SNRs must exceed 1")
-        book = codebook_gen(snr)
-        xi = xi_metric(book, cov)
+        prev, book = book, codebook_gen(snr)
+        if book is not prev:
+            xi = xi_metric(book, cov)
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         results.append({"snr": float(snr), "xi": xi.value,
                         "threshold": threshold, "worst_pair": list(xi.pair),
@@ -469,13 +526,10 @@ def verify_rank_r0(codebook, cov):
     if n < expected:
         raise ValueError("block length is below the structural eigenvalue count")
     ranks = []
-    failures = []
-    for i in range(num):
-        for j in range(i + 1, num):
-            eff = effective_difference(cov, words[i] - words[j])
-            ranks.append(((i, j), eff.rank))
-            if eff.rank != expected:
-                failures.append({"pair": [i, j], "rank": eff.rank})
+    for ii, jj in pair_chunks(num, n * n):
+        chunk_ranks = eig_rank(pair_eigvals(words, cov.entries.T, ii, jj), n)
+        ranks.extend(zip(zip(ii.tolist(), jj.tolist()), chunk_ranks.tolist()))
+    failures = [{"pair": list(pair), "rank": rank} for pair, rank in ranks if rank != expected]
     return {"passed": not failures, "expected_rank": expected,
             "ranks": ranks, "failures": failures}
 
@@ -544,21 +598,16 @@ def block_fading_check(codebook, num_blocks):
         raise ValueError("block length is below the structural eigenvalue count")
     cov = build_covariance(BlockFading(num_blocks, sub_len), n)
     m = codebook.dims.min_ant
+    blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
     max_err = 0.0
     per_block_min = np.full(num_blocks, np.inf)
-    for i in range(num):
-        for j in range(i + 1, num):
-            e = words[i] - words[j]
-            eff = effective_difference(cov, e)
-            union = []
-            for b in range(num_blocks):
-                sub = e[:, b * sub_len:(b + 1) * sub_len]
-                eig = np.linalg.eigvalsh(sub.conj().T @ sub)
-                union.append(eig)
-                kept = eig[max(0, sub_len - num_tx):]
-                per_block_min[b] = min(per_block_min[b], kept[:m].prod())
-            union = np.sort(np.concatenate(union))
-            max_err = max(max_err, float(np.max(np.abs(union - eff.eigvals))))
+    for ii, jj in pair_chunks(num, n * n):
+        eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
+        kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)
+        per_block_min = np.minimum(per_block_min, kept.min(axis=0))
+        union = np.sort(eig.reshape(len(ii), n), axis=-1)
+        eff = pair_eigvals(words, cov.entries.T, ii, jj)
+        max_err = max(max_err, float(np.max(np.abs(union - eff))))
     scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
     multiset_ok = max_err <= 1e-10 * scale
     return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,

@@ -13,7 +13,8 @@ import numpy as np
 
 from ._util import eig_rank, fft_column, rank_tolerance
 from .channel import circulant_covariance
-from .codes import Codebook, criterion_threshold, pairwise_min_products
+from .codes import (WorstPair, chunk_size, criterion_threshold, pair_chunks,
+                    sorted_pair_distances)
 
 
 @dataclass(frozen=True)
@@ -22,10 +23,7 @@ class Precoder:
 
     ``shifts`` holds the per-antenna (time, frequency) shift multipliers, or
     None for a custom matrix. ``doppler_stride``/``delay_stride`` are the
-    index strides one shift unit advances. ``sigma0`` is an optional
-    annotation slot for the smallest structurally nonzero eigenvalue of the
-    covariance-weighted row Gram; ``verify_precoder_rank`` computes it (use
-    ``dataclasses.replace`` to pin it on the instance).
+    index strides one shift unit advances.
     """
 
     matrix: np.ndarray
@@ -34,7 +32,6 @@ class Precoder:
     delay_stride: int
     num_time: int
     num_freq: int
-    sigma0: float = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -61,14 +58,21 @@ class Precoder:
     def to_json(self):
         rows = [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
         return {"mt": self.num_tx, "n": self.block_len, "rows": rows,
-                "shifts": [list(s) for s in self.shifts] if self.shifts else None}
+                "shifts": [list(s) for s in self.shifts] if self.shifts else None,
+                "doppler_stride": self.doppler_stride, "delay_stride": self.delay_stride,
+                "num_time": self.num_time, "num_freq": self.num_freq}
 
     @classmethod
     def from_json(cls, payload):
+        """Inverse of ``to_json``; strides and grid default to a one-row
+        frequency grid when a payload predates them."""
         rows = np.array([[complex(re, im) for re, im in row] for row in payload["rows"]])
         shifts = payload.get("shifts")
         return cls(matrix=rows, shifts=tuple(tuple(s) for s in shifts) if shifts else None,
-                   doppler_stride=1, delay_stride=1, num_time=1, num_freq=rows.shape[1])
+                   doppler_stride=int(payload.get("doppler_stride", 1)),
+                   delay_stride=int(payload.get("delay_stride", 1)),
+                   num_time=int(payload.get("num_time", 1)),
+                   num_freq=int(payload.get("num_freq", rows.shape[1])))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -217,66 +221,52 @@ def verify_tf_precoder(spec, precoder, cov=None):
     return out
 
 
-_SWEEP_BUDGET = 4_000_000
-_EIG_BATCH = 65_536
-
-
-def _xi_precoded(gram, gram_eigs, words, m, keep):
-    """Worst-pair eigenvalue product for a precoded common-outer codebook.
+def _composed_sweep(gram, gram_eigs, words, m, keep):
+    """Outer worst pair and worst-pair eigenvalue product of a precoded
+    common-outer codebook, from one sorted-distance sweep of the outer code.
 
     The effective difference of such a codebook is the weighted row Gram
     conjugated by the diagonal of the outer difference, so its eigenvalues
     are sandwiched between sigma0/sigma_max times the sorted entry powers.
     The sandwich prunes pairs that provably cannot achieve the minimum; the
     survivors get a dense eigendecomposition. Verified against the
-    exhaustive evaluator in the test suite.
+    exhaustive evaluator in the test suite. Returns the outer m-smallest
+    product and xi trackers and the number of survivors (xi is 0 with none
+    evaluated when the Gram is rank deficient).
     """
     num, n = words.shape
-    nonzero = gram_eigs[n - keep:]
-    sigma0, sigma_max = float(nonzero[0]), float(nonzero[-1])
-    if sigma0 <= rank_tolerance(gram_eigs, n):
-        return 0.0, (-1, -1), 0
     shift = n - keep
-    chunk = max(1, _SWEEP_BUDGET // (num * n))
-    cols = np.arange(num)[None, :]
-
-    def sorted_dist2(lo, hi):
-        diffs = words[lo:hi, None, :] - words[None, :, :]
-        d2 = diffs.real ** 2 + diffs.imag ** 2
-        d2.sort(axis=-1)
-        return d2
-
-    min_up = np.inf
-    for lo in range(0, num, chunk):
-        hi = min(lo + chunk, num)
-        up = sorted_dist2(lo, hi)[..., shift:shift + m].prod(axis=-1)
-        up[cols <= np.arange(lo, hi)[:, None]] = np.inf
-        min_up = min(min_up, float(up.min()))
-    prune_level = (sigma_max ** m) * min_up * (1 + 1e-9)
-
-    cand_i, cand_j = [], []
-    for lo in range(0, num, chunk):
-        hi = min(lo + chunk, num)
-        low = (sigma0 ** m) * sorted_dist2(lo, hi)[..., :m].prod(axis=-1)
-        low[cols <= np.arange(lo, hi)[:, None]] = np.inf
-        ii, jj = np.nonzero(low <= prune_level)
-        cand_i.append(ii + lo)
-        cand_j.append(jj)
-    cand_i = np.concatenate(cand_i)
-    cand_j = np.concatenate(cand_j)
-
-    best_val, best_pair = np.inf, (-1, -1)
-    for lo in range(0, cand_i.size, _EIG_BATCH):
-        ii = cand_i[lo:lo + _EIG_BATCH]
-        jj = cand_j[lo:lo + _EIG_BATCH]
+    sigma0, sigma_max = float(gram_eigs[shift]), float(gram_eigs[-1])
+    deficient = sigma0 <= rank_tolerance(gram_eigs, n)
+    outer, xi = WorstPair(), WorstPair()
+    min_up, cand = np.inf, []
+    for ii, jj in pair_chunks(num, n):
+        dist2 = sorted_pair_distances(words, ii, jj)
+        small = dist2[:m].prod(axis=0)
+        outer.update(small, ii, jj)
+        if not deficient:
+            min_up = min(min_up, float(dist2[shift:shift + m].prod(axis=0).min()))
+            # min_up only falls, so this keeps a superset of the final survivors
+            low = (sigma0 ** m) * small
+            sel = low <= (sigma_max ** m) * min_up * (1 + 1e-9)
+            cand.append((ii[sel], jj[sel], low[sel]))
+    if deficient:
+        xi.value = 0.0
+        return outer, xi, 0
+    cand_i, cand_j, low = (np.concatenate(part) for part in zip(*cand))
+    sel = low <= (sigma_max ** m) * min_up * (1 + 1e-9)
+    cand_i, cand_j = cand_i[sel], cand_j[sel]
+    step = chunk_size(n * n)
+    for lo in range(0, cand_i.size, step):
+        ii, jj = cand_i[lo:lo + step], cand_j[lo:lo + step]
+        # D^H G D with D = diag(outer difference), in this association: the
+        # codes are lattice-symmetric, so exact ties are common and the
+        # rounding order decides which tied pair is reported
         diffs = words[ii] - words[jj]
-        eff = diffs[:, :, None].conj() * gram[None] * diffs[:, None, :]
+        eff = diffs[:, :, None].conj() * gram * diffs[:, None, :]
         eig = np.linalg.eigvalsh(eff)
-        prods = eig[:, shift:shift + m].prod(axis=-1)
-        k = int(np.argmin(prods))
-        if prods[k] < best_val:
-            best_val, best_pair = float(prods[k]), (int(ii[k]), int(jj[k]))
-    return best_val, best_pair, int(cand_i.size)
+        xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
+    return outer, xi, int(cand_i.size)
 
 
 def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
@@ -304,10 +294,10 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
     per_snr = []
     for snr in snr_grid:
         book = outer_gen(snr)
-        words = book.words if isinstance(book, Codebook) else book.words
+        words = book.words
         if words.ndim == 3:
             words = words[:, 0, :]
-        r = book.mux_rate if hasattr(book, "mux_rate") else book.family.mux_rate
+        r = book.mux_rate
         threshold = criterion_threshold(snr, r, epsilon)
         row = {"snr": float(snr), "mux_rate": float(r), "threshold": threshold}
         if words.shape[0] < 2:
@@ -315,19 +305,18 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
                         "chain_passed": True})
             per_snr.append(row)
             continue
-        stats = pairwise_min_products(words, m)
-        xi_val, xi_pair, evaluated = _xi_precoded(gram, gram_eigs, words, m, keep)
-        chain_low = rank_report.sigma0 ** m * stats.msmall_min
+        outer, xi, evaluated = _composed_sweep(gram, gram_eigs, words, m, keep)
+        chain_low = rank_report.sigma0 ** m * outer.value
         row.update({
             "vacuous": False,
-            "outer_min_product": stats.msmall_min,
-            "outer_worst_pair": list(stats.msmall_pair),
-            "outer_passed": bool(stats.msmall_min >= threshold),
-            "xi": xi_val,
-            "xi_worst_pair": list(xi_pair),
+            "outer_min_product": outer.value,
+            "outer_worst_pair": list(outer.pair),
+            "outer_passed": bool(outer.value >= threshold),
+            "xi": xi.value,
+            "xi_worst_pair": list(xi.pair),
             "xi_pairs_evaluated": evaluated,
-            "xi_passed": bool(xi_val >= threshold),
-            "chain_passed": bool(xi_val >= chain_low * (1 - 1e-9)),
+            "xi_passed": bool(xi.value >= threshold),
+            "chain_passed": bool(xi.value >= chain_low * (1 - 1e-9)),
         })
         per_snr.append(row)
     passed = rank_report.passed and all(

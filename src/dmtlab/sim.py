@@ -26,6 +26,14 @@ class PepBound:
             raise ValueError("bound must lie in [0, 1]")
 
 
+def chernoff_bound(eigs, snr, num_tx, num_rx):
+    """Chernoff bound of ``pep_chernoff`` from structurally nonzero
+    effective-difference eigenvalues along the last axis; round-off
+    negatives count as zero."""
+    eigs = np.clip(eigs, 0.0, None)
+    return np.prod((1.0 + snr * eigs / (4.0 * num_tx)) ** (-num_rx), axis=-1)
+
+
 def pep_chernoff(cov, e, snr, num_rx):
     """Average Chernoff bound on mistaking one codeword for another.
 
@@ -40,9 +48,8 @@ def pep_chernoff(cov, e, snr, num_rx):
     e = np.asarray(e, dtype=complex)
     num_tx = e.shape[0]
     eff = effective_difference(cov, e)
-    eigs = np.clip(eff.nonzero_eigs, 0.0, None)
-    value = float(np.prod((1.0 + snr * eigs / (4.0 * num_tx)) ** (-num_rx)))
-    return PepBound(value=value, eigs_used=eigs)
+    value = float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx))
+    return PepBound(value=value, eigs_used=np.clip(eff.nonzero_eigs, 0.0, None))
 
 
 @dataclass(frozen=True)

@@ -284,3 +284,10 @@ def test_covariance_rejects_non_hermitian():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         CovarianceMatrix.from_entries(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_covariance_rejects_non_finite_entries(bad):
+    entries = np.array([[1.0, bad], [bad, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceMatrix.from_entries(entries)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from dmtlab import cli, codes
 from dmtlab.channel import ChannelDims, CyclicIsi, Fast, build_covariance
 from dmtlab.cli import ConfigError, ExperimentConfig, dispatch, load_config, write_report
 from dmtlab.codes import Codebook
+from dmtlab.sim import pep_chernoff
 from dmtlab.tradeoff import FixedRate, ScalingRate
 
 
@@ -88,6 +90,18 @@ def test_workers_must_be_positive(tmp_path, workers):
                      "--workers", workers]) == 2
     assert dispatch(["error-sim", "--config", str(cfg), "--codebook", str(book),
                      "--out", str(out), "--workers", workers]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_trials_must_be_positive(tmp_path, trials):
+    cfg = _write_config(tmp_path / "c.json")
+    book = _antipodal_book(tmp_path)
+    out = tmp_path / "out.csv"
+    assert dispatch(["outage", "--config", str(cfg), "--out", str(out),
+                     "--trials", trials]) == 2
+    assert dispatch(["error-sim", "--config", str(cfg), "--codebook", str(book),
+                     "--out", str(out), "--trials", trials]) == 2
     assert not out.exists()
 
 
@@ -202,6 +216,31 @@ def test_pep_command(tmp_path):
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values, reverse=True)  # decreasing in SNR
     assert values[0] == pytest.approx(1.0 / (1.0 + 1.0), rel=1e-9)  # snr=1, |e|^2=4
+
+
+@pytest.mark.parametrize("num_tx", [1, 2])
+def test_pep_command_matches_per_pair_bound(tmp_path, monkeypatch, num_tx):
+    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 40)  # two pairs a chunk
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    cov_path = tmp_path / "cov.json"
+    cov_path.write_text(json.dumps(cov.to_json()))
+    rng = np.random.default_rng(5)
+    words = 0.3 * (rng.standard_normal((8, num_tx, 4)) + 1j * rng.standard_normal((8, num_tx, 4)))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(num_tx, 2, 4))
+    book_path = tmp_path / "book.json"
+    book_path.write_text(json.dumps(book.to_json()))
+    reports = []  # the unformatted rows: the CSV keeps 12 digits
+    monkeypatch.setattr(cli, "write_report", lambda results, *args: reports.append(results))
+    snr_db = ["0", "10", "25"]
+    assert dispatch(["pep", "--cov", str(cov_path), "--codebook", str(book_path),
+                     "--mr", "2", "--snr-db", *snr_db]) == 0
+    values = [row[1] for row in reports[0]["rows"]]
+    loaded = Codebook.from_json(book.to_json(), num_rx=2).words
+    for db, value in zip(snr_db, values):
+        snr = 10.0 ** (float(db) / 10.0)
+        worst = max(pep_chernoff(cov, loaded[i] - loaded[j], snr, 2).value
+                    for i in range(8) for j in range(i + 1, 8))
+        assert value == pytest.approx(worst, rel=1e-12)
 
 
 def test_oracle_check_command():

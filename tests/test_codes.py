@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from dmtlab.channel import ChannelDims, CyclicIsi, Fast, Flat, build_covariance
+from dmtlab import codes
+from dmtlab.channel import (
+    BlockFading,
+    ChannelDims,
+    CyclicIsi,
+    Fast,
+    Flat,
+    ScatteringSpec,
+    TimeFrequency,
+    build_covariance,
+)
 from dmtlab.codes import (
     Codebook,
     criterion_threshold,
@@ -9,6 +19,8 @@ from dmtlab.codes import (
     delta_decomposition,
     effective_difference,
     min_entry_criterion,
+    pair_chunks,
+    pair_eigvals,
     pairwise_min_products,
     permutation_codebook,
     qam_family,
@@ -55,6 +67,13 @@ def test_qam_sixteen_point_geometry():
     assert np.max(np.abs(fam.points) ** 2) == pytest.approx(0.5625)
 
 
+@pytest.mark.parametrize("snr, r", [(float("inf"), 1.0), (float("nan"), 1.0),
+                                    (100.0, float("inf")), (100.0, float("nan"))])
+def test_qam_rejects_non_finite_inputs(snr, r):
+    with pytest.raises(ValueError, match="finite"):
+        qam_family(snr, r)
+
+
 def test_qam_points_stay_in_unit_disk():
     rng = spawn_rng(21)
     for _ in range(30):
@@ -90,22 +109,87 @@ def test_permutation_code_rejects_non_bijection():
         permutation_codebook(fam, [[0, 0, 1, 2], range(4)])
 
 
-def test_pairwise_min_products_matches_double_loop():
+def test_pairwise_min_products_matches_double_loop(monkeypatch):
     rng = spawn_rng(23)
     words = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-    stats = pairwise_min_products(words, 2)
-    best_full = np.inf
-    best_two = np.inf
-    best_entry = np.inf
+    best = {"full": (np.inf, None), "two": (np.inf, None), "entry": (np.inf, None)}
     for i in range(7):
         for j in range(i + 1, 7):
-            d2 = np.sort(np.abs(words[i] - words[j]) ** 2)
-            best_full = min(best_full, d2.prod())
-            best_two = min(best_two, d2[:2].prod())
-            best_entry = min(best_entry, d2[0])
-    assert stats.full_min == pytest.approx(best_full, rel=1e-12)
-    assert stats.msmall_min == pytest.approx(best_two, rel=1e-12)
-    assert stats.entry_min == pytest.approx(best_entry, rel=1e-12)
+            diff = words[i] - words[j]
+            d2 = np.sort(diff.real ** 2 + diff.imag ** 2)
+            for name, value in (("full", d2.prod()), ("two", d2[:2].prod()),
+                                ("entry", d2[0])):
+                if value < best[name][0]:
+                    best[name] = (value, (i, j))
+    for budget in (4_000_000, 7):  # one chunk; two pairs a chunk
+        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+        stats = pairwise_min_products(words, 2)
+        assert (stats.full_min, stats.full_pair) == best["full"]
+        assert (stats.msmall_min, stats.msmall_pair) == best["two"]
+        assert (stats.entry_min, stats.entry_pair) == best["entry"]
+
+
+@pytest.mark.parametrize("num", [0, 1, 2, 5, 17])
+@pytest.mark.parametrize("per_pair", [1, 2, 3, 7, 100])
+def test_pair_chunks_follow_triu_order(monkeypatch, num, per_pair):
+    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 7)
+    chunks = list(pair_chunks(num, per_pair))
+    assert all(0 < ii.size <= max(1, 7 // per_pair) for ii, _ in chunks)
+    ii = np.concatenate([c[0] for c in chunks]) if chunks else np.empty(0, int)
+    jj = np.concatenate([c[1] for c in chunks]) if chunks else np.empty(0, int)
+    ref_i, ref_j = np.triu_indices(num, 1)
+    assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
+
+
+_KERNEL_COVS = {
+    "flat": Flat(),
+    "block": BlockFading(2, 2),
+    "isi": CyclicIsi(2, (1.0, 0.5)),
+    "tf": TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_KERNEL_COVS))
+@pytest.mark.parametrize("num_tx", [1, 2])
+def test_pair_sweeps_match_per_pair_oracle(monkeypatch, model, num_tx):
+    # a budget of 40 elements puts two 4x4 pairs in a chunk, so every sweep
+    # crosses many chunk boundaries
+    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 40)
+    n, num = 4, 9
+    cov = build_covariance(_KERNEL_COVS[model], n)
+    rng = spawn_rng(47)
+    words = 0.3 * (rng.standard_normal((num, num_tx, n))
+                   + 1j * rng.standard_normal((num, num_tx, n)))
+    words[3] = words[0]  # a zero difference: rank 0 and a zero product
+    words[5, :, 1] = words[1, :, 1]  # a difference with a zero slot
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(num_tx, 2, n))
+
+    pairs = [(i, j) for i in range(num) for j in range(i + 1, num)]
+    dense = {p: effective_difference(cov, words[p[0]] - words[p[1]]) for p in pairs}
+    batched = np.concatenate([pair_eigvals(words, cov.entries.T, ii, jj)
+                              for ii, jj in pair_chunks(num, n * n)])
+    for (i, j), eig in zip(pairs, batched):
+        ref = dense[(i, j)].eigvals
+        assert np.max(np.abs(eig - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+
+    keep = cov.rank * num_tx
+    if keep > n:
+        return  # the rank and xi criteria need rank * num_tx <= block_len
+    report = verify_rank_r0(book, cov)
+    assert report["ranks"] == [(p, dense[p].rank) for p in pairs]
+    assert report["failures"] == [{"pair": list(p), "rank": dense[p].rank}
+                                  for p in pairs if dense[p].rank != keep]
+
+    # xi without the repeated word, whose zero product would tie with round-off
+    distinct = [p for p in pairs if 3 not in p]
+    book = Codebook(words=np.delete(words, 3, axis=0), snr=10.0, mux_rate=0.0,
+                    dims=ChannelDims(num_tx, 2, n))
+    m = book.dims.min_ant
+    prods = [dense[p].eigvals[n - keep:n - keep + m].prod() for p in distinct]
+    k = int(np.argmin(prods))
+    xi = xi_metric(book, cov)
+    assert xi.pair == tuple(i - (i > 3) for i in distinct[k])
+    assert xi.value == pytest.approx(prods[k], rel=1e-12)
 
 
 # -- permutation search ------------------------------------------------------
@@ -126,6 +210,26 @@ def test_search_two_point_family_is_exhaustive_optimum():
             words = np.stack([fam.points[list(p0)], fam.points[list(p1)]], axis=1)
             best = max(best, pairwise_min_products(words, 2).full_min)
     assert entry.min_product == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("budget", [4_000_000, 300])
+def test_torus_screen_matches_per_candidate_loop(monkeypatch, budget):
+    # a 300-element budget scores 3 candidates of a 5x5 grid per chunk
+    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+    rng = spawn_rng(29)
+    q, slots = 5, 4
+    maps = [[(1, 0, 0, 1, 0, 0)] + [codes._random_affine(q, rng) for _ in range(slots - 1)]
+            for _ in range(20)]
+    two_small, full = codes._torus_bound_score(maps, q)
+    da, db = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    for k, cand in enumerate(maps):
+        dist = []
+        for a, b, c, d, _, _ in cand:
+            va, vb = (a * da + b * db) % q, (c * da + d * db) % q
+            dist.append(np.minimum(va, q - va) ** 2 + np.minimum(vb, q - vb) ** 2)
+        dist = np.sort(np.stack(dist).reshape(slots, -1)[:, 1:].astype(float), axis=0)
+        assert two_small[k] == (dist[0] * dist[1]).min()
+        assert full[k] == dist.prod(axis=0).min()
 
 
 def test_search_single_slot_reports_min_distance():
@@ -287,6 +391,21 @@ def test_verify_dmt_criterion_r0_full_rank_passes():
     book = _scalar_codebook(words, r=0.0)
     report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5)
     assert report["passed"]
+
+
+def test_verify_dmt_criterion_reuses_metric_for_the_same_book(monkeypatch):
+    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
+    book = _scalar_codebook(np.stack([np.zeros(4), 0.5 * np.ones(4)]))
+    other = _scalar_codebook(np.stack([np.zeros(4), 0.4 * np.ones(4)]))
+    calls = []
+    monkeypatch.setattr(codes, "xi_metric", lambda b, c: calls.append(b) or xi_metric(b, c))
+    report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5)
+    assert calls == [book]
+    assert len({row["xi"] for row in report["per_snr"]}) == 1
+    calls.clear()
+    verify_dmt_criterion(lambda snr: book if snr < 50 else other, cov,
+                         [10.0, 20.0, 100.0], 0.5)
+    assert calls == [book, other]
 
 
 def test_verify_dmt_criterion_rank_deficit_fails():

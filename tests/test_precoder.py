@@ -8,7 +8,15 @@ from dmtlab.channel import (
     build_covariance,
     circulant_covariance,
 )
-from dmtlab.codes import Codebook, permutation_codebook, qam_family, search_permutations, xi_metric
+from dmtlab import codes
+from dmtlab.codes import (
+    Codebook,
+    pairwise_min_products,
+    permutation_codebook,
+    qam_family,
+    search_permutations,
+    xi_metric,
+)
 from dmtlab.precoder import (
     Precoder,
     apply_precoder,
@@ -179,6 +187,9 @@ def test_precoder_json_round_trip(tmp_path):
     clone = Precoder.from_json(json.loads(path.read_text()))
     assert np.allclose(clone.matrix, pre.matrix)
     assert clone.shifts == pre.shifts
+    assert clone.shift_index_sets() == pre.shift_index_sets()
+    assert (clone.doppler_stride, clone.delay_stride, clone.num_time, clone.num_freq) == \
+        (pre.doppler_stride, pre.delay_stride, pre.num_time, pre.num_freq)
 
 
 def _isi_setup():
@@ -246,18 +257,37 @@ def test_precoded_pairs_pass_rank_criterion():
     assert report["expected_rank"] == 4
 
 
-def test_pruned_xi_matches_exhaustive():
+def test_pruned_xi_matches_exhaustive(monkeypatch):
     # the pruned evaluator used for composed designs agrees with the
-    # exhaustive metric on small instances
+    # exhaustive metric on small instances, also when its sweep is chunked
     rng = spawn_rng(43)
     cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     fam = qam_family(25.0, 1.0)
     perms = [rng.permutation(len(fam)) for _ in range(4)]
     outer = permutation_codebook(fam, perms)
-    report = verify_composed_design(pre, lambda s: outer, cov, [25.0],
-                                    epsilon=0.5, num_rx=2)
     words = np.stack([apply_precoder(pre, w) for w in outer.words])
     book = Codebook(words=words, snr=25.0, mux_rate=1.0, dims=ChannelDims(2, 2, 4))
     exhaustive = xi_metric(book, cov)
-    assert report["per_snr"][0]["xi"] == pytest.approx(exhaustive.value, rel=1e-9)
+    outer_stats = pairwise_min_products(outer.words, 2)
+    # pairs the sandwich cannot rule out, counted pair by pair
+    nonzero = np.linalg.eigvalsh(weighted_row_gram(cov, pre))[4 - cov.rank * 2:]
+    pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
+    dist2 = []
+    for i, j in pairs:
+        diff = outer.words[i] - outer.words[j]
+        dist2.append(np.sort(diff.real ** 2 + diff.imag ** 2))
+    level = nonzero[-1] ** 2 * min(d[:2].prod() for d in dist2) * (1 + 1e-9)
+    survivors = sum(nonzero[0] ** 2 * d[:2].prod() <= level for d in dist2)
+    rows = []
+    for budget in (4_000_000, 4):  # one chunk; one pair a chunk
+        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+        report = verify_composed_design(pre, lambda s: outer, cov, [25.0],
+                                        epsilon=0.5, num_rx=2)
+        row = report["per_snr"][0]
+        assert row["xi"] == pytest.approx(exhaustive.value, rel=1e-9)
+        assert row["xi_pairs_evaluated"] == survivors < len(pairs)
+        assert row["outer_min_product"] == outer_stats.msmall_min
+        assert row["outer_worst_pair"] == list(outer_stats.msmall_pair)
+        rows.append(row)
+    assert rows[0] == rows[1]
