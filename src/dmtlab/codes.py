@@ -158,18 +158,13 @@ class Codebook:
 # pairwise sweeps
 
 
-def chunk_size(per_pair):
-    """Pairs per sweep chunk when each pair holds ``per_pair`` array elements."""
-    return max(1, _PAIR_SWEEP_BUDGET // per_pair)
-
-
 def pair_chunks(num, per_pair):
     """Unordered pairs i < j of ``num`` items as (ii, jj) index batches in
-    ``np.triu_indices(num, 1)`` order, ``chunk_size(per_pair)`` at a time."""
+    ``np.triu_indices(num, 1)`` order, _PAIR_SWEEP_BUDGET // per_pair at a time."""
     rows = np.arange(num)
     starts = rows * (2 * num - rows - 1) // 2  # linear index of pair (i, i + 1)
     total = num * (num - 1) // 2
-    step = chunk_size(per_pair)
+    step = max(1, _PAIR_SWEEP_BUDGET // per_pair)
     for lo in range(0, total, step):
         hi = min(lo + step, total)
         span = rows[np.searchsorted(starts, lo, "right") - 1:
@@ -182,7 +177,8 @@ def pair_chunks(num, per_pair):
 
 def _sort_slots(values):
     """Sort along the first (slot) axis in place: an odd-even transposition
-    network of elementwise min/max, faster than ``np.sort`` on a few slots."""
+    network of elementwise min/max. Its passes grow as slots**2; it beats a
+    row-wise ``np.sort`` up to about 8 slots."""
     count = len(values)
     for phase in range(count):
         for s in range(phase % 2, count - 1, 2):
@@ -300,7 +296,7 @@ def _torus_bound_score(maps, per_dim):
     slots, count, _ = maps.shape
     da, db = np.divmod(np.arange(1, q * q, dtype=np.int32), q)
     two_small, full = np.empty(count), np.empty(count)
-    step = chunk_size(slots * q * q)
+    step = max(1, _PAIR_SWEEP_BUDGET // (slots * q * q))
     for lo in range(0, count, step):
         a, b, c, d = (maps[:, lo:lo + step, k, None] for k in range(4))
         va = (a * da + b * db) % q

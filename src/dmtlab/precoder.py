@@ -13,7 +13,8 @@ import numpy as np
 
 from ._util import eig_rank, fft_column, rank_tolerance
 from .channel import circulant_covariance
-from .codes import (WorstPair, chunk_size, criterion_threshold, pair_chunks,
+from . import codes
+from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
                     sorted_pair_distances)
 
 
@@ -64,8 +65,7 @@ class Precoder:
 
     @classmethod
     def from_json(cls, payload):
-        """Inverse of ``to_json``; strides and grid default to a one-row
-        frequency grid when a payload predates them."""
+        """Inverse of ``to_json``; absent strides and grid mean a one-row grid."""
         rows = np.array([[complex(re, im) for re, im in row] for row in payload["rows"]])
         shifts = payload.get("shifts")
         return cls(matrix=rows, shifts=tuple(tuple(s) for s in shifts) if shifts else None,
@@ -222,17 +222,15 @@ def verify_tf_precoder(spec, precoder, cov=None):
 
 
 def _composed_sweep(gram, gram_eigs, words, m, keep):
-    """Outer worst pair and worst-pair eigenvalue product of a precoded
-    common-outer codebook, from one sorted-distance sweep of the outer code.
+    """Outer m-smallest product and xi worst pairs of a precoded common-outer
+    codebook, with the number of pairs eigensolved, from one sorted-distance
+    sweep of the outer code.
 
     The effective difference of such a codebook is the weighted row Gram
     conjugated by the diagonal of the outer difference, so its eigenvalues
     are sandwiched between sigma0/sigma_max times the sorted entry powers.
-    The sandwich prunes pairs that provably cannot achieve the minimum; the
-    survivors get a dense eigendecomposition. Verified against the
-    exhaustive evaluator in the test suite. Returns the outer m-smallest
-    product and xi trackers and the number of survivors (xi is 0 with none
-    evaluated when the Gram is rank deficient).
+    The sandwich prunes pairs that cannot achieve the minimum; only the
+    survivors are eigensolved. A rank-deficient Gram gives xi = 0 unsolved.
     """
     num, n = words.shape
     shift = n - keep
@@ -256,15 +254,10 @@ def _composed_sweep(gram, gram_eigs, words, m, keep):
     cand_i, cand_j, low = (np.concatenate(part) for part in zip(*cand))
     sel = low <= (sigma_max ** m) * min_up * (1 + 1e-9)
     cand_i, cand_j = cand_i[sel], cand_j[sel]
-    step = chunk_size(n * n)
+    step = max(1, codes._PAIR_SWEEP_BUDGET // (n * n))
     for lo in range(0, cand_i.size, step):
         ii, jj = cand_i[lo:lo + step], cand_j[lo:lo + step]
-        # D^H G D with D = diag(outer difference), in this association: the
-        # codes are lattice-symmetric, so exact ties are common and the
-        # rounding order decides which tied pair is reported
-        diffs = words[ii] - words[jj]
-        eff = diffs[:, :, None].conj() * gram * diffs[:, None, :]
-        eig = np.linalg.eigvalsh(eff)
+        eig = pair_eigvals(words[:, None, :], gram, ii, jj)
         xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
     return outer, xi, int(cand_i.size)
 
@@ -294,12 +287,9 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
     per_snr = []
     for snr in snr_grid:
         book = outer_gen(snr)
-        words = book.words
-        if words.ndim == 3:
-            words = words[:, 0, :]
-        r = book.mux_rate
-        threshold = criterion_threshold(snr, r, epsilon)
-        row = {"snr": float(snr), "mux_rate": float(r), "threshold": threshold}
+        words = book.words[:, 0, :] if book.words.ndim == 3 else book.words
+        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
+        row = {"snr": float(snr), "mux_rate": float(book.mux_rate), "threshold": threshold}
         if words.shape[0] < 2:
             row.update({"vacuous": True, "outer_passed": True, "xi_passed": True,
                         "chain_passed": True})
