@@ -480,8 +480,11 @@ def xi_metric(codebook, cov):
     for ii, jj in pair_chunks(num, n * n):
         eig = pair_eigvals(words, cov.entries.T, ii, jj)
         worst.update(eig[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
-    with np.errstate(divide="ignore"):
-        log_value = float(np.log(worst.value)) if worst.value > 0 else -np.inf
+    return _xi_from_worst(worst, keep)
+
+
+def _xi_from_worst(worst, keep):
+    log_value = float(np.log(worst.value)) if worst.value > 0 else -np.inf
     return XiMetric(value=worst.value, log_value=log_value, pair=worst.pair,
                     num_eigs=keep)
 
@@ -592,11 +595,15 @@ def block_fading_check(codebook, num_blocks):
     sub_len = n // num_blocks
     if n < num_blocks * num_tx:
         raise ValueError("block length is below the structural eigenvalue count")
+    if num < 2:
+        raise ValueError("need at least two codewords")
     cov = build_covariance(BlockFading(num_blocks, sub_len), n)
+    keep = cov.rank * num_tx
     m = codebook.dims.min_ant
     blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
     max_err = 0.0
     per_block_min = np.full(num_blocks, np.inf)
+    worst = WorstPair()  # the sweep of xi_metric(codebook, cov)
     for ii, jj in pair_chunks(num, n * n):
         eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
         kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)
@@ -604,10 +611,11 @@ def block_fading_check(codebook, num_blocks):
         union = np.sort(eig.reshape(len(ii), n), axis=-1)
         eff = pair_eigvals(words, cov.entries.T, ii, jj)
         max_err = max(max_err, float(np.max(np.abs(union - eff))))
+        worst.update(eff[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
     scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
     multiset_ok = max_err <= 1e-10 * scale
     return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,
-            "global_xi": xi_metric(codebook, cov),
+            "global_xi": _xi_from_worst(worst, keep),
             "per_block_min_products": per_block_min.tolist()}
 
 

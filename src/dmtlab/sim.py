@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import MC_CHUNK, complex_normal, spawn_rng, wilson_interval
+from .channel import sample_channel_batch
 from .codes import effective_difference
 from .precoder import apply_precoder
 
@@ -139,6 +140,41 @@ def _resolve_words(transmit):
     return np.asarray(transmit.words, dtype=complex)
 
 
+_DECODE_BUDGET = 4_000_000  # (trial, word) metric entries per decode slice
+
+
+def _check_nonnegative(value, name):
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _word_table(x, amp):
+    """Real (words, slots * (T**2 + 2T)) table of the word-dependent terms of
+    ||r - amp H x_w||**2 - ||r||**2 for slot-major words x (words, slots,
+    num_tx), the rows ``_trial_features`` is paired with. Per slot:
+    |x_j|**2, Re and Im of conj(x_j) x_k for j < k, and Re and Im of x_j,
+    scaled by amp**2, 2 amp**2, -2 amp**2 and -2 amp."""
+    jj, kk = np.triu_indices(x.shape[-1], 1)
+    cross = x[..., jj].conj() * x[..., kk]
+    a2 = amp * amp
+    cols = (a2 * (x.real ** 2 + x.imag ** 2), 2 * a2 * cross.real,
+            -2 * a2 * cross.imag, -2 * amp * x.real, -2 * amp * x.imag)
+    return np.concatenate(cols, axis=-1).reshape(len(x), -1)
+
+
+def _trial_features(blocks, received):
+    """Real (trials, slots * (T**2 + 2T)) features matching ``_word_table``:
+    per slot the diagonal and the Re/Im upper triangle of the Gram H_n^H H_n,
+    and the Re/Im matched filter H_n^H r_n."""
+    conj = blocks.conj()
+    jj, kk = np.triu_indices(blocks.shape[-1], 1)
+    upper = np.einsum("cnrp,cnrp->cnp", conj[..., jj], blocks[..., kk])
+    matched = np.einsum("cnri,cnr->cni", conj, received)
+    cols = (np.einsum("cnri,cnri->cni", conj, blocks).real, upper.real, upper.imag,
+            matched.real, matched.imag)
+    return np.concatenate(cols, axis=-1).reshape(len(blocks), -1)
+
+
 def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
                         noise_scale=1.0, workers=1):
     """Exhaustive-ML decoding error rate over random channels and noise.
@@ -149,9 +185,18 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     slot-summed distance over the whole codebook. Wilson 95% interval.
     Designed for desk-scale codebooks; decoding cost is linear in the
     codebook size.
+
+    The distance is expanded as ||r||**2 - 2 amp Re<H^H r, x_w> +
+    amp**2 sum_n x_{w,n}^H H_n^H H_n x_{w,n}; ||r||**2 is common to all
+    words, so the rest is one real matrix product of per-trial features with
+    a per-word table, taken in slices of at most _DECODE_BUDGET entries.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    _check_nonnegative(snr, "snr")
+    _check_nonnegative(noise_scale, "noise_scale")
     words = _resolve_words(transmit)
     num_words, num_tx, n = words.shape
     if num_words < 1:
@@ -159,40 +204,30 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     if (num_tx, n) != (dims.num_tx, dims.block_len):
         raise ValueError("codeword shape does not match the channel dimensions")
     amp = np.sqrt(snr / num_tx)
-    sqrt_factor = cov.sqrt_factor
-
-    # decode in slices so chunk * codebook * slots stays bounded in memory;
-    # slicing happens after all draws, so results match the unsliced path
-    decode_slice = max(1, 4_000_000 // max(1, num_words * n * dims.num_rx))
+    slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
+    table = _word_table(slot_words, amp)
+    decode_slice = max(1, _DECODE_BUDGET // num_words)
 
     def run_chunk(chunk_idx):
-        lo = chunk_idx * MC_CHUNK
-        size = min(MC_CHUNK, trials - lo)
+        size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
         rng = spawn_rng(master_seed, chunk_idx)
-        white = complex_normal(rng, (size, n, dims.num_rx, num_tx))
-        blocks = np.einsum("nk,ckij->cnij", sqrt_factor, white)
+        blocks = sample_channel_batch(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
         noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
+        received = amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent]) + noise
+        features = _trial_features(blocks, received)
         wrong = 0
         for s0 in range(0, size, decode_slice):
-            s1 = min(s0 + decode_slice, size)
-            # faded candidates for every draw and word: (slice, words, slots, rx)
-            faded = np.einsum("cnij,wjn->cwni", blocks[s0:s1], words)
-            received = amp * faded[np.arange(s1 - s0), sent[s0:s1]] + noise[s0:s1]
-            metric = np.sum(np.abs(received[:, None] - amp * faded) ** 2, axis=(2, 3))
-            decoded = np.argmin(metric, axis=1)
-            wrong += int(np.count_nonzero(decoded != sent[s0:s1]))
-        return wrong, size
+            decoded = np.argmin(features[s0:s0 + decode_slice] @ table.T, axis=1)
+            wrong += int(np.count_nonzero(decoded != sent[s0:s0 + decode_slice]))
+        return wrong
 
     num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
-    errors = 0
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for err, _ in pool.map(run_chunk, range(num_chunks)):
-                errors += err
+            errors = sum(pool.map(run_chunk, range(num_chunks)))
     else:
-        for idx in range(num_chunks):
-            errors += run_chunk(idx)[0]
+        errors = sum(map(run_chunk, range(num_chunks)))
     low, high = wilson_interval(errors, trials)
     return ErrorEstimate(error_rate=errors / trials, trials=trials, errors=errors,
                          ci_low=low, ci_high=high)
@@ -201,15 +236,14 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
 def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
     """Monte-Carlo average of the Gaussian-tail exponent the closed-form
     bound integrates; an independent oracle for ``pep_chernoff``."""
+    _check_nonnegative(snr, "snr")
     e = np.asarray(e, dtype=complex)
     coef = snr / (4.0 * dims.num_tx)
     total = 0.0
     num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     for chunk_idx in range(num_chunks):
         size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
-        rng = spawn_rng(master_seed, chunk_idx)
-        white = complex_normal(rng, (size, dims.block_len, dims.num_rx, dims.num_tx))
-        blocks = np.einsum("nk,ckij->cnij", cov.sqrt_factor, white)
+        blocks = sample_channel_batch(cov, dims, size, spawn_rng(master_seed, chunk_idx))
         faded = np.einsum("cnij,jn->cni", blocks, e)
         exponent = coef * np.sum(np.abs(faded) ** 2, axis=(1, 2))
         total += float(np.sum(np.exp(-exponent)))

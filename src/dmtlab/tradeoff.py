@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import MC_CHUNK, MC_WAVE, complex_normal, linear_to_db, spawn_rng, wilson_interval
+from ._util import MC_CHUNK, MC_WAVE, linear_to_db, spawn_rng, wilson_interval
+from .channel import sample_channel_batch
 
 
 @dataclass(frozen=True)
@@ -222,15 +223,11 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
         raise ValueError(f"unknown bound: {bound!r}")
     rate = point.rate_nats()
     snr = point.snr
-    sqrt_factor = cov.sqrt_factor
-    n = dims.block_len
 
     def run_chunk(chunk_idx):
         lo = chunk_idx * MC_CHUNK
         size = min(MC_CHUNK, trials - lo)
-        rng = spawn_rng(master_seed, chunk_idx)
-        white = complex_normal(rng, (size, n, dims.num_rx, dims.num_tx))
-        blocks = np.einsum("nk,ckij->cnij", sqrt_factor, white)
+        blocks = sample_channel_batch(cov, dims, size, spawn_rng(master_seed, chunk_idx))
         if bound == "full":
             info = _mutual_information_batch(blocks, snr, dims.num_tx)
         else:

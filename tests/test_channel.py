@@ -19,7 +19,7 @@ from dmtlab.channel import (
     sample_channel,
     sample_channel_batch,
 )
-from dmtlab._util import spawn_rng, unitary_fft
+from dmtlab._util import complex_normal, spawn_rng, unitary_fft
 
 
 def test_dims_invariants():
@@ -179,6 +179,15 @@ def test_sample_channel_empirical_covariance_identity():
     flat = draws.reshape(100_000, 4, -1)
     est = np.einsum("cnp,cmp->nm", flat, flat.conj()) / (100_000 * flat.shape[2])
     assert np.linalg.norm(est - np.eye(4)) / np.linalg.norm(np.eye(4)) < 0.02
+
+
+def test_complex_normal_matches_two_draw_formula():
+    for shape in ((16384, 4, 2, 2), (5, 3)):
+        rng, ref_rng = spawn_rng(12), spawn_rng(12)
+        ref = (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+        z = complex_normal(rng, shape)
+        assert np.array_equal(z.view(float), ref.view(float))
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_sample_channel_flat_blocks_identical():

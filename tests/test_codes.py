@@ -487,6 +487,24 @@ def test_block_fading_multiset_identity_random():
     assert report["max_multiset_err"] < 1e-10
 
 
+def test_block_fading_global_xi_equals_xi_metric():
+    rng = spawn_rng(35)
+    n, blocks, mt = 4, 2, 2
+    words = 0.3 * (rng.standard_normal((4, mt, n)) + 1j * rng.standard_normal((4, mt, n)))
+    books = [Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(mt, 2, n))]
+    rng = spawn_rng(36)
+    words = 0.4 * (rng.standard_normal((5, 1, n)) + 1j * rng.standard_normal((5, 1, n)))
+    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, n)))
+    small, large = 0.01, 1.0
+    word = np.concatenate([np.diag([np.sqrt(small), np.sqrt(large)]),
+                           np.diag([np.sqrt(large), np.sqrt(small)])], axis=1)
+    words = np.stack([np.zeros((2, 4)), word]).astype(complex)
+    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(2, 2, 4)))
+    for book in books:
+        cov = build_covariance(BlockFading(blocks, n // blocks), n)
+        assert block_fading_check(book, blocks)["global_xi"] == xi_metric(book, cov)
+
+
 def test_block_fading_scalar_global_is_min_over_blocks():
     rng = spawn_rng(36)
     n, blocks = 4, 2

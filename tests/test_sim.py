@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from dmtlab.channel import ChannelDims, CyclicIsi, Fast, Flat, build_covariance
+from dmtlab import sim
+from dmtlab.channel import (
+    ChannelDims,
+    CyclicIsi,
+    Fast,
+    Flat,
+    ScatteringSpec,
+    TimeFrequency,
+    build_covariance,
+)
 from dmtlab.codes import Codebook, permutation_codebook, qam_family
 from dmtlab.precoder import classic_precoder
 from dmtlab.sim import (
@@ -13,7 +22,7 @@ from dmtlab.sim import (
     trace_oracle,
 )
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
-from dmtlab._util import spawn_rng
+from dmtlab._util import MC_CHUNK, spawn_rng
 
 
 def test_pep_zero_difference_is_one():
@@ -162,3 +171,140 @@ def test_simulate_deterministic_across_workers():
     one = simulate_error_prob(cov, dims, code, workers=1, **kwargs)
     four = simulate_error_prob(cov, dims, code, workers=4, **kwargs)
     assert one == four
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(snr=float("nan")), dict(snr=-1.0), dict(snr=float("inf")),
+    dict(noise_scale=float("nan")), dict(noise_scale=-0.5),
+    dict(noise_scale=float("inf")), dict(workers=0), dict(workers=-1),
+])
+def test_simulate_rejects_bad_inputs(kwargs):
+    cov = build_covariance(Fast(), 2)
+    dims = ChannelDims(1, 1, 2)
+    fam = qam_family(16.0, 0.5)
+    code = permutation_codebook(fam, [range(4), range(4)]).as_codebook(num_rx=1)
+    args = dict(snr=8.0, trials=100, master_seed=59)
+    args.update(kwargs)
+    with pytest.raises(ValueError):
+        simulate_error_prob(cov, dims, code, **args)
+
+
+@pytest.mark.parametrize("snr", [float("nan"), -1.0, float("inf")])
+def test_pep_monte_carlo_rejects_bad_snr(snr):
+    cov = build_covariance(Flat(), 2)
+    with pytest.raises(ValueError):
+        pep_monte_carlo(cov, np.ones((1, 2)), snr, ChannelDims(1, 1, 2), trials=100)
+
+
+def _old_complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _faded(blocks, words):
+    """Faded candidates f_w = H x_w for every trial and word: (trials, words, slots, rx)."""
+    return np.einsum("cnij,wjn->cwni", blocks, words)
+
+
+def _dense_metric(faded, received, amp):
+    """The faded-tensor ML metric ||r - amp f_w||**2: (trials, words)."""
+    return np.sum(np.abs(received[:, None] - amp * faded) ** 2, axis=(2, 3))
+
+
+def _dense_draws(cov, dims, num_words, size, rng, noise_scale):
+    white = _old_complex_normal(rng, (size, dims.block_len, dims.num_rx, dims.num_tx))
+    blocks = np.einsum("nk,ckij->cnij", cov.sqrt_factor, white)
+    sent = rng.integers(0, num_words, size)
+    noise = noise_scale * _old_complex_normal(rng, (size, dims.block_len, dims.num_rx))
+    return blocks, sent, noise
+
+
+def _dense_errors(cov, dims, words, snr, trials, master_seed, noise_scale):
+    """Error count of simulate_error_prob's draws decoded with the dense metric."""
+    amp = np.sqrt(snr / dims.num_tx)
+    errors = 0
+    for chunk in range((trials + MC_CHUNK - 1) // MC_CHUNK):
+        size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
+        rng = spawn_rng(master_seed, chunk)
+        blocks, sent, noise = _dense_draws(cov, dims, len(words), size, rng, noise_scale)
+        faded = _faded(blocks, words)
+        received = amp * faded[np.arange(size), sent] + noise
+        metric = _dense_metric(faded, received, amp)
+        errors += int(np.count_nonzero(np.argmin(metric, axis=1) != sent))
+    return errors
+
+
+_DECODE_COVS = {
+    "flat": build_covariance(Flat(), 4),
+    "isi": build_covariance(CyclicIsi(2, (1.0, 0.5)), 4),
+    "tf": build_covariance(TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)), 4),
+}
+
+
+def _random_book(rng, num_words, num_tx, num_rx, n=4):
+    words = rng.standard_normal((num_words, num_tx, n)) + 1j * rng.standard_normal(
+        (num_words, num_tx, n))
+    powers = np.sum(np.abs(words) ** 2, axis=(1, 2))
+    words *= np.sqrt(0.9 * n * num_tx / powers.max())  # peak power below the cap
+    return Codebook(words=words, snr=10.0, mux_rate=0.0,
+                    dims=ChannelDims(num_tx, num_rx, n))
+
+
+@pytest.mark.parametrize("cov_name", sorted(_DECODE_COVS))
+@pytest.mark.parametrize("num_tx", [1, 2])
+@pytest.mark.parametrize("num_rx", [1, 2, 3])
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+def test_expanded_metric_matches_dense(cov_name, num_tx, num_rx, noise_scale):
+    cov = _DECODE_COVS[cov_name]
+    rng = spawn_rng(60, num_tx, num_rx, int(noise_scale))
+    book = _random_book(rng, 24, num_tx, num_rx)
+    dims, words = book.dims, book.words
+    amp = np.sqrt(20.0 / num_tx)
+    blocks, sent, noise = _dense_draws(cov, dims, len(words), 3000, rng, noise_scale)
+    received = amp * np.einsum("cnij,cjn->cni", blocks, words[sent]) + noise
+    faded = _faded(blocks, words)
+    dense = _dense_metric(faded, received, amp)
+    power = np.sum(np.abs(received) ** 2, axis=(1, 2))
+    table = sim._word_table(np.swapaxes(words, 1, 2), amp)
+    expanded = sim._trial_features(blocks, received) @ table.T
+    scale = power[:, None] + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
+    assert np.max(np.abs(expanded + power[:, None] - dense) / scale) < 1e-12
+    assert np.array_equal(np.argmin(expanded, axis=1), np.argmin(dense, axis=1))
+
+
+@pytest.mark.parametrize("cov_name", sorted(_DECODE_COVS))
+@pytest.mark.parametrize("num_tx", [1, 2])
+@pytest.mark.parametrize("num_rx", [1, 2, 3])
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+def test_simulate_matches_dense_decode(cov_name, num_tx, num_rx, noise_scale):
+    cov = _DECODE_COVS[cov_name]
+    book = _random_book(spawn_rng(61, num_tx, num_rx), 16, num_tx, num_rx)
+    est = simulate_error_prob(cov, book.dims, book, snr=10.0, trials=2500,
+                              master_seed=62, noise_scale=noise_scale)
+    assert est.errors == _dense_errors(cov, book.dims, book.words, 10.0, 2500, 62,
+                                       noise_scale)
+    if noise_scale == 0.0:
+        assert est.errors == 0
+
+
+def test_simulate_precoded_pair_matches_dense_decode():
+    cov = _DECODE_COVS["isi"]
+    dims = ChannelDims(2, 2, 4)
+    pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
+    outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
+    words = sim._resolve_words((pre, outer))
+    est = simulate_error_prob(cov, dims, (pre, outer), snr=9.0, trials=3000,
+                              master_seed=63)
+    assert est.errors > 0
+    assert est.errors == _dense_errors(cov, dims, words, 9.0, 3000, 63, 1.0)
+
+
+def test_decode_slices_do_not_change_results(monkeypatch):
+    cov = _DECODE_COVS["isi"]
+    book = _random_book(spawn_rng(64), 16, 2, 2)
+    kwargs = dict(snr=10.0, trials=MC_CHUNK + 500, master_seed=65)
+    whole = simulate_error_prob(cov, book.dims, book, **kwargs)
+    # 1003 trials per slice: uneven slices within both chunks
+    monkeypatch.setattr(sim, "_DECODE_BUDGET", 16 * 1003)
+    sliced = simulate_error_prob(cov, book.dims, book, **kwargs)
+    assert whole == sliced
+    assert whole.errors > 0
