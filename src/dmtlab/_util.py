@@ -1,4 +1,7 @@
-"""Shared numerical helpers: FFT matrices, rank tolerances, seeding, intervals."""
+"""Shared numerical helpers: FFT matrices, rank tolerances, seeding, the
+Monte-Carlo chunk runner, intervals."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -76,6 +79,39 @@ def spawn_rng(master_seed, *path):
     chunked Monte-Carlo runs reproducible regardless of scheduling.
     """
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path)))
+
+
+def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None):
+    """Sum ``chunk_fn(spawn_rng(master_seed, c), size)`` over the chunks c of
+    the fixed MC_CHUNK grid, in chunk order, so a fixed seed gives the same
+    total for any ``workers``. A positive ``min_events`` stops after the first
+    wave of MC_WAVE chunks whose running total reaches it; None or 0 runs the
+    full cap. Returns ``(total, trials_run)``."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if min_events is not None and min_events < 0:
+        raise ValueError("min_events must be nonnegative")
+    num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
+    wave = MC_WAVE if min_events else num_chunks
+
+    def run(chunk_idx):
+        size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
+        return chunk_fn(spawn_rng(master_seed, chunk_idx), size)
+
+    total = 0
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for start in range(0, num_chunks, wave):
+            chunks = range(start, min(start + wave, num_chunks))
+            for result in pool.map(run, chunks):
+                total += result
+            if min_events and total >= min_events:
+                break
+    finally:  # on an error or interrupt, drop the chunks not yet started
+        pool.shutdown(cancel_futures=True)
+    return total, min(trials, chunks.stop * MC_CHUNK)
 
 
 def complex_normal(rng, shape):

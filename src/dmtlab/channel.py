@@ -7,7 +7,7 @@ block-circulant matrix view of cyclic multipath channels.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -103,22 +103,52 @@ class ScatteringSpec:
                 * np.exp(-1j * np.pi * self.tau0 * df) * np.sinc(self.tau0 * df))
 
 
-class Flat:
-    """All slots see the same draw; covariance is the all-ones matrix."""
+class FadingModel:
+    """Fading across the slots of a block: a config ``kind``, the raw slot
+    covariance ``entries(n)`` (before unit-power normalisation), the rank
+    ``expected_rank(n)`` its definition implies, and its config document
+    ``to_doc()`` / ``from_doc(doc)``. ``MODELS`` maps each kind to its class.
+    The defaults here serve models whose parameters are all integers."""
 
-    def __repr__(self):
-        return "Flat()"
+    kind = None
 
+    def to_doc(self):
+        return {"kind": self.kind, **asdict(self)}
 
-class Fast:
-    """Independent draw per slot; covariance is the identity."""
-
-    def __repr__(self):
-        return "Fast()"
+    @classmethod
+    def from_doc(cls, doc):
+        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class BlockFading:
+class Flat(FadingModel):
+    """All slots see the same draw; covariance is the all-ones matrix."""
+
+    kind = "flat"
+
+    def entries(self, n):
+        return np.ones((n, n), dtype=complex)
+
+    def expected_rank(self, n):
+        return 1
+
+
+@dataclass(frozen=True)
+class Fast(FadingModel):
+    """Independent draw per slot; covariance is the identity."""
+
+    kind = "fast"
+
+    def entries(self, n):
+        return np.eye(n, dtype=complex)
+
+    def expected_rank(self, n):
+        return n
+
+
+@dataclass(frozen=True)
+class BlockFading(FadingModel):
+    kind = "block"
     num_blocks: int
     block_len: int
 
@@ -126,11 +156,21 @@ class BlockFading:
         if self.num_blocks < 1 or self.block_len < 1:
             raise ValueError("block counts must be positive")
 
+    def entries(self, n):
+        if self.num_blocks * self.block_len != n:
+            raise ValueError("num_blocks * block_len must equal the block length")
+        return np.kron(np.eye(self.num_blocks),
+                       np.ones((self.block_len, self.block_len))).astype(complex)
+
+    def expected_rank(self, n):
+        return self.num_blocks
+
 
 @dataclass(frozen=True)
-class CyclicIsi:
+class CyclicIsi(FadingModel):
     """Cyclic multipath channel observed in the frequency domain."""
 
+    kind = "isi"
     num_taps: int
     power_delay_profile: tuple
 
@@ -144,10 +184,61 @@ class CyclicIsi:
         if not any(p > 0 for p in pdp):
             raise ValueError("at least one tap power must be positive")
 
+    def entries(self, n):
+        if self.num_taps > n:
+            raise ValueError("tap count exceeds the block length")
+        profile = np.zeros(n)
+        profile[:self.num_taps] = self.power_delay_profile
+        fft = unitary_fft(n)
+        return (fft * profile) @ fft.conj().T
+
+    def expected_rank(self, n):
+        return sum(1 for p in self.power_delay_profile if p > 0)
+
+    def to_doc(self):
+        return {"kind": self.kind, "num_taps": self.num_taps,
+                "power_delay_profile": list(self.power_delay_profile)}
+
+    @classmethod
+    def from_doc(cls, doc):
+        return cls(power_delay_profile=tuple(doc["power_delay_profile"]),
+                   num_taps=int(doc["num_taps"]))
+
 
 @dataclass(frozen=True)
-class TimeFrequency:
+class TimeFrequency(FadingModel):
+    kind = "tf"
     spec: ScatteringSpec
+
+    def entries(self, n):
+        spec = self.spec
+        if spec.block_len != n:
+            raise ValueError("scattering grid does not match the block length")
+        t_idx, f_idx = np.divmod(np.arange(n), spec.num_freq)
+        dt = (t_idx[:, None] - t_idx[None, :]) * spec.grid_t
+        df = (f_idx[:, None] - f_idx[None, :]) * spec.grid_f
+        return spec.correlation(dt, df)
+
+    def expected_rank(self, n):
+        """Rank of the circulant surrogate (occupied Doppler bins times
+        occupied delay bins); the two-level Toeplitz matrix of ``entries``
+        generically has full numerical rank at finite block length."""
+        return self.spec.doppler_slots * self.spec.delay_slots
+
+    def to_doc(self):
+        spec = self.spec
+        return {"kind": self.kind, "nu0_t": spec.nu0 * spec.grid_t,
+                "tau0_f": spec.tau0 * spec.grid_f,
+                "num_time": spec.num_time, "num_freq": spec.num_freq}
+
+    @classmethod
+    def from_doc(cls, doc):
+        return cls(ScatteringSpec.from_normalized(
+            float(doc["nu0_t"]), float(doc["tau0_f"]),
+            int(doc["num_time"]), int(doc["num_freq"])))
+
+
+MODELS = {cls.kind: cls for cls in (Flat, Fast, BlockFading, CyclicIsi, TimeFrequency)}
 
 
 @dataclass(frozen=True)
@@ -229,10 +320,6 @@ class ChannelRealization:
             raise ValueError("block array does not match the declared dimensions")
         self.blocks.setflags(write=False)
 
-    def stacked(self):
-        """Horizontal concatenation of the slot matrices, num_rx x (N*num_tx)."""
-        return np.concatenate(list(self.blocks), axis=1)
-
     def jensen_stack(self):
         """Wide min(M_T, M_R) x N*max(M_T, M_R) stack of the slot matrices.
 
@@ -266,8 +353,9 @@ def build_covariance(model, n, normalize_unit_power=True):
 
     Parameters
     ----------
-    model : Flat | Fast | BlockFading | CyclicIsi | TimeFrequency
-        Statistical model of the fading process across slots.
+    model : FadingModel
+        Statistical model of the fading process across slots; one of the
+        classes in ``MODELS``.
     n : int
         Block length (number of time-frequency slots).
     normalize_unit_power : bool
@@ -281,34 +369,9 @@ def build_covariance(model, n, normalize_unit_power=True):
     """
     if n < 1:
         raise ValueError("block length must be positive")
-    if isinstance(model, Flat):
-        entries = np.ones((n, n), dtype=complex)
-    elif isinstance(model, Fast):
-        entries = np.eye(n, dtype=complex)
-    elif isinstance(model, BlockFading):
-        if model.num_blocks * model.block_len != n:
-            raise ValueError("num_blocks * block_len must equal the block length")
-        entries = np.kron(np.eye(model.num_blocks), np.ones((model.block_len, model.block_len))).astype(complex)
-    elif isinstance(model, CyclicIsi):
-        if model.num_taps > n:
-            raise ValueError("tap count exceeds the block length")
-        profile = np.zeros(n)
-        profile[:model.num_taps] = model.power_delay_profile
-        fft = unitary_fft(n)
-        entries = (fft * profile) @ fft.conj().T
-    elif isinstance(model, TimeFrequency):
-        spec = model.spec
-        if spec.block_len != n:
-            raise ValueError("scattering grid does not match the block length")
-        slot = np.arange(n)
-        t_idx = slot // spec.num_freq
-        f_idx = slot % spec.num_freq
-        dt = (t_idx[:, None] - t_idx[None, :]) * spec.grid_t
-        df = (f_idx[:, None] - f_idx[None, :]) * spec.grid_f
-        entries = spec.correlation(dt, df)
-    else:
+    if type(model) not in MODELS.values():
         raise TypeError(f"unknown covariance model: {model!r}")
-
+    entries = model.entries(n)
     if normalize_unit_power:
         diag = np.real(np.diag(entries))
         entries = entries / np.mean(diag)
@@ -350,14 +413,10 @@ def sample_channel(cov, dims, rng):
     Spatially white: every transmit-receive pair is an independent process
     across slots with covariance ``cov.entries``. The draw is
     ``sqrt_factor @ white`` where white holds i.i.d. unit-variance
-    circularly-symmetric Gaussians.
+    circularly-symmetric Gaussians: the one draw of
+    ``sample_channel_batch(cov, dims, 1, rng)``.
     """
-    n = dims.block_len
-    if cov.block_len != n:
-        raise ValueError("covariance size does not match the block length")
-    white = complex_normal(rng, (n, dims.num_rx, dims.num_tx))
-    blocks = np.einsum("nk,kij->nij", cov.sqrt_factor, white)
-    return ChannelRealization(blocks=blocks, dims=dims)
+    return ChannelRealization(blocks=sample_channel_batch(cov, dims, 1, rng)[0], dims=dims)
 
 
 def sample_channel_batch(cov, dims, count, rng):
@@ -404,23 +463,3 @@ def build_block_circulant(taps, n):
         corner = full[(n - 1) * num_rx:, (n - num_taps) * num_tx:]
     return BlockCirculant(taps=taps, full=full, corner=corner)
 
-
-def expected_rank(model, n):
-    """Rank of the covariance implied by the model definition.
-
-    For the time-frequency model this is the rank of the circulant
-    surrogate (occupied Doppler bins times occupied delay bins); the
-    two-level Toeplitz matrix built by ``build_covariance`` generically has
-    full numerical rank at finite block length.
-    """
-    if isinstance(model, Flat):
-        return 1
-    if isinstance(model, Fast):
-        return n
-    if isinstance(model, BlockFading):
-        return model.num_blocks
-    if isinstance(model, CyclicIsi):
-        return sum(1 for p in model.power_delay_profile if p > 0)
-    if isinstance(model, TimeFrequency):
-        return model.spec.doppler_slots * model.spec.delay_slots
-    raise TypeError(f"unknown covariance model: {model!r}")

@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import db_to_linear, spawn_rng
-from .channel import (
-    BlockFading,
-    ChannelDims,
-    CovarianceMatrix,
-    CyclicIsi,
-    Fast,
-    Flat,
-    ScatteringSpec,
-    TimeFrequency,
-    build_covariance,
-)
+from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
 from .codes import Codebook, pair_chunks, pair_eigvals, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
 from .sim import TraceBoundInstance, chernoff_bound, simulate_error_prob, trace_oracle
@@ -53,29 +43,11 @@ class ExperimentConfig:
     output: str = None
 
     def to_json(self):
-        model = self.model
-        if isinstance(model, Flat):
-            model_doc = {"kind": "flat"}
-        elif isinstance(model, Fast):
-            model_doc = {"kind": "fast"}
-        elif isinstance(model, BlockFading):
-            model_doc = {"kind": "block", "num_blocks": model.num_blocks,
-                         "block_len": model.block_len}
-        elif isinstance(model, CyclicIsi):
-            model_doc = {"kind": "isi", "num_taps": model.num_taps,
-                         "power_delay_profile": list(model.power_delay_profile)}
-        elif isinstance(model, TimeFrequency):
-            spec = model.spec
-            model_doc = {"kind": "tf", "nu0_t": spec.nu0 * spec.grid_t,
-                         "tau0_f": spec.tau0 * spec.grid_f,
-                         "num_time": spec.num_time, "num_freq": spec.num_freq}
-        else:
-            raise ValueError(f"unknown model: {model!r}")
         if isinstance(self.rate_mode, FixedRate):
             rate_doc = {"mode": "fixed", "bits": self.rate_mode.nats / _LN2}
         else:
             rate_doc = {"mode": "scaling", "mux_rate": self.rate_mode.mux_rate}
-        doc = {"model": model_doc,
+        doc = {"model": self.model.to_doc(),
                "dims": {"num_tx": self.dims.num_tx, "num_rx": self.dims.num_rx,
                         "block_len": self.dims.block_len},
                "snr_db": list(self.snr_db), "rate": rate_doc,
@@ -95,6 +67,8 @@ class ConfigError(ValueError):
 
 
 def _require(doc, key, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
     if key not in doc:
         raise ConfigError(f"{where}.{key}: missing required field")
     return doc[key]
@@ -102,24 +76,15 @@ def _require(doc, key, where):
 
 def _parse_model(doc):
     kind = _require(doc, "kind", "model")
-    if kind == "flat":
-        return Flat()
-    if kind == "fast":
-        return Fast()
-    if kind == "block":
-        return BlockFading(num_blocks=int(_require(doc, "num_blocks", "model")),
-                           block_len=int(_require(doc, "block_len", "model")))
-    if kind == "isi":
-        pdp = _require(doc, "power_delay_profile", "model")
-        return CyclicIsi(num_taps=int(_require(doc, "num_taps", "model")),
-                         power_delay_profile=tuple(pdp))
-    if kind == "tf":
-        return TimeFrequency(ScatteringSpec.from_normalized(
-            float(_require(doc, "nu0_t", "model")),
-            float(_require(doc, "tau0_f", "model")),
-            int(_require(doc, "num_time", "model")),
-            int(_require(doc, "num_freq", "model"))))
-    raise ConfigError(f"model.kind: unknown kind {kind!r}")
+    model_cls = MODELS.get(kind) if isinstance(kind, str) else None
+    if model_cls is None:
+        raise ConfigError(f"model.kind: unknown kind {kind!r}")
+    try:
+        return model_cls.from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"model.{exc.args[0]}: missing required field") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def load_config(path):
@@ -137,7 +102,10 @@ def load_config(path):
                            block_len=int(_require(dims_doc, "block_len", "dims")))
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
-    snr_db = tuple(float(v) for v in _require(doc, "snr_db", "config"))
+    snr_doc = _require(doc, "snr_db", "config")
+    if not isinstance(snr_doc, list):
+        raise ConfigError("snr_db: expected a JSON list")
+    snr_db = tuple(float(v) for v in snr_doc)
     if not np.all(np.isfinite(snr_db)):
         raise ConfigError("snr_db: entries must be finite")
     if list(snr_db) != sorted(snr_db):
@@ -349,11 +317,14 @@ def _cmd_oracle_check(args):
     return 2
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser():
@@ -375,10 +346,11 @@ def build_parser():
     p = sub.add_parser("outage", help="Monte-Carlo outage sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--bound", choices=["full", "jensen"], default="full")
-    p.add_argument("--trials", type=_positive_int)
+    p.add_argument("--trials", type=_int_at_least(1))
     p.add_argument("--seed", type=int)
-    p.add_argument("--min-events", type=int, default=100)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--min-events", type=_int_at_least(0), default=100,
+                   help="stop once this many outage events are seen; 0 runs the full cap")
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_outage)
 
@@ -387,9 +359,9 @@ def build_parser():
     p.add_argument("--codebook", required=True,
                    help="codebook JSON; the same words are reused at every grid SNR")
     p.add_argument("--with-outage", action="store_true")
-    p.add_argument("--trials", type=_positive_int)
+    p.add_argument("--trials", type=_int_at_least(1))
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_error_sim)
 

@@ -4,12 +4,11 @@ and an exhaustive maximum-likelihood decoding Monte Carlo.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import MC_CHUNK, complex_normal, spawn_rng, wilson_interval
+from ._util import complex_normal, run_chunks, spawn_rng, wilson_interval
 from .channel import sample_channel_batch
 from .codes import effective_difference
 from .precoder import apply_precoder
@@ -191,10 +190,6 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     words, so the rest is one real matrix product of per-trial features with
     a per-word table, taken in slices of at most _DECODE_BUDGET entries.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     _check_nonnegative(snr, "snr")
     _check_nonnegative(noise_scale, "noise_scale")
     words = _resolve_words(transmit)
@@ -208,9 +203,7 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     table = _word_table(slot_words, amp)
     decode_slice = max(1, _DECODE_BUDGET // num_words)
 
-    def run_chunk(chunk_idx):
-        size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
-        rng = spawn_rng(master_seed, chunk_idx)
+    def run_chunk(rng, size):
         blocks = sample_channel_batch(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
         noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
@@ -222,12 +215,7 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
             wrong += int(np.count_nonzero(decoded != sent[s0:s0 + decode_slice]))
         return wrong
 
-    num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(run_chunk, range(num_chunks)))
-    else:
-        errors = sum(map(run_chunk, range(num_chunks)))
+    errors, trials = run_chunks(run_chunk, trials, master_seed, workers)
     low, high = wilson_interval(errors, trials)
     return ErrorEstimate(error_rate=errors / trials, trials=trials, errors=errors,
                          ci_low=low, ci_high=high)
@@ -239,12 +227,10 @@ def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
     _check_nonnegative(snr, "snr")
     e = np.asarray(e, dtype=complex)
     coef = snr / (4.0 * dims.num_tx)
-    total = 0.0
-    num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
-    for chunk_idx in range(num_chunks):
-        size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
-        blocks = sample_channel_batch(cov, dims, size, spawn_rng(master_seed, chunk_idx))
-        faded = np.einsum("cnij,jn->cni", blocks, e)
-        exponent = coef * np.sum(np.abs(faded) ** 2, axis=(1, 2))
-        total += float(np.sum(np.exp(-exponent)))
+
+    def run_chunk(rng, size):
+        faded = np.einsum("cnij,jn->cni", sample_channel_batch(cov, dims, size, rng), e)
+        return float(np.sum(np.exp(-coef * np.sum(np.abs(faded) ** 2, axis=(1, 2)))))
+
+    total, trials = run_chunks(run_chunk, trials, master_seed)
     return total / trials

@@ -7,12 +7,11 @@ unchanged.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import MC_CHUNK, MC_WAVE, linear_to_db, spawn_rng, wilson_interval
+from ._util import linear_to_db, run_chunks, wilson_interval
 from .channel import sample_channel_batch
 
 
@@ -213,8 +212,6 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
         Chunk c draws from the generator seeded by (master_seed, c), so a
         fixed seed gives byte-identical results for any ``workers``.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if isinstance(point.rate_mode, ScalingRate):
         r = point.rate_mode.mux_rate
         if not 0 <= r <= dims.min_ant:
@@ -222,34 +219,13 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
     if bound not in ("full", "jensen"):
         raise ValueError(f"unknown bound: {bound!r}")
     rate = point.rate_nats()
-    snr = point.snr
+    info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
 
-    def run_chunk(chunk_idx):
-        lo = chunk_idx * MC_CHUNK
-        size = min(MC_CHUNK, trials - lo)
-        blocks = sample_channel_batch(cov, dims, size, spawn_rng(master_seed, chunk_idx))
-        if bound == "full":
-            info = _mutual_information_batch(blocks, snr, dims.num_tx)
-        else:
-            info = _jensen_information_batch(blocks, snr, dims.num_tx)
-        return int(np.count_nonzero(info < rate)), size
+    def run_chunk(rng, size):
+        info = info_batch(sample_channel_batch(cov, dims, size, rng), point.snr, dims.num_tx)
+        return int(np.count_nonzero(info < rate))
 
-    num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
-    events = 0
-    done = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for wave_start in range(0, num_chunks, MC_WAVE):
-            wave = range(wave_start, min(wave_start + MC_WAVE, num_chunks))
-            results = pool.map(run_chunk, wave) if pool else map(run_chunk, wave)
-            for ev, size in results:
-                events += ev
-                done += size
-            if min_events and events >= min_events:
-                break
-    finally:
-        if pool:
-            pool.shutdown()
+    events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events)
     low, high = wilson_interval(events, done)
     return OutageEstimate(probability=events / done, trials=done,
                           outage_events=events, ci_low=low, ci_high=high)

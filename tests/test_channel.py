@@ -8,6 +8,8 @@ from dmtlab.channel import (
     ChannelDims,
     CovarianceMatrix,
     CyclicIsi,
+    MODELS,
+    FadingModel,
     Fast,
     Flat,
     ScatteringSpec,
@@ -15,7 +17,6 @@ from dmtlab.channel import (
     build_block_circulant,
     build_covariance,
     circulant_covariance,
-    expected_rank,
     sample_channel,
     sample_channel_batch,
 )
@@ -95,11 +96,30 @@ def test_expected_ranks_across_models():
     ]
     for model, n, rho in cases:
         cov = build_covariance(model, n)
-        assert cov.rank == rho == expected_rank(model, n)
+        assert cov.rank == rho == model.expected_rank(n)
         assert np.allclose(np.diag(cov.entries), 1.0)
         # PSD square root reproduces the matrix
         recon = cov.sqrt_factor @ cov.sqrt_factor.conj().T
         assert np.allclose(recon, cov.entries, atol=1e-10)
+    # time-frequency: the rank of the circulant surrogate, not of the
+    # generically full-rank two-level Toeplitz matrix
+    for spec in (ScatteringSpec.from_normalized(0.5, 0.5, 4, 4),
+                 ScatteringSpec.from_normalized(0.5, 0.25, 4, 8)):
+        model = TimeFrequency(spec)
+        assert model.expected_rank(spec.block_len) == circulant_covariance(spec).rank == 4
+
+
+@pytest.mark.parametrize("model", [None, "flat", np.ones((2, 2)), FadingModel()])
+def test_build_covariance_rejects_non_models(model):
+    with pytest.raises(TypeError, match="unknown covariance model"):
+        build_covariance(model, 2)
+
+
+def test_models_table_and_equality():
+    classes = (Flat, Fast, BlockFading, CyclicIsi, TimeFrequency)
+    assert MODELS == {cls.kind: cls for cls in classes} and len(MODELS) == 5
+    assert Flat() == Flat() and Fast() == Fast() and Flat() != Fast()
+    assert repr(Flat()) == "Flat()" and repr(Fast()) == "Fast()"
 
 
 def test_scattering_spec_validation():
@@ -227,7 +247,25 @@ def test_jensen_stack_shapes():
     wide = ChannelDims(num_tx=3, num_rx=2, block_len=4)
     real = sample_channel(cov, wide, rng)
     assert real.jensen_stack().shape == (2, 4 * 3)
-    assert real.stacked().shape == (2, 12)
+
+
+@pytest.mark.parametrize("model,dims", [
+    (Flat(), ChannelDims(2, 3, 5)),
+    (Fast(), ChannelDims(1, 1, 3)),
+    (BlockFading(2, 2), ChannelDims(2, 2, 4)),
+    (CyclicIsi(2, (1.0, 0.5)), ChannelDims(3, 2, 4)),
+    (TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 3)), ChannelDims(2, 1, 6)),
+])
+def test_sample_channel_matches_single_draw_formula(model, dims):
+    # the single-realization draw sample_channel used before it went through
+    # sample_channel_batch: same stream, bit for bit
+    cov = build_covariance(model, dims.block_len)
+    rng, ref_rng = spawn_rng(13, dims.block_len), spawn_rng(13, dims.block_len)
+    for _ in range(200):
+        one = sample_channel(cov, dims, rng).blocks
+        white = complex_normal(ref_rng, (dims.block_len, dims.num_rx, dims.num_tx))
+        ref = np.einsum("nk,kij->nij", cov.sqrt_factor, white)
+        assert np.array_equal(one.view(float), ref.view(float))
 
 
 @pytest.mark.parametrize("mt,mr", [(2, 2), (1, 2), (3, 2)])

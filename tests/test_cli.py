@@ -2,9 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmtlab import cli, codes
-from dmtlab.channel import ChannelDims, CyclicIsi, Fast, build_covariance
+from dmtlab.channel import (
+    BlockFading,
+    ChannelDims,
+    CyclicIsi,
+    Fast,
+    Flat,
+    ScatteringSpec,
+    TimeFrequency,
+    build_covariance,
+)
 from dmtlab.cli import ConfigError, ExperimentConfig, dispatch, load_config, write_report
 from dmtlab.codes import Codebook
 from dmtlab.sim import pep_chernoff
@@ -93,6 +104,33 @@ def test_workers_must_be_positive(tmp_path, workers):
     assert not out.exists()
 
 
+def test_min_events_must_be_nonnegative(tmp_path):
+    # -1 used to stop after the first wave and print 131 072-trial rows
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "out.csv"
+    assert dispatch(["outage", "--config", str(cfg), "--out", str(out),
+                     "--min-events", "-1"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": 5},
+    7,
+    {"snr_db": 5},
+    {"model": {"kind": "isi", "num_taps": 1, "power_delay_profile": 3}},
+], ids=["model", "top-level", "snr_db", "power_delay_profile"])
+def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    if isinstance(doc, dict):
+        _write_config(path, **doc)
+    else:
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert dispatch(["outage", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_trials_must_be_positive(tmp_path, trials):
     cfg = _write_config(tmp_path / "c.json")
@@ -105,17 +143,99 @@ def test_trials_must_be_positive(tmp_path, trials):
     assert not out.exists()
 
 
-def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(
-        model=CyclicIsi(2, (1.0, 0.5)),
-        dims=ChannelDims(2, 2, 4),
-        snr_db=(0.0, 10.0, 20.0),
-        rate_mode=ScalingRate(0.75),
-        trials=5000, master_seed=7, epsilon=0.25)
+# one config of each model kind, with the model section its saved file holds
+MODEL_CASES = [
+    (Flat(), 1, {"kind": "flat"}),
+    (Fast(), 3, {"kind": "fast"}),
+    (BlockFading(2, 2), 4, {"kind": "block", "num_blocks": 2, "block_len": 2}),
+    (CyclicIsi(2, (1.0, 0.5)), 4,
+     {"kind": "isi", "num_taps": 2, "power_delay_profile": [1.0, 0.5]}),
+    (TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.25, 2, 2)), 4,
+     {"kind": "tf", "nu0_t": 0.5, "tau0_f": 0.25, "num_time": 2, "num_freq": 2}),
+]
+
+
+_MODEL_IDS = [doc["kind"] for _, _, doc in MODEL_CASES]
+
+
+def _case_config(model, n):
+    return ExperimentConfig(model=model, dims=ChannelDims(2, 2, n), snr_db=(0.0, 10.0, 20.0),
+                            rate_mode=ScalingRate(0.75), trials=5000, master_seed=7,
+                            epsilon=0.25)
+
+
+@pytest.mark.parametrize("model,n,model_doc", MODEL_CASES, ids=_MODEL_IDS)
+def test_config_round_trip(tmp_path, model, n, model_doc):
+    cfg = _case_config(model, n)
     path = tmp_path / "cfg.json"
     cfg.save(path)
     clone = load_config(path)
     assert clone == cfg
+
+
+@pytest.mark.parametrize("model,n,model_doc", MODEL_CASES, ids=_MODEL_IDS)
+def test_config_save_bytes(tmp_path, model, n, model_doc):
+    # the file layout, field names and int/float types of every model section
+    path = tmp_path / "cfg.json"
+    _case_config(model, n).save(path)
+    expected = {"model": model_doc, "dims": {"num_tx": 2, "num_rx": 2, "block_len": n},
+                "snr_db": [0.0, 10.0, 20.0], "rate": {"mode": "scaling", "mux_rate": 0.75},
+                "trials": 5000, "seed": 7, "epsilon": 0.25}
+    assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def _model_docs():
+    isi = st.integers(1, 4).flatmap(lambda taps: st.fixed_dictionaries({
+        "kind": st.just("isi"), "num_taps": st.just(taps),
+        "power_delay_profile": st.lists(st.floats(0.0, 10.0), min_size=taps, max_size=taps)
+        .filter(lambda pdp: max(pdp) > 0)}))
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["flat", "fast"])}),
+        st.fixed_dictionaries({"kind": st.just("block"), "num_blocks": st.integers(1, 3),
+                               "block_len": st.integers(1, 3)}),
+        isi,
+        st.fixed_dictionaries({"kind": st.just("tf"), "nu0_t": st.floats(0.01, 0.99),
+                               "tau0_f": st.floats(0.01, 0.99),
+                               "num_time": st.integers(1, 3), "num_freq": st.integers(1, 3)}))
+
+
+def _block_len(model_doc, extra):
+    kind = model_doc["kind"]
+    if kind == "block":
+        return model_doc["num_blocks"] * model_doc["block_len"]
+    if kind == "tf":
+        return model_doc["num_time"] * model_doc["num_freq"]
+    return model_doc.get("num_taps", 1) + extra
+
+
+_CONFIG_DOCS = st.builds(
+    lambda model, extra, mt, mr, snr, rate, trials, seed, eps: {
+        "model": model, "dims": {"num_tx": mt, "num_rx": mr,
+                                 "block_len": _block_len(model, extra)},
+        "snr_db": sorted(snr), "rate": rate, "trials": trials, "seed": seed,
+        "epsilon": eps},
+    _model_docs(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+    st.lists(st.floats(-20.0, 60.0), max_size=4),
+    st.one_of(st.fixed_dictionaries({"mode": st.just("fixed"), "bits": st.floats(0.0, 30.0)}),
+              st.fixed_dictionaries({"mode": st.just("scaling"),
+                                     "mux_rate": st.floats(0.0, 3.0)})),
+    st.integers(1, 10 ** 9), st.integers(0, 2 ** 31 - 1), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=_CONFIG_DOCS)
+def test_config_json_round_trip_property(tmp_path_factory, doc):
+    # a config loaded from a file saves and loads back equal, byte-stably; the
+    # docs are drawn as files because a FixedRate built in code from arbitrary
+    # nats can come back one ulp off through the file's bits
+    workdir = tmp_path_factory.mktemp("cfg")
+    (workdir / "in.json").write_text(json.dumps(doc))
+    cfg = load_config(workdir / "in.json")
+    cfg.save(workdir / "a.json")
+    clone = load_config(workdir / "a.json")
+    assert clone == cfg
+    clone.save(workdir / "b.json")
+    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
 
 def test_outage_command_csv(tmp_path):

@@ -196,6 +196,14 @@ def test_pep_monte_carlo_rejects_bad_snr(snr):
         pep_monte_carlo(cov, np.ones((1, 2)), snr, ChannelDims(1, 1, 2), trials=100)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_pep_monte_carlo_rejects_bad_trials(trials):
+    # trials=0 divided by zero and trials=-5 returned -0.0
+    cov = build_covariance(Flat(), 2)
+    with pytest.raises(ValueError):
+        pep_monte_carlo(cov, np.ones((1, 2)), 4.0, ChannelDims(1, 1, 2), trials=trials)
+
+
 def _old_complex_normal(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 

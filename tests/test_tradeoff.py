@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from dmtlab.tradeoff import (
     _jensen_information_batch,
     _mutual_information_batch,
 )
-from dmtlab._util import complex_normal, db_to_linear, spawn_rng
+from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
 
 
 def _realization(blocks, num_tx, num_rx):
@@ -297,6 +299,56 @@ def test_outage_deterministic_across_workers():
     one = estimate_outage(cov, dims, point, workers=1, **kwargs)
     four = estimate_outage(cov, dims, point, workers=4, **kwargs)
     assert one == four
+
+
+@pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-1), dict(min_events=-1),
+                                    dict(trials=0), dict(trials=-5)])
+def test_outage_rejects_bad_budget(kwargs):
+    # min_events=-1 used to stop after the first wave (131 072 of 300 000 trials)
+    cov = build_covariance(Flat(), 1)
+    args = dict(trials=300_000, master_seed=6, min_events=100)
+    args.update(kwargs)
+    with pytest.raises(ValueError):
+        estimate_outage(cov, ChannelDims(1, 1, 1), SnrPoint(2.0, FixedRate(1.0)), **args)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_chunks_grid_waves_and_order(workers):
+    trials = 20 * MC_CHUNK + 5
+    sizes = []
+
+    def count_chunk(rng, size):
+        sizes.append(size)
+        return 1
+
+    assert run_chunks(count_chunk, trials, 0, workers) == (21, trials)
+    assert sorted(sizes) == [5] + [MC_CHUNK] * 20
+    # stop only on a wave boundary, once the running total reaches min_events
+    assert run_chunks(count_chunk, trials, 0, workers, 1) == (MC_WAVE, MC_WAVE * MC_CHUNK)
+    assert run_chunks(count_chunk, trials, 0, workers, MC_WAVE + 1) == (
+        2 * MC_WAVE, 2 * MC_WAVE * MC_CHUNK)
+    assert run_chunks(count_chunk, trials, 0, workers, 0) == (21, trials)
+    # float totals are summed in chunk order from the (seed, chunk) streams
+    total, done = run_chunks(lambda rng, size: rng.standard_normal() * size, trials, 7, workers)
+    expected = 0.0
+    for chunk in range(21):
+        expected += spawn_rng(7, chunk).standard_normal() * min(MC_CHUNK, trials - chunk * MC_CHUNK)
+    assert (total, done) == (expected, trials)
+
+
+def test_run_chunks_error_drops_queued_chunks():
+    calls = []
+
+    def failing_chunk(rng, size):
+        calls.append(size)
+        if len(calls) == 1:
+            raise RuntimeError("chunk failed")
+        time.sleep(0.01)
+        return 0
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        run_chunks(failing_chunk, 50 * MC_CHUNK, 0, workers=2)
+    assert len(calls) < 10  # the other 40-odd queued chunks never start
 
 
 def test_outage_scaling_rate_validation():
