@@ -35,14 +35,6 @@ def cyclic_shift_matrix(n, power=1):
     return np.eye(n)[:, (np.arange(n) + power) % n]
 
 
-def forward_shift_matrix(n, power=1):
-    """Nilpotent forward shift: (S^p v)[i] = v[i - p], zero below index p."""
-    mat = np.zeros((n, n))
-    if power < n:
-        mat[np.arange(power, n), np.arange(n - power)] = 1.0
-    return mat
-
-
 def rank_tolerance(values, n):
     """Threshold below which eigen/singular values count as zero; one
     threshold per row of the last axis."""

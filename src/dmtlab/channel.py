@@ -348,8 +348,10 @@ class BlockCirculant:
         return numerical_rank(self.corner)
 
 
-def build_covariance(model, n, normalize_unit_power=True):
-    """Construct the slot covariance matrix for a fading model.
+def build_covariance(model, n):
+    """Construct the slot covariance matrix for a fading model, rescaled so
+    every diagonal entry is exactly 1 and the average SNR keeps its meaning
+    (the raw cyclic multipath construction has diagonal sum(pdp)/n).
 
     Parameters
     ----------
@@ -358,10 +360,6 @@ def build_covariance(model, n, normalize_unit_power=True):
         classes in ``MODELS``.
     n : int
         Block length (number of time-frequency slots).
-    normalize_unit_power : bool
-        Rescale so every diagonal entry is exactly 1. The raw cyclic
-        multipath construction has diagonal sum(pdp)/n instead; keeping the
-        diagonal at 1 preserves the meaning of the average SNR.
 
     Returns
     -------
@@ -372,20 +370,18 @@ def build_covariance(model, n, normalize_unit_power=True):
     if type(model) not in MODELS.values():
         raise TypeError(f"unknown covariance model: {model!r}")
     entries = model.entries(n)
-    if normalize_unit_power:
-        diag = np.real(np.diag(entries))
-        entries = entries / np.mean(diag)
-    return CovarianceMatrix.from_entries(entries)
+    return CovarianceMatrix.from_entries(entries / np.mean(np.real(np.diag(entries))))
 
 
-def circulant_covariance(spec, normalize_unit_power=True):
+def circulant_covariance(spec):
     """Two-level circulant covariance with eigenvalues sampled from the
     asymptotic spectrum of the time-frequency selective channel.
 
     The eigenvectors are Kronecker products of DFT columns and the nonzero
     eigenvalues occupy the Doppler-delay index box {0..v-1} x {0..t-1} where
     v and t count the occupied Doppler and delay bins. For the brick-wall
-    spectrum the sampled value is constant on the support.
+    spectrum the sampled value is constant on the support, scaled to unit
+    diagonal.
     """
     v = spec.doppler_slots
     t = spec.delay_slots
@@ -393,17 +389,10 @@ def circulant_covariance(spec, normalize_unit_power=True):
         raise ValueError("channel spread too small for the grid: "
                          f"doppler_slots={v}, delay_slots={t}")
     big_m, big_k = spec.num_time, spec.num_freq
-    n = spec.block_len
-    if normalize_unit_power:
-        level = n / (v * t)
-    else:
-        level = spec.sigma2 / (spec.grid_t * spec.grid_f * spec.tau0 * spec.nu0)
-    lam = np.zeros(n)
-    for m in range(v):
-        for k in range(t):
-            lam[m * big_k + k] = level
+    lam = np.zeros((big_m, big_k))
+    lam[:v, :t] = spec.block_len / (v * t)
     fmat = np.kron(unitary_fft(big_m), unitary_fft(big_k))
-    entries = (fmat * lam) @ fmat.conj().T
+    entries = (fmat * lam.reshape(-1)) @ fmat.conj().T
     return CovarianceMatrix.from_entries(entries)
 
 

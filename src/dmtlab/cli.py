@@ -8,6 +8,7 @@ line; everything is converted to linear SNR and nats internally.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -66,16 +67,39 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(doc, key, where):
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_REQUIRED = object()
+
+
+def _typed(value, kind, name):
+    """``value`` as ``kind``: a string, a finite number as float, or an
+    integral finite number as int. A JSON bool is none of these."""
+    if isinstance(value, str if kind is str else (int, float)) and not isinstance(value, bool):
+        if kind is str:
+            return value
+        try:
+            number = kind(value)
+            if math.isfinite(number) and (kind is float or number == value):
+                return number
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
+
+
+def _field(doc, key, where, kind=None, default=_REQUIRED):
+    """``doc[key]`` of the JSON object ``doc`` at ``where``, read as ``kind``
+    unless that is None; a missing key gives ``default`` if one is given."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     if key not in doc:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return doc[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: missing required field")
+        return default
+    return doc[key] if kind is None else _typed(doc[key], kind, f"{where}.{key}")
 
 
 def _parse_model(doc):
-    kind = _require(doc, "kind", "model")
+    kind = _field(doc, "kind", "model")
     model_cls = MODELS.get(kind) if isinstance(kind, str) else None
     if model_cls is None:
         raise ConfigError(f"model.kind: unknown kind {kind!r}")
@@ -94,38 +118,36 @@ def load_config(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    model = _parse_model(_require(doc, "model", "config"))
-    dims_doc = _require(doc, "dims", "config")
+    model = _parse_model(_field(doc, "model", "config"))
+    dims_doc = _field(doc, "dims", "config")
+    sizes = {key: _field(dims_doc, key, "dims", int)
+             for key in ("num_tx", "num_rx", "block_len")}
     try:
-        dims = ChannelDims(num_tx=int(_require(dims_doc, "num_tx", "dims")),
-                           num_rx=int(_require(dims_doc, "num_rx", "dims")),
-                           block_len=int(_require(dims_doc, "block_len", "dims")))
+        dims = ChannelDims(**sizes)
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
-    snr_doc = _require(doc, "snr_db", "config")
+    snr_doc = _field(doc, "snr_db", "config")
     if not isinstance(snr_doc, list):
         raise ConfigError("snr_db: expected a JSON list")
-    snr_db = tuple(float(v) for v in snr_doc)
-    if not np.all(np.isfinite(snr_db)):
-        raise ConfigError("snr_db: entries must be finite")
+    snr_db = tuple(_typed(v, float, f"snr_db[{k}]") for k, v in enumerate(snr_doc))
     if list(snr_db) != sorted(snr_db):
         raise ConfigError("snr_db: grid must be ascending")
-    rate_doc = _require(doc, "rate", "config")
-    mode = _require(rate_doc, "mode", "rate")
+    rate_doc = _field(doc, "rate", "config")
+    mode = _field(rate_doc, "mode", "rate")
     if mode == "fixed":
-        rate_mode = FixedRate(nats=float(_require(rate_doc, "bits", "rate")) * _LN2)
+        rate_mode = FixedRate(nats=_field(rate_doc, "bits", "rate", float) * _LN2)
     elif mode == "scaling":
-        rate_mode = ScalingRate(mux_rate=float(_require(rate_doc, "mux_rate", "rate")))
+        rate_mode = ScalingRate(mux_rate=_field(rate_doc, "mux_rate", "rate", float))
     else:
         raise ConfigError(f"rate.mode: unknown mode {mode!r}")
-    trials = int(doc.get("trials", 100_000))
+    trials = _field(doc, "trials", "config", int, 100_000)
     if trials <= 0:
         raise ConfigError("trials: must be positive")
     config = ExperimentConfig(model=model, dims=dims, snr_db=snr_db,
                               rate_mode=rate_mode, trials=trials,
-                              master_seed=int(doc.get("seed", 0)),
-                              epsilon=float(doc.get("epsilon", 0.1)),
-                              output=doc.get("output"))
+                              master_seed=_field(doc, "seed", "config", int, 0),
+                              epsilon=_field(doc, "epsilon", "config", float, 0.1),
+                              output=_field(doc, "output", "config", str, None))
     try:
         build_covariance(config.model, dims.block_len)
     except ValueError as exc:

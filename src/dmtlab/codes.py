@@ -129,6 +129,8 @@ class Codebook:
         if words.ndim != 3:
             raise ValueError("words must be a stack of matrices")
         _, num_tx, block_len = words.shape
+        if not np.all(np.isfinite(words)):
+            raise ValueError("codeword entries must be finite")
         if num_tx != self.dims.num_tx or block_len != self.dims.block_len:
             raise ValueError("codeword shape does not match the declared dimensions")
         powers = np.sum(np.abs(words) ** 2, axis=(1, 2))
@@ -209,11 +211,12 @@ def pair_eigvals(words, weight, ii, jj):
     return np.linalg.eigvalsh(weight * gram)
 
 
+@dataclass
 class WorstPair:
     """Running minimum of a per-pair statistic; ties keep the first pair."""
 
-    def __init__(self):
-        self.value, self.pair = np.inf, (-1, -1)
+    value: float = np.inf
+    pair: tuple = (-1, -1)
 
     def update(self, values, ii, jj):
         k = int(np.argmin(values))
@@ -221,43 +224,21 @@ class WorstPair:
             self.value, self.pair = float(values[k]), (int(ii[k]), int(jj[k]))
 
 
-@dataclass(frozen=True)
-class MinProducts:
-    """Worst-pair distance statistics of a scalar codebook."""
-
-    full_min: float
-    full_pair: tuple
-    msmall_min: float
-    msmall_pair: tuple
-    entry_min: float
-    entry_pair: tuple
-    entry_slot: int
-
-
 def pairwise_min_products(words, m):
-    """Exhaustive worst-pair statistics over a (cardinality, num_slots) array.
-
-    Returns the minimum over unordered pairs of: the product of all slot
-    distances squared, the product of the m smallest, and the single
-    smallest entry. Chunked so memory stays bounded for large codebooks.
-    """
+    """Exhaustive worst pair of a (cardinality, num_slots) array of scalar
+    codewords: the minimum over unordered pairs of the product of the m
+    smallest squared slot distances. m >= num_slots gives the full product
+    and m = 1 the smallest entry. Chunked so memory stays bounded."""
     words = np.asarray(words, dtype=complex)
     num, slots = words.shape
     if num < 2:
         raise ValueError("need at least two codewords")
-    m = min(m, slots)
-    full, msmall, entry = WorstPair(), WorstPair(), WorstPair()
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    worst = WorstPair()
     for ii, jj in pair_chunks(num, slots):
-        dist2 = sorted_pair_distances(words, ii, jj)
-        full.update(dist2.prod(axis=0), ii, jj)
-        msmall.update(dist2[:m].prod(axis=0), ii, jj)
-        entry.update(dist2[0], ii, jj)
-    i, j = entry.pair
-    slot = int(np.argmin(np.abs(words[i] - words[j]) ** 2)) if i >= 0 else -1
-    return MinProducts(full_min=full.value, full_pair=full.pair,
-                       msmall_min=msmall.value, msmall_pair=msmall.pair,
-                       entry_min=entry.value, entry_pair=entry.pair,
-                       entry_slot=slot)
+        worst.update(sorted_pair_distances(words, ii, jj)[:m].prod(axis=0), ii, jj)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +350,8 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
             if size == 1:
                 score, pair, method = np.inf, (-1, -1), "vacuous"
             else:
-                stats = pairwise_min_products(fam.points[:, None], 1)
-                score, pair, method = stats.full_min, stats.full_pair, "single-slot"
+                worst = pairwise_min_products(fam.points[:, None], 1)
+                score, pair, method = worst.value, worst.pair, "single-slot"
             entries.append(PermutationSearchEntry(
                 snr=float(snr), perms=(identity,) * n_slots, min_product=score,
                 worst_pair=pair, threshold=threshold,
@@ -403,14 +384,14 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
         best = None
         for combo, method in candidates:
             words = np.stack([fam.points[np.asarray(perm)] for perm in combo], axis=1)
-            stats = pairwise_min_products(words, n_slots)
-            if best is None or stats.full_min > best[0].full_min:
-                best = (stats, combo, method)
-        stats, combo, method = best
+            worst = pairwise_min_products(words, n_slots)
+            if best is None or worst.value > best[0].value:
+                best = (worst, combo, method)
+        worst, combo, method = best
         entries.append(PermutationSearchEntry(
-            snr=float(snr), perms=combo, min_product=stats.full_min,
-            worst_pair=stats.full_pair, threshold=threshold,
-            passes=bool(stats.full_min >= threshold), method=method))
+            snr=float(snr), perms=combo, min_product=worst.value,
+            worst_pair=worst.pair, threshold=threshold,
+            passes=bool(worst.value >= threshold), method=method))
     return PermutationSearch(entries=tuple(entries), mux_rate=float(r),
                              num_slots=n_slots, epsilon=float(epsilon))
 
@@ -451,19 +432,10 @@ def effective_difference(cov, e):
                                rank=eig_rank(eigvals, n))
 
 
-@dataclass(frozen=True)
-class XiMetric:
-    """Worst-pair product of the smallest structurally nonzero eigenvalues."""
-
-    value: float
-    log_value: float
-    pair: tuple
-    num_eigs: int
-
-
 def xi_metric(codebook, cov):
     """Minimum over codeword pairs of the product of the ``min_ant`` smallest
-    structurally nonzero eigenvalues of the effective difference.
+    structurally nonzero eigenvalues of the effective difference, as a
+    ``WorstPair``.
 
     Pair enumeration is exhaustive. Requires block_len >= rank * num_tx so
     the structural eigenvalue count is not limited by the block length.
@@ -480,13 +452,7 @@ def xi_metric(codebook, cov):
     for ii, jj in pair_chunks(num, n * n):
         eig = pair_eigvals(words, cov.entries.T, ii, jj)
         worst.update(eig[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
-    return _xi_from_worst(worst, keep)
-
-
-def _xi_from_worst(worst, keep):
-    log_value = float(np.log(worst.value)) if worst.value > 0 else -np.inf
-    return XiMetric(value=worst.value, log_value=log_value, pair=worst.pair,
-                    num_eigs=keep)
+    return worst
 
 
 def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
@@ -615,7 +581,7 @@ def block_fading_check(codebook, num_blocks):
     scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
     multiset_ok = max_err <= 1e-10 * scale
     return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,
-            "global_xi": _xi_from_worst(worst, keep),
+            "global_xi": worst,
             "per_block_min_products": per_block_min.tolist()}
 
 
@@ -627,11 +593,12 @@ def min_entry_criterion(codebook_gen, snr_grid, epsilon):
         book = codebook_gen(snr)
         if book.dims.num_tx != 1:
             raise ValueError("criterion applies to single transmit antenna codebooks")
-        stats = pairwise_min_products(book.words[:, 0, :], 1)
+        words = book.words[:, 0, :]
+        worst = pairwise_min_products(words, 1)
+        i, j = worst.pair
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
-        results.append({"snr": float(snr), "min_entry": stats.entry_min,
-                        "threshold": threshold,
-                        "worst_pair": list(stats.entry_pair),
-                        "worst_slot": stats.entry_slot,
-                        "passed": bool(stats.entry_min >= threshold)})
+        results.append({"snr": float(snr), "min_entry": worst.value,
+                        "threshold": threshold, "worst_pair": list(worst.pair),
+                        "worst_slot": int(np.argmin(np.abs(words[i] - words[j]) ** 2)),
+                        "passed": bool(worst.value >= threshold)})
     return {"passed": all(row["passed"] for row in results), "per_snr": results}

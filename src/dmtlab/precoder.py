@@ -145,14 +145,13 @@ def classic_precoder(kind, num_tx, n_slots, stride, shifts=None):
     shifts = [int(s) for s in shifts]
     if len(shifts) != num_tx:
         raise ValueError("shift list length must equal the antenna count")
-    slots = np.arange(n_slots)
+    rows = np.exp(-2j * np.pi * np.outer([s * stride for s in shifts], np.arange(n_slots))
+                  / n_slots)
     if kind == "cdd":
-        rows = np.exp(-2j * np.pi * np.outer([s * stride for s in shifts], slots) / n_slots)
         pairs = tuple((0, s) for s in shifts)
         return Precoder(matrix=rows, shifts=pairs, doppler_stride=1,
                         delay_stride=stride, num_time=1, num_freq=n_slots)
     if kind == "phase-rolling":
-        rows = np.exp(-2j * np.pi * np.outer([s * stride for s in shifts], slots) / n_slots)
         pairs = tuple((s, 0) for s in shifts)
         return Precoder(matrix=rows, shifts=pairs, doppler_stride=stride,
                         delay_stride=1, num_time=n_slots, num_freq=1)
@@ -180,12 +179,11 @@ class PrecoderRankReport:
     rank: int
     expected_rank: int
     sigma0: float
-    sigma_max: float
     passed: bool
 
 
 def verify_precoder_rank(cov, precoder):
-    """Numerical rank and extreme nonzero eigenvalues of the weighted row Gram."""
+    """Numerical rank and smallest nonzero eigenvalue of the weighted row Gram."""
     eig = np.linalg.eigvalsh(weighted_row_gram(cov, precoder))
     n = cov.block_len
     expected = cov.rank * precoder.num_tx
@@ -194,9 +192,8 @@ def verify_precoder_rank(cov, precoder):
     rank = eig_rank(eig, n)
     nonzero = eig[eig > rank_tolerance(eig, n)]
     sigma0 = float(nonzero[0]) if nonzero.size else 0.0
-    sigma_max = float(nonzero[-1]) if nonzero.size else 0.0
     return PrecoderRankReport(rank=rank, expected_rank=expected, sigma0=sigma0,
-                              sigma_max=sigma_max, passed=rank == expected)
+                              passed=rank == expected)
 
 
 def verify_tf_precoder(spec, precoder, cov=None):
@@ -228,13 +225,14 @@ def _composed_sweep(gram, gram_eigs, words, m, keep):
 
     The effective difference of such a codebook is the weighted row Gram
     conjugated by the diagonal of the outer difference, so its eigenvalues
-    are sandwiched between sigma0/sigma_max times the sorted entry powers.
-    The sandwich prunes pairs that cannot achieve the minimum; only the
-    survivors are eigensolved. A rank-deficient Gram gives xi = 0 unsolved.
+    are sandwiched between sigma0 and sigma_top (the smallest nonzero and the
+    largest Gram eigenvalue) times the sorted entry powers. The sandwich
+    prunes pairs that cannot achieve the minimum; only the survivors are
+    eigensolved. A rank-deficient Gram gives xi = 0 unsolved.
     """
     num, n = words.shape
     shift = n - keep
-    sigma0, sigma_max = float(gram_eigs[shift]), float(gram_eigs[-1])
+    sigma0, sigma_top = float(gram_eigs[shift]), float(gram_eigs[-1])
     deficient = sigma0 <= rank_tolerance(gram_eigs, n)
     outer, xi = WorstPair(), WorstPair()
     min_up, cand = np.inf, []
@@ -246,13 +244,13 @@ def _composed_sweep(gram, gram_eigs, words, m, keep):
             min_up = min(min_up, float(dist2[shift:shift + m].prod(axis=0).min()))
             # min_up only falls, so this keeps a superset of the final survivors
             low = (sigma0 ** m) * small
-            sel = low <= (sigma_max ** m) * min_up * (1 + 1e-9)
+            sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
             cand.append((ii[sel], jj[sel], low[sel]))
     if deficient:
         xi.value = 0.0
         return outer, xi, 0
     cand_i, cand_j, low = (np.concatenate(part) for part in zip(*cand))
-    sel = low <= (sigma_max ** m) * min_up * (1 + 1e-9)
+    sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
     cand_i, cand_j = cand_i[sel], cand_j[sel]
     step = max(1, codes._PAIR_SWEEP_BUDGET // (n * n))
     for lo in range(0, cand_i.size, step):

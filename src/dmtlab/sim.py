@@ -16,10 +16,9 @@ from .precoder import apply_precoder
 
 @dataclass(frozen=True)
 class PepBound:
-    """Closed-form average pairwise error bound and the eigenvalues behind it."""
+    """Closed-form average pairwise error bound."""
 
     value: float
-    eigs_used: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0 + 1e-12:
@@ -48,8 +47,7 @@ def pep_chernoff(cov, e, snr, num_rx):
     e = np.asarray(e, dtype=complex)
     num_tx = e.shape[0]
     eff = effective_difference(cov, e)
-    value = float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx))
-    return PepBound(value=value, eigs_used=np.clip(eff.nonzero_eigs, 0.0, None))
+    return PepBound(value=float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx)))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,18 @@ def test_min_events_must_be_nonnegative(tmp_path):
     7,
     {"snr_db": 5},
     {"model": {"kind": "isi", "num_taps": 1, "power_delay_profile": 3}},
-], ids=["model", "top-level", "snr_db", "power_delay_profile"])
+    {"dims": {"num_tx": None, "num_rx": 1, "block_len": 1}},
+    {"trials": None},
+    {"snr_db": [[1]]},
+    {"rate": {"mode": "fixed", "bits": None}},
+    {"epsilon": [1]},
+    {"seed": "x"},
+    {"trials": 2.7},
+    {"trials": True},
+    {"output": 5},
+], ids=["model", "top-level", "snr_db", "power_delay_profile", "num_tx-null",
+        "trials-null", "snr_db-nested", "bits-null", "epsilon-list", "seed-string",
+        "trials-fraction", "trials-bool", "output-int"])
 def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
     if isinstance(doc, dict):
@@ -277,6 +288,24 @@ def test_error_sim_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "snr_db,error_rate,ci_low,ci_high,trials,outage_rate"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", ["error-sim", "verify-code", "pep"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_codeword_exits_2(tmp_path, command, bad):
+    # a NaN word used to give a silent error-sim row and an eigensolver error
+    doc = json.loads(_antipodal_book(tmp_path).read_text())
+    doc["words"][1][0][0] = bad
+    book = tmp_path / "bad.json"
+    book.write_text(json.dumps(doc))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(build_covariance(Flat(), 1).to_json()))
+    extra = {"error-sim": ["--config", str(_write_config(tmp_path / "c.json"))],
+             "verify-code": ["--cov", str(cov)],
+             "pep": ["--cov", str(cov), "--snr-db", "10"]}[command]
+    out = tmp_path / "out"
+    assert dispatch([command, "--codebook", str(book), "--out", str(out)] + extra) == 2
+    assert not out.exists()
 
 
 def test_verify_code_rank_failure_names_pair(tmp_path):

@@ -62,8 +62,8 @@ def test_qam_sixteen_point_geometry():
     assert len(fam) == 16
     assert fam.min_dist_sq == pytest.approx(2.0 / 16.0)
     # minimum pairwise distance achieves the declared value
-    stats = pairwise_min_products(fam.points[:, None], 1)
-    assert stats.entry_min == pytest.approx(0.125)
+    worst = pairwise_min_products(fam.points[:, None], 1)
+    assert worst.value == pytest.approx(0.125)
     assert np.max(np.abs(fam.points) ** 2) == pytest.approx(0.5625)
 
 
@@ -112,21 +112,22 @@ def test_permutation_code_rejects_non_bijection():
 def test_pairwise_min_products_matches_double_loop(monkeypatch):
     rng = spawn_rng(23)
     words = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-    best = {"full": (np.inf, None), "two": (np.inf, None), "entry": (np.inf, None)}
+    best = {3: (np.inf, None), 2: (np.inf, None), 1: (np.inf, None)}
     for i in range(7):
         for j in range(i + 1, 7):
             diff = words[i] - words[j]
             d2 = np.sort(diff.real ** 2 + diff.imag ** 2)
-            for name, value in (("full", d2.prod()), ("two", d2[:2].prod()),
-                                ("entry", d2[0])):
-                if value < best[name][0]:
-                    best[name] = (value, (i, j))
+            for m, value in ((3, d2.prod()), (2, d2[:2].prod()), (1, d2[0])):
+                if value < best[m][0]:
+                    best[m] = (value, (i, j))
     for budget in (4_000_000, 7):  # one chunk; two pairs a chunk
         monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
-        stats = pairwise_min_products(words, 2)
-        assert (stats.full_min, stats.full_pair) == best["full"]
-        assert (stats.msmall_min, stats.msmall_pair) == best["two"]
-        assert (stats.entry_min, stats.entry_pair) == best["entry"]
+        for m in (3, 2, 1):  # full product, two smallest, smallest entry
+            worst = pairwise_min_products(words, m)
+            assert (worst.value, worst.pair) == best[m]
+        assert pairwise_min_products(words, 4) == pairwise_min_products(words, 3)
+    with pytest.raises(ValueError, match="m must be"):
+        pairwise_min_products(words, 0)
 
 
 @pytest.mark.parametrize("num", [0, 1, 2, 5, 17])
@@ -208,7 +209,7 @@ def test_search_two_point_family_is_exhaustive_optimum():
     for p0 in itertools.permutations(range(4)):
         for p1 in itertools.permutations(range(4)):
             words = np.stack([fam.points[list(p0)], fam.points[list(p1)]], axis=1)
-            best = max(best, pairwise_min_products(words, 2).full_min)
+            best = max(best, pairwise_min_products(words, 2).value)
     assert entry.min_product == pytest.approx(best, rel=1e-12)
 
 
@@ -353,8 +354,7 @@ def test_xi_fast_siso_is_min_entry():
     words = 0.5 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
     book = _scalar_codebook(words)
     xi = xi_metric(book, cov)
-    stats = pairwise_min_products(words, 1)
-    assert xi.value == pytest.approx(stats.entry_min, rel=1e-9)
+    assert xi.value == pytest.approx(pairwise_min_products(words, 1).value, rel=1e-9)
 
 
 def test_xi_requires_enough_block_length():
@@ -552,6 +552,8 @@ def test_min_entry_criterion_zero_entry_fails():
     report = min_entry_criterion(lambda snr: book, [10.0], epsilon=0.1)
     assert not report["passed"]
     assert report["per_snr"][0]["min_entry"] == 0.0
+    assert report["per_snr"][0]["worst_pair"] == [0, 1]
+    assert report["per_snr"][0]["worst_slot"] == 0
 
 
 def test_min_entry_criterion_threshold_arithmetic():

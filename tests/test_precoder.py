@@ -269,7 +269,7 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
     words = np.stack([apply_precoder(pre, w) for w in outer.words])
     book = Codebook(words=words, snr=25.0, mux_rate=1.0, dims=ChannelDims(2, 2, 4))
     exhaustive = xi_metric(book, cov)
-    outer_stats = pairwise_min_products(outer.words, 2)
+    outer_worst = pairwise_min_products(outer.words, 2)
     # pairs the sandwich cannot rule out, counted pair by pair
     nonzero = np.linalg.eigvalsh(weighted_row_gram(cov, pre))[4 - cov.rank * 2:]
     pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
@@ -287,7 +287,7 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
         row = report["per_snr"][0]
         assert row["xi"] == pytest.approx(exhaustive.value, rel=1e-9)
         assert row["xi_pairs_evaluated"] == survivors < len(pairs)
-        assert row["outer_min_product"] == outer_stats.msmall_min
-        assert row["outer_worst_pair"] == list(outer_stats.msmall_pair)
+        assert row["outer_min_product"] == outer_worst.value
+        assert row["outer_worst_pair"] == list(outer_worst.pair)
         rows.append(row)
     assert rows[0] == rows[1]
