@@ -10,7 +10,6 @@ from .channel import (
     BlockCirculant,
     BlockFading,
     ChannelDims,
-    ChannelRealization,
     CovarianceMatrix,
     CyclicIsi,
     Fast,

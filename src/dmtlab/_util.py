@@ -1,6 +1,8 @@
 """Shared numerical helpers: FFT matrices, rank tolerances, seeding, the
-Monte-Carlo chunk runner, intervals."""
+Monte-Carlo chunk runner, intervals, and typed JSON fields."""
 
+import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +18,9 @@ MC_CHUNK = 16384
 MC_WAVE = 8
 
 _Z95 = 1.959963984540054
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_REQUIRED = object()
 
 
 def unitary_fft(n):
@@ -135,3 +140,51 @@ def db_to_linear(snr_db):
 
 def linear_to_db(snr):
     return 10.0 * np.log10(np.asarray(snr, dtype=float))
+
+
+def json_value(value, kind, name):
+    """``value`` as ``kind``: a string, a finite number as float, or an
+    integral finite number as int. A JSON bool is none of these; anything
+    else raises a ValueError naming ``name``."""
+    if isinstance(value, str if kind is str else (int, float)) and not isinstance(value, bool):
+        if kind is str:
+            return value
+        try:
+            number = kind(value)
+            if math.isfinite(number) and (kind is float or number == value):
+                return number
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
+
+
+def json_field(doc, key, where, kind=None, default=_REQUIRED):
+    """``doc[key]`` of the JSON object ``doc`` at ``where``, read as ``kind``
+    unless that is None; a missing key gives ``default`` if one is given."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}.{key}: missing required field")
+        return default
+    return doc[key] if kind is None else json_value(doc[key], kind, f"{where}.{key}")
+
+
+def complex_pairs(values):
+    """JSON form of a complex array: nested lists ending in [re, im] pairs."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def json_complex(doc, key, where, ndim):
+    """Inverse of ``complex_pairs``: the complex array with ``ndim`` axes kept
+    at ``doc[key]``. Anything but evenly nested lists of finite [re, im]
+    number pairs (null, strings, bools, NaN or inf, ragged rows) raises a
+    ValueError naming the field."""
+    pairs = np.array(json_field(doc, key, where), dtype=object)
+    if (pairs.ndim != ndim + 1 or pairs.shape[-1] != 2
+            or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                       for x in pairs.flat)):
+        raise ValueError(f"{where}.{key}: expected {ndim}-level nested lists "
+                         "of finite [re, im] number pairs")
+    return pairs.astype(float).view(complex)[..., 0]

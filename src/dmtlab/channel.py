@@ -14,6 +14,10 @@ import numpy as np
 from ._util import (
     assert_hermitian,
     complex_normal,
+    complex_pairs,
+    cyclic_shift_matrix,
+    json_complex,
+    json_field,
     numerical_rank,
     rank_tolerance,
     unitary_fft,
@@ -286,14 +290,12 @@ class CovarianceMatrix:
 
     def to_json(self):
         """Serializable dict: {"n": ..., "entries": row-major [re, im] pairs}."""
-        flat = self.entries.reshape(-1)
-        return {"n": int(self.block_len),
-                "entries": [[float(z.real), float(z.imag)] for z in flat]}
+        return {"n": int(self.block_len), "entries": complex_pairs(self.entries.reshape(-1))}
 
     @classmethod
     def from_json(cls, payload):
-        n = int(payload["n"])
-        flat = np.array([complex(re, im) for re, im in payload["entries"]])
+        n = json_field(payload, "n", "covariance", int)
+        flat = json_complex(payload, "entries", "covariance", 1)
         if flat.size != n * n:
             raise ValueError("entry list does not match the declared size")
         return cls.from_entries(flat.reshape(n, n))
@@ -306,29 +308,6 @@ class CovarianceMatrix:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the per-slot channel matrices."""
-
-    blocks: np.ndarray  # (block_len, num_rx, num_tx)
-    dims: ChannelDims
-
-    def __post_init__(self):
-        if self.blocks.shape != (self.dims.block_len, self.dims.num_rx, self.dims.num_tx):
-            raise ValueError("block array does not match the declared dimensions")
-        self.blocks.setflags(write=False)
-
-    def jensen_stack(self):
-        """Wide min(M_T, M_R) x N*max(M_T, M_R) stack of the slot matrices.
-
-        Slots are concatenated directly when num_rx <= num_tx and conjugate
-        transposed otherwise, so the stack always has min_ant rows.
-        """
-        if self.dims.num_rx <= self.dims.num_tx:
-            return np.concatenate(list(self.blocks), axis=1)
-        return np.concatenate([b.conj().T for b in self.blocks], axis=1)
 
 
 @dataclass(frozen=True)
@@ -397,7 +376,7 @@ def circulant_covariance(spec):
 
 
 def sample_channel(cov, dims, rng):
-    """Draw one correlated channel realization.
+    """Draw one correlated channel realization as an (N, M_R, M_T) array.
 
     Spatially white: every transmit-receive pair is an independent process
     across slots with covariance ``cov.entries``. The draw is
@@ -405,7 +384,7 @@ def sample_channel(cov, dims, rng):
     circularly-symmetric Gaussians: the one draw of
     ``sample_channel_batch(cov, dims, 1, rng)``.
     """
-    return ChannelRealization(blocks=sample_channel_batch(cov, dims, 1, rng)[0], dims=dims)
+    return sample_channel_batch(cov, dims, 1, rng)[0]
 
 
 def sample_channel_batch(cov, dims, count, rng):
@@ -440,12 +419,8 @@ def build_block_circulant(taps, n):
     num_taps, num_rx, num_tx = taps.shape
     if n <= num_taps:
         raise ValueError("block length must exceed the tap count")
-    full = np.zeros((n * num_rx, n * num_tx), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            lag = (i - j) % n
-            if lag < num_taps:
-                full[i * num_rx:(i + 1) * num_rx, j * num_tx:(j + 1) * num_tx] = taps[lag]
+    # block (i, j) is taps[(i - j) mod n], zero for lags past the last tap
+    full = sum(np.kron(cyclic_shift_matrix(n, lag), taps[lag]) for lag in range(num_taps))
     if num_tx <= num_rx:
         corner = full[:num_taps * num_rx, :num_tx].T
     else:

@@ -8,15 +8,14 @@ line; everything is converted to linear SNR and nats internally.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import db_to_linear, spawn_rng
+from ._util import db_to_linear, json_field, json_value, spawn_rng
 from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
-from .codes import Codebook, pair_chunks, pair_eigvals, verify_dmt_criterion, verify_rank_r0
+from .codes import Codebook, effective_eigs, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
 from .sim import TraceBoundInstance, chernoff_bound, simulate_error_prob, trace_oracle
 from .tradeoff import (
@@ -40,7 +39,6 @@ class ExperimentConfig:
     rate_mode: object
     trials: int = 100_000
     master_seed: int = 0
-    epsilon: float = 0.1
     output: str = None
 
     def to_json(self):
@@ -52,8 +50,7 @@ class ExperimentConfig:
                "dims": {"num_tx": self.dims.num_tx, "num_rx": self.dims.num_rx,
                         "block_len": self.dims.block_len},
                "snr_db": list(self.snr_db), "rate": rate_doc,
-               "trials": self.trials, "seed": self.master_seed,
-               "epsilon": self.epsilon}
+               "trials": self.trials, "seed": self.master_seed}
         if self.output:
             doc["output"] = self.output
         return doc
@@ -67,39 +64,8 @@ class ConfigError(ValueError):
     pass
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
-_REQUIRED = object()
-
-
-def _typed(value, kind, name):
-    """``value`` as ``kind``: a string, a finite number as float, or an
-    integral finite number as int. A JSON bool is none of these."""
-    if isinstance(value, str if kind is str else (int, float)) and not isinstance(value, bool):
-        if kind is str:
-            return value
-        try:
-            number = kind(value)
-            if math.isfinite(number) and (kind is float or number == value):
-                return number
-        except (ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
-
-
-def _field(doc, key, where, kind=None, default=_REQUIRED):
-    """``doc[key]`` of the JSON object ``doc`` at ``where``, read as ``kind``
-    unless that is None; a missing key gives ``default`` if one is given."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key}: missing required field")
-        return default
-    return doc[key] if kind is None else _typed(doc[key], kind, f"{where}.{key}")
-
-
 def _parse_model(doc):
-    kind = _field(doc, "kind", "model")
+    kind = json_field(doc, "kind", "model")
     model_cls = MODELS.get(kind) if isinstance(kind, str) else None
     if model_cls is None:
         raise ConfigError(f"model.kind: unknown kind {kind!r}")
@@ -115,39 +81,42 @@ def load_config(path):
     """Load and validate an experiment config, applying defaults."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    model = _parse_model(_field(doc, "model", "config"))
-    dims_doc = _field(doc, "dims", "config")
-    sizes = {key: _field(dims_doc, key, "dims", int)
+            return _config_from_doc(json.load(fh))
+    except (OSError, ValueError) as exc:  # JSON syntax, or a field named in the message
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _config_from_doc(doc):
+    """The validated config of a parsed JSON document."""
+    model = _parse_model(json_field(doc, "model", "config"))
+    dims_doc = json_field(doc, "dims", "config")
+    sizes = {key: json_field(dims_doc, key, "dims", int)
              for key in ("num_tx", "num_rx", "block_len")}
     try:
         dims = ChannelDims(**sizes)
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
-    snr_doc = _field(doc, "snr_db", "config")
+    snr_doc = json_field(doc, "snr_db", "config")
     if not isinstance(snr_doc, list):
         raise ConfigError("snr_db: expected a JSON list")
-    snr_db = tuple(_typed(v, float, f"snr_db[{k}]") for k, v in enumerate(snr_doc))
+    snr_db = tuple(json_value(v, float, f"snr_db[{k}]") for k, v in enumerate(snr_doc))
     if list(snr_db) != sorted(snr_db):
         raise ConfigError("snr_db: grid must be ascending")
-    rate_doc = _field(doc, "rate", "config")
-    mode = _field(rate_doc, "mode", "rate")
+    rate_doc = json_field(doc, "rate", "config")
+    mode = json_field(rate_doc, "mode", "rate")
     if mode == "fixed":
-        rate_mode = FixedRate(nats=_field(rate_doc, "bits", "rate", float) * _LN2)
+        rate_mode = FixedRate(nats=json_field(rate_doc, "bits", "rate", float) * _LN2)
     elif mode == "scaling":
-        rate_mode = ScalingRate(mux_rate=_field(rate_doc, "mux_rate", "rate", float))
+        rate_mode = ScalingRate(mux_rate=json_field(rate_doc, "mux_rate", "rate", float))
     else:
         raise ConfigError(f"rate.mode: unknown mode {mode!r}")
-    trials = _field(doc, "trials", "config", int, 100_000)
+    trials = json_field(doc, "trials", "config", int, 100_000)
     if trials <= 0:
         raise ConfigError("trials: must be positive")
     config = ExperimentConfig(model=model, dims=dims, snr_db=snr_db,
                               rate_mode=rate_mode, trials=trials,
-                              master_seed=_field(doc, "seed", "config", int, 0),
-                              epsilon=_field(doc, "epsilon", "config", float, 0.1),
-                              output=_field(doc, "output", "config", str, None))
+                              master_seed=json_field(doc, "seed", "config", int, 0),
+                              output=json_field(doc, "output", "config", str, None))
     try:
         build_covariance(config.model, dims.block_len)
     except ValueError as exc:
@@ -247,6 +216,7 @@ def _cmd_error_sim(args):
 
 
 def _cmd_verify_code(args):
+    grid = _snr_grid(args.snr_db)
     with open(args.cov) as fh:
         cov = CovarianceMatrix.from_json(json.load(fh))
     with open(args.codebook) as fh:
@@ -257,7 +227,6 @@ def _cmd_verify_code(args):
                   "expected_rank": result["expected_rank"],
                   "failures": result["failures"]}
     else:
-        grid = [float(db_to_linear(v)) for v in args.snr_db]
         result = verify_dmt_criterion(lambda snr: book, cov, grid, args.epsilon)
         report = {"criterion": "dmt", "passed": result["passed"],
                   "per_snr": result["per_snr"]}
@@ -268,11 +237,7 @@ def _cmd_verify_code(args):
 def _cmd_design_precoder(args):
     spec = ScatteringSpec.from_normalized(args.nu0_t, args.tau0_f,
                                           args.num_time, args.num_freq)
-    try:
-        pre = design_tf_shift_precoder(spec, num_tx=args.mt)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pre = design_tf_shift_precoder(spec, num_tx=args.mt)
     checks = verify_tf_precoder(spec, pre)
     report = pre.to_json()
     report["verification"] = {"rank": checks["circulant"].rank,
@@ -284,18 +249,17 @@ def _cmd_design_precoder(args):
 
 
 def _cmd_pep(args):
+    snrs = _snr_grid(args.snr_db)
     with open(args.cov) as fh:
         cov = CovarianceMatrix.from_json(json.load(fh))
     with open(args.codebook) as fh:
         book = Codebook.from_json(json.load(fh), num_rx=args.mr)
-    num, num_tx, n = book.words.shape
+    _, num_tx, n = book.words.shape
     keep = min(cov.rank * num_tx, n)
-    snrs = [float(db_to_linear(v)) for v in args.snr_db]
     worst = np.zeros(len(snrs))
-    for ii, jj in pair_chunks(num, n * n):
-        eigs = pair_eigvals(book.words, cov.entries.T, ii, jj)[:, n - keep:]
+    for _, _, eig in effective_eigs(book, cov):
         for k, snr in enumerate(snrs):
-            worst[k] = max(worst[k], chernoff_bound(eigs, snr, num_tx, args.mr).max())
+            worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx, args.mr).max())
     rows = [[snr_db, float(value)] for snr_db, value in zip(args.snr_db, worst)]
     write_report({"columns": ["snr_db", "pep_bound"], "rows": rows}, "csv", args.out)
     return 0
@@ -317,26 +281,23 @@ def _cmd_oracle_check(args):
                 return 1
         print(f"theorem4: {args.instances} instances passed")
         return 0
-    if args.what == "identities":
-        from .codes import delta_decomposition, effective_difference
-        for trial in range(args.instances):
-            n = int(rng.integers(2, args.n + 1))
-            rho = int(rng.integers(1, n + 1))
-            mat = rng.standard_normal((n, rho)) + 1j * rng.standard_normal((n, rho))
-            raw = mat @ mat.conj().T
-            scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
-            cov = CovarianceMatrix.from_entries(raw * np.outer(scale, scale))
-            e = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-            delta, _ = delta_decomposition(cov, e)
-            lhs = np.linalg.eigvalsh(delta.conj().T @ delta)
-            rhs = np.linalg.eigvalsh(effective_difference(cov, e).matrix)
-            if not np.allclose(lhs, rhs, atol=1e-10 * max(1.0, rhs[-1])):
-                print(f"FAIL instance {trial}: eigen mismatch", file=sys.stderr)
-                return 1
-        print(f"identities: {args.instances} instances passed")
-        return 0
-    print(f"error: unknown oracle {args.what!r}", file=sys.stderr)
-    return 2
+    from .codes import delta_decomposition, effective_difference
+    for trial in range(args.instances):
+        n = int(rng.integers(2, args.n + 1))
+        rho = int(rng.integers(1, n + 1))
+        mat = rng.standard_normal((n, rho)) + 1j * rng.standard_normal((n, rho))
+        raw = mat @ mat.conj().T
+        scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
+        cov = CovarianceMatrix.from_entries(raw * np.outer(scale, scale))
+        e = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        delta, _ = delta_decomposition(cov, e)
+        lhs = np.linalg.eigvalsh(delta.conj().T @ delta)
+        rhs = np.linalg.eigvalsh(effective_difference(cov, e).matrix)
+        if not np.allclose(lhs, rhs, atol=1e-10 * max(1.0, rhs[-1])):
+            print(f"FAIL instance {trial}: eigen mismatch", file=sys.stderr)
+            return 1
+    print(f"identities: {args.instances} instances passed")
+    return 0
 
 
 def _int_at_least(low):
@@ -347,6 +308,20 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return integer
+
+
+def _finite_float(text):
+    """argparse type: a finite float."""
+    return json_value(float(text), float, text)
+
+
+def _snr_grid(snr_db):
+    """Linear SNRs of a dB grid that must be ascending and finite in linear units."""
+    with np.errstate(over="ignore"):
+        snrs = db_to_linear(snr_db)
+    if list(snr_db) != sorted(snr_db) or not np.all(np.isfinite(snrs)):
+        raise ValueError("--snr-db: grid must be ascending and finite in linear units")
+    return snrs.tolist()
 
 
 def build_parser():
@@ -398,8 +373,8 @@ def build_parser():
     p.add_argument("--cov", required=True)
     p.add_argument("--mr", type=int, default=1)
     p.add_argument("--criterion", choices=["rank", "dmt"], default="rank")
-    p.add_argument("--snr-db", type=float, nargs="*", default=[10.0, 20.0, 30.0])
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--snr-db", type=_finite_float, nargs="*", default=[10.0, 20.0, 30.0])
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_code)
 
@@ -416,12 +391,12 @@ def build_parser():
     p.add_argument("--cov", required=True)
     p.add_argument("--codebook", required=True)
     p.add_argument("--mr", type=int, default=1)
-    p.add_argument("--snr-db", type=float, nargs="+", required=True)
+    p.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pep)
 
     p = sub.add_parser("oracle-check", help="brute-force oracle comparisons")
-    p.add_argument("--what", required=True)
+    p.add_argument("--what", choices=["theorem4", "identities"], required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--unitaries", type=int, default=200)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import eig_rank, numerical_rank, spawn_rng
+from ._util import complex_pairs, eig_rank, json_complex, json_field, numerical_rank, spawn_rng
 from .channel import ChannelDims, build_covariance, BlockFading
 
 _EXHAUSTIVE_CAP = 50_000
@@ -142,17 +142,18 @@ class Codebook:
         return self.words.shape[0]
 
     def to_json(self):
-        flat = self.words.reshape(len(self), -1)
         return {"mt": self.dims.num_tx, "n": self.dims.block_len,
                 "snr": self.snr, "r": self.mux_rate,
-                "words": [[[float(z.real), float(z.imag)] for z in row] for row in flat]}
+                "words": complex_pairs(self.words.reshape(len(self), -1))}
 
     @classmethod
     def from_json(cls, payload, num_rx=1):
-        mt, n = int(payload["mt"]), int(payload["n"])
-        words = np.array([[complex(re, im) for re, im in row] for row in payload["words"]])
-        return cls(words=words.reshape(-1, mt, n), snr=float(payload["snr"]),
-                   mux_rate=float(payload["r"]),
+        mt = json_field(payload, "mt", "codebook", int)
+        n = json_field(payload, "n", "codebook", int)
+        words = json_complex(payload, "words", "codebook", 2)
+        return cls(words=words.reshape(-1, mt, n),
+                   snr=json_field(payload, "snr", "codebook", float),
+                   mux_rate=json_field(payload, "r", "codebook", float),
                    dims=ChannelDims(num_tx=mt, num_rx=num_rx, block_len=n))
 
 
@@ -309,19 +310,11 @@ class PermutationSearch:
     num_slots: int
     epsilon: float
 
-    @property
-    def all_pass(self):
-        return all(entry.passes for entry in self.entries)
-
-    def entry_at(self, snr):
+    def codebook_at(self, snr):
         for entry in self.entries:
             if np.isclose(entry.snr, snr, rtol=1e-9):
-                return entry
+                return permutation_codebook(qam_family(entry.snr, self.mux_rate), entry.perms)
         raise KeyError(f"snr {snr!r} was not part of the search grid")
-
-    def codebook_at(self, snr):
-        entry = self.entry_at(snr)
-        return permutation_codebook(qam_family(entry.snr, self.mux_rate), entry.perms)
 
 
 def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilon=0.1):
@@ -432,6 +425,27 @@ def effective_difference(cov, e):
                                rank=eig_rank(eigvals, n))
 
 
+def effective_eigs(codebook, cov):
+    """Ascending effective-difference eigenvalues of every codeword pair:
+    yields ``(ii, jj, eig)`` in ``pair_chunks`` order, with eig of shape
+    (pairs, block_len)."""
+    words = codebook.words
+    num, _, n = words.shape
+    if num < 2:
+        raise ValueError("need at least two codewords")
+    for ii, jj in pair_chunks(num, n * n):
+        yield ii, jj, pair_eigvals(words, cov.entries.T, ii, jj)
+
+
+def _structural_count(cov, codebook):
+    """cov.rank * num_tx, the structurally nonzero eigenvalue count of an
+    effective difference; the criteria need the block length to reach it."""
+    _, num_tx, n = codebook.words.shape
+    if n < cov.rank * num_tx:
+        raise ValueError("block length is below the structural eigenvalue count")
+    return cov.rank * num_tx
+
+
 def xi_metric(codebook, cov):
     """Minimum over codeword pairs of the product of the ``min_ant`` smallest
     structurally nonzero eigenvalues of the effective difference, as a
@@ -440,18 +454,11 @@ def xi_metric(codebook, cov):
     Pair enumeration is exhaustive. Requires block_len >= rank * num_tx so
     the structural eigenvalue count is not limited by the block length.
     """
-    words = codebook.words
-    num, num_tx, n = words.shape
-    keep = cov.rank * num_tx
-    if n < keep:
-        raise ValueError("block length is below the structural eigenvalue count")
-    if num < 2:
-        raise ValueError("need at least two codewords")
+    low = codebook.dims.block_len - _structural_count(cov, codebook)
     m = codebook.dims.min_ant
     worst = WorstPair()
-    for ii, jj in pair_chunks(num, n * n):
-        eig = pair_eigvals(words, cov.entries.T, ii, jj)
-        worst.update(eig[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
+    for ii, jj, eig in effective_eigs(codebook, cov):
+        worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
     return worst
 
 
@@ -485,14 +492,10 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
 def verify_rank_r0(codebook, cov):
     """Fixed-rate sufficiency check: every effective difference must reach
     the full structural rank."""
-    words = codebook.words
-    num, num_tx, n = words.shape
-    expected = cov.rank * num_tx
-    if n < expected:
-        raise ValueError("block length is below the structural eigenvalue count")
+    expected = _structural_count(cov, codebook)
     ranks = []
-    for ii, jj in pair_chunks(num, n * n):
-        chunk_ranks = eig_rank(pair_eigvals(words, cov.entries.T, ii, jj), n)
+    for ii, jj, eig in effective_eigs(codebook, cov):
+        chunk_ranks = eig_rank(eig, codebook.dims.block_len)
         ranks.extend(zip(zip(ii.tolist(), jj.tolist()), chunk_ranks.tolist()))
     failures = [{"pair": list(pair), "rank": rank} for pair, rank in ranks if rank != expected]
     return {"passed": not failures, "expected_rank": expected,
@@ -559,25 +562,20 @@ def block_fading_check(codebook, num_blocks):
     if n % num_blocks:
         raise ValueError("block count must divide the block length")
     sub_len = n // num_blocks
-    if n < num_blocks * num_tx:
-        raise ValueError("block length is below the structural eigenvalue count")
-    if num < 2:
-        raise ValueError("need at least two codewords")
     cov = build_covariance(BlockFading(num_blocks, sub_len), n)
-    keep = cov.rank * num_tx
+    low = n - _structural_count(cov, codebook)
     m = codebook.dims.min_ant
     blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
     max_err = 0.0
     per_block_min = np.full(num_blocks, np.inf)
     worst = WorstPair()  # the sweep of xi_metric(codebook, cov)
-    for ii, jj in pair_chunks(num, n * n):
+    for ii, jj, eff in effective_eigs(codebook, cov):
         eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
         kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)
         per_block_min = np.minimum(per_block_min, kept.min(axis=0))
         union = np.sort(eig.reshape(len(ii), n), axis=-1)
-        eff = pair_eigvals(words, cov.entries.T, ii, jj)
         max_err = max(max_err, float(np.max(np.abs(union - eff))))
-        worst.update(eff[:, n - keep:n - keep + m].prod(axis=-1), ii, jj)
+        worst.update(eff[:, low:low + m].prod(axis=-1), ii, jj)
     scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
     multiset_ok = max_err <= 1e-10 * scale
     return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import eig_rank, fft_column, rank_tolerance
+from ._util import (complex_pairs, eig_rank, fft_column, json_complex, json_field,
+                    rank_tolerance)
 from .channel import circulant_covariance
 from . import codes
 from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
@@ -57,8 +58,7 @@ class Precoder:
         return boxes
 
     def to_json(self):
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
-        return {"mt": self.num_tx, "n": self.block_len, "rows": rows,
+        return {"mt": self.num_tx, "n": self.block_len, "rows": complex_pairs(self.matrix),
                 "shifts": [list(s) for s in self.shifts] if self.shifts else None,
                 "doppler_stride": self.doppler_stride, "delay_stride": self.delay_stride,
                 "num_time": self.num_time, "num_freq": self.num_freq}
@@ -66,13 +66,13 @@ class Precoder:
     @classmethod
     def from_json(cls, payload):
         """Inverse of ``to_json``; absent strides and grid mean a one-row grid."""
-        rows = np.array([[complex(re, im) for re, im in row] for row in payload["rows"]])
-        shifts = payload.get("shifts")
+        rows = json_complex(payload, "rows", "precoder", 2)
+        shifts = json_field(payload, "shifts", "precoder", default=None)
         return cls(matrix=rows, shifts=tuple(tuple(s) for s in shifts) if shifts else None,
-                   doppler_stride=int(payload.get("doppler_stride", 1)),
-                   delay_stride=int(payload.get("delay_stride", 1)),
-                   num_time=int(payload.get("num_time", 1)),
-                   num_freq=int(payload.get("num_freq", rows.shape[1])))
+                   doppler_stride=json_field(payload, "doppler_stride", "precoder", int, 1),
+                   delay_stride=json_field(payload, "delay_stride", "precoder", int, 1),
+                   num_time=json_field(payload, "num_time", "precoder", int, 1),
+                   num_freq=json_field(payload, "num_freq", "precoder", int, rows.shape[1]))
 
     def save(self, path):
         with open(path, "w") as fh:

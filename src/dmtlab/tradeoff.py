@@ -84,25 +84,25 @@ class SingularityLevels:
     jensen: np.ndarray    # (min_ant,), sorted descending
 
 
-def mutual_information(realization, snr):
-    """Average log-det mutual information of the per-slot channels, in nats."""
+def mutual_information(blocks, snr):
+    """Average log-det mutual information of the per-slot channels of one
+    (N, M_R, M_T) draw, in nats."""
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    blocks = realization.blocks[None]
-    return float(_mutual_information_batch(blocks, snr, realization.dims.num_tx)[0])
+    return float(_mutual_information_batch(blocks[None], snr)[0])
 
 
-def jensen_mutual_information(realization, snr):
-    """Log-det capacity of the stacked wide channel; upper-bounds the
-    per-slot average by concavity of log det."""
+def jensen_mutual_information(blocks, snr):
+    """Log-det capacity of the stacked wide channel of one (N, M_R, M_T)
+    draw; upper-bounds the per-slot average by concavity of log det."""
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    blocks = realization.blocks[None]
-    return float(_jensen_information_batch(blocks, snr, realization.dims.num_tx)[0])
+    return float(_jensen_information_batch(blocks[None], snr)[0])
 
 
-def singularity_levels(realization, snr):
-    """Per-slot and stacked eigenvalue decay exponents at the given SNR.
+def singularity_levels(blocks, snr):
+    """Per-slot and stacked eigenvalue decay exponents of one (N, M_R, M_T)
+    draw at the given SNR.
 
     Level a maps eigenvalue lam through lam = snr**(-a); zero eigenvalues
     produce +inf so that clipped terms drop out of rate sums naturally.
@@ -111,9 +111,8 @@ def singularity_levels(realization, snr):
         raise ValueError("snr must exceed 1 so that log(snr) is positive")
     log_snr = np.log(snr)
     # ascending, exactly min_ant values per slot
-    per_slot_eig = np.sort(np.linalg.svd(realization.blocks, compute_uv=False) ** 2, axis=-1)
-    stack = realization.jensen_stack()
-    eig = np.sort(np.linalg.svd(stack, compute_uv=False) ** 2)
+    per_slot_eig = np.sort(np.linalg.svd(blocks, compute_uv=False) ** 2, axis=-1)
+    eig = np.sort(np.linalg.svd(_jensen_stack(blocks[None])[0], compute_uv=False) ** 2)
     with np.errstate(divide="ignore"):
         per_slot = -np.log(per_slot_eig) / log_snr
         jensen = -np.log(eig) / log_snr  # ascending eigenvalues give descending levels
@@ -178,17 +177,22 @@ def _wide(blocks):
     return blocks if blocks.shape[-2] <= blocks.shape[-1] else blocks.swapaxes(-1, -2)
 
 
-def _mutual_information_batch(blocks, snr, num_tx):
-    """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
-    return _logdet_identity_plus(_wide(blocks), snr / num_tx).mean(axis=1)
-
-
-def _jensen_information_batch(blocks, snr, num_tx):
-    """Per-draw log-det of the (count, min_ant, N * max_ant) stacked channel."""
-    count, n = blocks.shape[:2]
+def _jensen_stack(blocks):
+    """The (count, min_ant, N * max_ant) Jensen channels of a (count, N, M_R,
+    M_T) batch: each draw's wide slot matrices side by side."""
     wide = _wide(blocks)
-    stack = wide.transpose(0, 2, 1, 3).reshape(count, wide.shape[2], -1)
-    return _logdet_identity_plus(stack, snr / (num_tx * n))
+    return wide.transpose(0, 2, 1, 3).reshape(len(blocks), wide.shape[2], -1)
+
+
+def _mutual_information_batch(blocks, snr):
+    """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
+    return _logdet_identity_plus(_wide(blocks), snr / blocks.shape[-1]).mean(axis=1)
+
+
+def _jensen_information_batch(blocks, snr):
+    """Per-draw log-det of the Jensen channels of a (count, N, M_R, M_T) batch."""
+    _, n, _, num_tx = blocks.shape
+    return _logdet_identity_plus(_jensen_stack(blocks), snr / (num_tx * n))
 
 
 def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=0,
@@ -222,7 +226,7 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
     info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
 
     def run_chunk(rng, size):
-        info = info_batch(sample_channel_batch(cov, dims, size, rng), point.snr, dims.num_tx)
+        info = info_batch(sample_channel_batch(cov, dims, size, rng), point.snr)
         return int(np.count_nonzero(info < rate))
 
     events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events)

@@ -21,6 +21,7 @@ from dmtlab.channel import (
     sample_channel_batch,
 )
 from dmtlab._util import complex_normal, spawn_rng, unitary_fft
+from dmtlab.tradeoff import _jensen_stack
 
 
 def test_dims_invariants():
@@ -213,9 +214,9 @@ def test_complex_normal_matches_two_draw_formula():
 def test_sample_channel_flat_blocks_identical():
     dims = ChannelDims(2, 3, 5)
     cov = build_covariance(Flat(), 5)
-    real = sample_channel(cov, dims, spawn_rng(3))
-    for blk in real.blocks[1:]:
-        assert np.allclose(blk, real.blocks[0], atol=1e-12)
+    blocks = sample_channel(cov, dims, spawn_rng(3))
+    for blk in blocks[1:]:
+        assert np.allclose(blk, blocks[0], atol=1e-12)
 
 
 def test_sample_channel_block_fading_structure():
@@ -233,20 +234,27 @@ def test_sample_channel_block_fading_structure():
 def test_sample_channel_deterministic_for_seed():
     dims = ChannelDims(2, 2, 3)
     cov = build_covariance(Fast(), 3)
-    a = sample_channel(cov, dims, spawn_rng(42, 5)).blocks
-    b = sample_channel(cov, dims, spawn_rng(42, 5)).blocks
+    a = sample_channel(cov, dims, spawn_rng(42, 5))
+    b = sample_channel(cov, dims, spawn_rng(42, 5))
     assert np.array_equal(a, b)
 
 
 def test_jensen_stack_shapes():
+    # min_ant x N * max_ant per draw; a tall channel's slots are stacked
+    # transposed, which has the singular values of the conjugate-transposed
+    # concatenation
     rng = spawn_rng(0)
-    tall = ChannelDims(num_tx=2, num_rx=3, block_len=4)
     cov = build_covariance(Fast(), 4)
-    real = sample_channel(cov, tall, rng)
-    assert real.jensen_stack().shape == (2, 4 * 3)
-    wide = ChannelDims(num_tx=3, num_rx=2, block_len=4)
-    real = sample_channel(cov, wide, rng)
-    assert real.jensen_stack().shape == (2, 4 * 3)
+    for dims in (ChannelDims(num_tx=2, num_rx=3, block_len=4),
+                 ChannelDims(num_tx=3, num_rx=2, block_len=4)):
+        batch = sample_channel_batch(cov, dims, 5, rng)
+        stack = _jensen_stack(batch)
+        assert stack.shape == (5, 2, 4 * 3)
+        for draw, got in zip(batch, stack):
+            slots = draw if dims.num_rx <= dims.num_tx else draw.conj().swapaxes(-1, -2)
+            ref = np.concatenate(list(slots), axis=1)
+            np.testing.assert_allclose(np.linalg.svd(got, compute_uv=False),
+                                       np.linalg.svd(ref, compute_uv=False), rtol=1e-12)
 
 
 @pytest.mark.parametrize("model,dims", [
@@ -262,7 +270,7 @@ def test_sample_channel_matches_single_draw_formula(model, dims):
     cov = build_covariance(model, dims.block_len)
     rng, ref_rng = spawn_rng(13, dims.block_len), spawn_rng(13, dims.block_len)
     for _ in range(200):
-        one = sample_channel(cov, dims, rng).blocks
+        one = sample_channel(cov, dims, rng)
         white = complex_normal(ref_rng, (dims.block_len, dims.num_rx, dims.num_tx))
         ref = np.einsum("nk,kij->nij", cov.sqrt_factor, white)
         assert np.array_equal(one.view(float), ref.view(float))

@@ -18,6 +18,7 @@ from dmtlab.channel import (
 )
 from dmtlab.cli import ConfigError, ExperimentConfig, dispatch, load_config, write_report
 from dmtlab.codes import Codebook
+from dmtlab.precoder import classic_precoder
 from dmtlab.sim import pep_chernoff
 from dmtlab.tradeoff import FixedRate, ScalingRate
 
@@ -56,7 +57,6 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.json"))
     assert cfg.trials == 2000
     assert cfg.master_seed == 0
-    assert cfg.epsilon == 0.1
     assert isinstance(cfg.rate_mode, FixedRate)
     assert cfg.rate_mode.nats == pytest.approx(np.log(2.0))
 
@@ -122,13 +122,12 @@ def test_min_events_must_be_nonnegative(tmp_path):
     {"trials": None},
     {"snr_db": [[1]]},
     {"rate": {"mode": "fixed", "bits": None}},
-    {"epsilon": [1]},
     {"seed": "x"},
     {"trials": 2.7},
     {"trials": True},
     {"output": 5},
 ], ids=["model", "top-level", "snr_db", "power_delay_profile", "num_tx-null",
-        "trials-null", "snr_db-nested", "bits-null", "epsilon-list", "seed-string",
+        "trials-null", "snr_db-nested", "bits-null", "seed-string",
         "trials-fraction", "trials-bool", "output-int"])
 def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
@@ -171,8 +170,7 @@ _MODEL_IDS = [doc["kind"] for _, _, doc in MODEL_CASES]
 
 def _case_config(model, n):
     return ExperimentConfig(model=model, dims=ChannelDims(2, 2, n), snr_db=(0.0, 10.0, 20.0),
-                            rate_mode=ScalingRate(0.75), trials=5000, master_seed=7,
-                            epsilon=0.25)
+                            rate_mode=ScalingRate(0.75), trials=5000, master_seed=7)
 
 
 @pytest.mark.parametrize("model,n,model_doc", MODEL_CASES, ids=_MODEL_IDS)
@@ -191,7 +189,7 @@ def test_config_save_bytes(tmp_path, model, n, model_doc):
     _case_config(model, n).save(path)
     expected = {"model": model_doc, "dims": {"num_tx": 2, "num_rx": 2, "block_len": n},
                 "snr_db": [0.0, 10.0, 20.0], "rate": {"mode": "scaling", "mux_rate": 0.75},
-                "trials": 5000, "seed": 7, "epsilon": 0.25}
+                "trials": 5000, "seed": 7}
     assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2)
 
 
@@ -306,6 +304,105 @@ def test_non_finite_codeword_exits_2(tmp_path, command, bad):
     out = tmp_path / "out"
     assert dispatch([command, "--codebook", str(book), "--out", str(out)] + extra) == 2
     assert not out.exists()
+
+
+def _flat_cov(tmp_path):
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(build_covariance(Flat(), 1).to_json()))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-code", "--criterion", "dmt", "--snr-db", "nan"],
+    ["verify-code", "--criterion", "dmt", "--epsilon", "nan"],
+    ["verify-code", "--criterion", "dmt", "--snr-db", "4000"],
+    ["verify-code", "--criterion", "dmt", "--epsilon", "inf"],
+    ["verify-code", "--snr-db", "30", "20"],
+    ["pep", "--snr-db", "nan"],
+    ["pep", "--snr-db", "inf"],
+    ["pep", "--snr-db", "4000"],
+    ["pep", "--snr-db", "20", "10"],
+], ids=["dmt-snr-nan", "dmt-epsilon-nan", "dmt-snr-overflow", "dmt-epsilon-inf",
+        "rank-descending", "pep-snr-nan", "pep-snr-inf", "pep-snr-overflow",
+        "pep-descending"])
+def test_bad_snr_grid_or_epsilon_exits_2(tmp_path, capsys, argv):
+    # these used to print NaN/Infinity JSON, pass with an infinite margin,
+    # or print silent rows
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--codebook", str(_antipodal_book(tmp_path)),
+                            "--cov", str(_flat_cov(tmp_path)), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err
+
+
+def _set(path, value):
+    """A document edit that puts ``value`` at the index/key ``path``."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("which,edit,field", [
+    ("cov", _set(["entries", 0], [None, 0.0]), "covariance.entries"),
+    ("cov", _set(["entries", 0], [float("nan"), 0.0]), "covariance.entries"),
+    ("cov", lambda doc: doc["entries"], "covariance"),
+    ("book", _set(["words", 0, 0], None), "codebook.words"),
+    ("book", _set(["words", 0, 0], ["1", 0]), "codebook.words"),
+    ("book", _set(["words", 0, 0], [True, 0]), "codebook.words"),
+    ("book", _set(["words", 0], [[1.0, 0.0], [1.0, 0.0]]), "codebook.words"),
+    ("book", lambda doc: {k: v for k, v in doc.items() if k != "mt"}, "codebook.mt"),
+], ids=["cov-null-entry", "cov-nan-entry", "cov-top-level-list", "book-null-entry",
+        "book-string-entry", "book-bool-entry", "book-ragged-row", "book-missing-mt"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, which, edit, field):
+    # each used to end in a traceback, a numpy message or a silent pass
+    paths = {"cov": _flat_cov(tmp_path), "book": _antipodal_book(tmp_path)}
+    paths[which].write_text(json.dumps(edit(json.loads(paths[which].read_text()))))
+    out = tmp_path / "out.json"
+    assert dispatch(["verify-code", "--codebook", str(paths["book"]),
+                     "--cov", str(paths["cov"]), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+def _pairs(values):
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def test_complex_json_text_unchanged():
+    # the [re, im] pair lists are written as per-element float pairs were,
+    # signed zeros included, and read back bit for bit
+    rng = np.random.default_rng(3)
+    words = 0.3 * (rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
+    words[0, 0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    book = Codebook(words=words, snr=10.0, mux_rate=0.5, dims=ChannelDims(2, 1, 4))
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
+    cases = ((cov, "entries", _pairs(cov.entries.reshape(-1)), lambda c: c.entries),
+             (book, "words", [_pairs(w) for w in book.words.reshape(3, -1)], lambda b: b.words),
+             (pre, "rows", [_pairs(row) for row in pre.matrix], lambda p: p.matrix))
+    for obj, key, legacy, values in cases:
+        doc = obj.to_json()
+        assert json.dumps(doc, sort_keys=True) == json.dumps({**doc, key: legacy}, sort_keys=True)
+        back = type(obj).from_json(json.loads(json.dumps(doc)))
+        assert np.array_equal(values(back).view(float), values(obj).view(float))
+
+
+def test_one_word_codebook_exits_2(tmp_path, capsys):
+    # pep used to print a silent 0 row and the rank criterion passed
+    doc = json.loads(_antipodal_book(tmp_path).read_text())
+    doc["words"] = doc["words"][:1]
+    book = tmp_path / "one.json"
+    book.write_text(json.dumps(doc))
+    common = ["--codebook", str(book), "--cov", str(_flat_cov(tmp_path))]
+    out = tmp_path / "out"
+    for argv in (["pep", "--snr-db", "10"], ["verify-code", "--criterion", "rank"]):
+        assert dispatch(argv + common + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "need at least two codewords" in capsys.readouterr().err
 
 
 def test_verify_code_rank_failure_names_pair(tmp_path):

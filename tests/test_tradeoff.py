@@ -6,7 +6,6 @@ import pytest
 from dmtlab.channel import (
     BlockFading,
     ChannelDims,
-    ChannelRealization,
     CyclicIsi,
     Fast,
     Flat,
@@ -30,26 +29,25 @@ from dmtlab.tradeoff import (
 from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
 
 
-def _realization(blocks, num_tx, num_rx):
-    blocks = np.asarray(blocks, dtype=complex)
-    dims = ChannelDims(num_tx=num_tx, num_rx=num_rx, block_len=blocks.shape[0])
-    return ChannelRealization(blocks=blocks, dims=dims)
+def _realization(blocks):
+    """One (N, M_R, M_T) channel draw as the information functions take it."""
+    return np.asarray(blocks, dtype=complex)
 
 
 def test_mutual_information_zero_snr():
-    real = _realization(np.ones((1, 1, 1)), 1, 1)
+    real = _realization(np.ones((1, 1, 1)))
     assert mutual_information(real, 0.0) == pytest.approx(0.0)
 
 
 def test_mutual_information_scalar_case():
-    real = _realization(np.ones((1, 1, 1)), 1, 1)
+    real = _realization(np.ones((1, 1, 1)))
     assert mutual_information(real, 3.0) == pytest.approx(np.log(4.0))
 
 
 def test_mutual_information_matches_dense_oracle():
     rng = spawn_rng(8)
     blocks = (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))) / np.sqrt(2)
-    real = _realization(blocks, 2, 2)
+    real = _realization(blocks)
     snr = 7.5
     # brute-force oracle: eigenvalues of each slot Gram
     total = 0.0
@@ -63,7 +61,7 @@ def test_jensen_equals_full_for_single_slot():
     rng = spawn_rng(9)
     for mt, mr in [(1, 1), (2, 3), (3, 2)]:
         blocks = (rng.standard_normal((1, mr, mt)) + 1j * rng.standard_normal((1, mr, mt)))
-        real = _realization(blocks, mt, mr)
+        real = _realization(blocks)
         assert jensen_mutual_information(real, 4.0) == pytest.approx(
             mutual_information(real, 4.0), rel=1e-12)
 
@@ -72,7 +70,7 @@ def test_jensen_equals_full_for_flat_fading():
     rng = spawn_rng(10)
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     blocks = np.stack([block] * 4)
-    real = _realization(blocks, 2, 2)
+    real = _realization(blocks)
     assert jensen_mutual_information(real, 9.0) == pytest.approx(
         mutual_information(real, 9.0), rel=1e-12)
 
@@ -117,7 +115,7 @@ def test_closed_form_matches_dense_slogdet(num_rx, num_tx, n):
         for kernel, bound in KERNELS:
             # slogdet takes the log of a determinant near 1, so the oracle itself
             # is only accurate to ~1e-16 absolute where the information is tiny
-            np.testing.assert_allclose(kernel(blocks, snr, num_tx),
+            np.testing.assert_allclose(kernel(blocks, snr),
                                        _dense_information(blocks, snr, num_tx, bound),
                                        rtol=1e-12, atol=1e-15)
 
@@ -161,7 +159,7 @@ def test_closed_form_matches_mpmath_on_near_singular_draws(num_rx, num_tx, n):
         }
         for kernel, bound in KERNELS:
             ref = refs[bound]
-            np.testing.assert_allclose(kernel(blocks, snr, num_tx), ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(kernel(blocks, snr), ref, rtol=1e-14, atol=0)
             dense = _dense_information(blocks, snr, num_tx, bound)
             dense_worst = max(dense_worst, np.max(np.abs(dense / ref - 1)))
     # the draws are hard: the Gram + slogdet path misses the bound held above
@@ -182,30 +180,30 @@ def test_three_antenna_case_takes_slogdet_path(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
     for kernel, bound in KERNELS:
         calls.clear()
-        np.testing.assert_allclose(kernel(blocks, snr, 3), refs[bound], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel(blocks, snr), refs[bound], rtol=1e-12, atol=0)
         assert calls and calls[0][-2:] == (3, 3)
     calls.clear()
     for kernel, _ in KERNELS:
-        kernel(blocks[..., :2, :], snr, 3)
+        kernel(blocks[..., :2, :], snr)
     assert not calls  # two rows take the closed form
 
 
 def test_singularity_levels_trivia():
-    levels = singularity_levels(_realization(np.full((1, 1, 1), 1.0), 1, 1), 100.0)
+    levels = singularity_levels(_realization(np.full((1, 1, 1), 1.0)), 100.0)
     assert levels.per_slot[0, 0] == pytest.approx(0.0)
 
     # eigenvalue 0.01 at snr 100 -> level 1
-    levels = singularity_levels(_realization(np.full((1, 1, 1), 0.1), 1, 1), 100.0)
+    levels = singularity_levels(_realization(np.full((1, 1, 1), 0.1)), 100.0)
     assert levels.per_slot[0, 0] == pytest.approx(1.0)
 
     with pytest.raises(ValueError):
-        singularity_levels(_realization(np.full((1, 1, 1), 0.1), 1, 1), 1.0)
+        singularity_levels(_realization(np.full((1, 1, 1), 0.1)), 1.0)
 
 
 def test_singularity_levels_round_trip():
     rng = spawn_rng(12)
     blocks = (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-    real = _realization(blocks, 2, 2)
+    real = _realization(blocks)
     snr = 250.0
     levels = singularity_levels(real, snr)
     for n, blk in enumerate(blocks):
