@@ -25,7 +25,6 @@ from .channel import (
 from .codes import (
     Codebook,
     EffectiveDifference,
-    PermutationCode,
     QamFamily,
     block_fading_check,
     delta_decomposition,

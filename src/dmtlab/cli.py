@@ -217,8 +217,7 @@ def _cmd_error_sim(args):
 
 def _cmd_verify_code(args):
     grid = _snr_grid(args.snr_db)
-    with open(args.cov) as fh:
-        cov = CovarianceMatrix.from_json(json.load(fh))
+    cov = CovarianceMatrix.load(args.cov)
     with open(args.codebook) as fh:
         book = Codebook.from_json(json.load(fh), num_rx=args.mr)
     if args.criterion == "rank":
@@ -250,8 +249,7 @@ def _cmd_design_precoder(args):
 
 def _cmd_pep(args):
     snrs = _snr_grid(args.snr_db)
-    with open(args.cov) as fh:
-        cov = CovarianceMatrix.from_json(json.load(fh))
+    cov = CovarianceMatrix.load(args.cov)
     with open(args.codebook) as fh:
         book = Codebook.from_json(json.load(fh), num_rx=args.mr)
     _, num_tx, n = book.words.shape
@@ -373,7 +371,7 @@ def build_parser():
     p.add_argument("--cov", required=True)
     p.add_argument("--mr", type=int, default=1)
     p.add_argument("--criterion", choices=["rank", "dmt"], default="rank")
-    p.add_argument("--snr-db", type=_finite_float, nargs="*", default=[10.0, 20.0, 30.0])
+    p.add_argument("--snr-db", type=_finite_float, nargs="+", default=[10.0, 20.0, 30.0])
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_code)
@@ -398,8 +396,8 @@ def build_parser():
     p = sub.add_parser("oracle-check", help="brute-force oracle comparisons")
     p.add_argument("--what", choices=["theorem4", "identities"], required=True)
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--unitaries", type=int, default=200)
+    p.add_argument("--instances", type=_int_at_least(1), default=100)
+    p.add_argument("--unitaries", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_check)
 

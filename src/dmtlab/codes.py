@@ -75,43 +75,16 @@ def qam_family(snr, r):
                      snr=float(snr), mux_rate=float(r))
 
 
-@dataclass(frozen=True)
-class PermutationCode:
-    """Scalar codebook sending one per-slot permutation image of a point."""
-
-    family: QamFamily
-    perms: tuple  # one index array per slot
-
-    def __post_init__(self):
-        size = len(self.family)
-        for perm in self.perms:
-            if sorted(perm) != list(range(size)):
-                raise ValueError("each slot permutation must be a bijection on the family")
-
-    @property
-    def num_slots(self):
-        return len(self.perms)
-
-    @property
-    def mux_rate(self):
-        return self.family.mux_rate
-
-    @property
-    def words(self):
-        """(cardinality, num_slots) array of scalar codewords."""
-        cols = [self.family.points[np.asarray(perm)] for perm in self.perms]
-        return np.stack(cols, axis=1)
-
-    def as_codebook(self, num_rx):
-        dims = ChannelDims(num_tx=1, num_rx=num_rx, block_len=self.num_slots)
-        return Codebook(words=self.words[:, None, :], snr=self.family.snr,
-                        mux_rate=self.family.mux_rate, dims=dims)
-
-
-def permutation_codebook(family, perms):
-    """Assemble a permutation code; validates that every slot map is a bijection."""
-    perms = tuple(tuple(int(i) for i in perm) for perm in perms)
-    return PermutationCode(family=family, perms=perms)
+def permutation_codebook(family, perms, num_rx=1):
+    """Single-antenna codebook whose word k carries ``family.points[perms[s][k]]``
+    in slot s; validates that every slot map is a bijection on the family."""
+    perms = [np.asarray(perm, dtype=int) for perm in perms]
+    for perm in perms:
+        if not np.array_equal(np.sort(perm), np.arange(len(family))):
+            raise ValueError("each slot permutation must be a bijection on the family")
+    words = np.stack([family.points[perm] for perm in perms], axis=1)
+    return Codebook(words[:, None, :], family.snr, family.mux_rate,
+                    ChannelDims(1, num_rx, len(perms)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +113,14 @@ class Codebook:
 
     def __len__(self):
         return self.words.shape[0]
+
+    @property
+    def scalar_words(self):
+        """(cardinality, block_len) words of a single transmit antenna
+        codebook: the form outer codes and the scalar criteria read."""
+        if self.dims.num_tx != 1:
+            raise ValueError("criterion applies to single transmit antenna codebooks")
+        return self.words[:, 0, :]
 
     def to_json(self):
         return {"mt": self.dims.num_tx, "n": self.dims.block_len,
@@ -285,7 +266,7 @@ def _torus_bound_score(maps, per_dim):
         vb = (c * da + d * db) % q
         dist = _sort_slots((np.minimum(va, q - va) ** 2
                             + np.minimum(vb, q - vb) ** 2).astype(float))
-        two_small[lo:lo + step] = (dist[0] * dist[1] if slots >= 2 else dist[0]).min(axis=-1)
+        two_small[lo:lo + step] = (dist[0] * dist[1]).min(axis=-1)
         full[lo:lo + step] = dist.prod(axis=0).min(axis=-1)
     return two_small, full
 
@@ -307,8 +288,6 @@ class PermutationSearch:
 
     entries: tuple
     mux_rate: float
-    num_slots: int
-    epsilon: float
 
     def codebook_at(self, snr):
         for entry in self.entries:
@@ -376,8 +355,8 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
 
         best = None
         for combo, method in candidates:
-            words = np.stack([fam.points[np.asarray(perm)] for perm in combo], axis=1)
-            worst = pairwise_min_products(words, n_slots)
+            worst = pairwise_min_products(permutation_codebook(fam, combo).scalar_words,
+                                          n_slots)
             if best is None or worst.value > best[0].value:
                 best = (worst, combo, method)
         worst, combo, method = best
@@ -385,8 +364,7 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
             snr=float(snr), perms=combo, min_product=worst.value,
             worst_pair=worst.pair, threshold=threshold,
             passes=bool(worst.value >= threshold), method=method))
-    return PermutationSearch(entries=tuple(entries), mux_rate=float(r),
-                             num_slots=n_slots, epsilon=float(epsilon))
+    return PermutationSearch(entries=tuple(entries), mux_rate=float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +567,7 @@ def min_entry_criterion(codebook_gen, snr_grid, epsilon):
     results = []
     for snr in snr_grid:
         book = codebook_gen(snr)
-        if book.dims.num_tx != 1:
-            raise ValueError("criterion applies to single transmit antenna codebooks")
-        words = book.words[:, 0, :]
+        words = book.scalar_words
         worst = pairwise_min_products(words, 1)
         i, j = worst.pair
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)

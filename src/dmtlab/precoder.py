@@ -159,11 +159,13 @@ def classic_precoder(kind, num_tx, n_slots, stride, shifts=None):
 
 
 def apply_precoder(precoder, word):
-    """Entrywise product of every precoder row with a shared scalar codeword."""
-    word = np.asarray(word, dtype=complex).reshape(-1)
-    if word.size != precoder.block_len:
+    """Entrywise product of every precoder row with a shared scalar codeword:
+    one word (block_len,) gives (num_tx, block_len), a stack of words
+    (..., block_len) gives (..., num_tx, block_len)."""
+    word = np.asarray(word, dtype=complex)
+    if word.shape[-1:] != (precoder.block_len,):
         raise ValueError("codeword length does not match the precoder")
-    return precoder.matrix * word[None, :]
+    return precoder.matrix * word[..., None, :]
 
 
 def weighted_row_gram(cov, precoder):
@@ -272,8 +274,9 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
        dominates sigma0**m times the outer product of (b) and clears the
        rate threshold itself.
 
-    Failures are itemized per SNR in the returned report; a codebook with
-    fewer than two words is flagged as a vacuous pass.
+    ``outer_gen`` maps an SNR to a single-antenna ``Codebook``. Failures are
+    itemized per SNR in the returned report; a codebook with fewer than two
+    words is flagged as a vacuous pass.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -285,7 +288,7 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
     per_snr = []
     for snr in snr_grid:
         book = outer_gen(snr)
-        words = book.words[:, 0, :] if book.words.ndim == 3 else book.words
+        words = book.scalar_words
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         row = {"snr": float(snr), "mux_rate": float(book.mux_rate), "threshold": threshold}
         if words.shape[0] < 2:

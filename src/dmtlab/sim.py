@@ -127,14 +127,11 @@ class ErrorEstimate:
 
 
 def _resolve_words(transmit):
-    """Accept a Codebook or a (precoder, outer codebook) pair."""
+    """Accept a Codebook or a (precoder, single-antenna outer Codebook) pair."""
     if isinstance(transmit, tuple):
         precoder, outer = transmit
-        outer_words = outer.words
-        if outer_words.ndim == 3:
-            outer_words = outer_words[:, 0, :]
-        return np.stack([apply_precoder(precoder, w) for w in outer_words])
-    return np.asarray(transmit.words, dtype=complex)
+        return apply_precoder(precoder, outer.scalar_words)
+    return transmit.words
 
 
 _DECODE_BUDGET = 4_000_000  # (trial, word) metric entries per decode slice

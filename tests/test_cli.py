@@ -322,12 +322,13 @@ def _flat_cov(tmp_path):
     ["pep", "--snr-db", "inf"],
     ["pep", "--snr-db", "4000"],
     ["pep", "--snr-db", "20", "10"],
+    ["verify-code", "--criterion", "dmt", "--snr-db"],
 ], ids=["dmt-snr-nan", "dmt-epsilon-nan", "dmt-snr-overflow", "dmt-epsilon-inf",
         "rank-descending", "pep-snr-nan", "pep-snr-inf", "pep-snr-overflow",
-        "pep-descending"])
+        "pep-descending", "dmt-snr-empty"])
 def test_bad_snr_grid_or_epsilon_exits_2(tmp_path, capsys, argv):
     # these used to print NaN/Infinity JSON, pass with an infinite margin,
-    # or print silent rows
+    # pass vacuously on an empty grid, or print silent rows
     out = tmp_path / "out"
     assert dispatch(argv + ["--codebook", str(_antipodal_book(tmp_path)),
                             "--cov", str(_flat_cov(tmp_path)), "--out", str(out)]) == 2
@@ -495,6 +496,22 @@ def test_oracle_check_command():
     assert dispatch(["oracle-check", "--what", "identities", "--n", "4",
                      "--instances", "20", "--seed", "7"]) == 0
     assert dispatch(["oracle-check", "--what", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--what", "theorem4", "--instances", "-3"],
+    ["--what", "theorem4", "--instances", "0"],
+    ["--what", "identities", "--instances", "0"],
+    ["--what", "theorem4", "--unitaries", "-5"],
+    ["--what", "theorem4", "--unitaries", "0"],
+], ids=["theorem4-instances-negative", "theorem4-instances-zero",
+        "identities-instances-zero", "unitaries-negative", "unitaries-zero"])
+def test_oracle_check_counts_below_one_exit_2(capsys, argv):
+    # these used to report a pass for checks that never ran
+    assert dispatch(["oracle-check", "--n", "3"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    assert "at least 1" in captured.err
 
 
 def test_unknown_subcommand_exit_code():

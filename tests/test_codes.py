@@ -88,8 +88,8 @@ def test_qam_points_stay_in_unit_disk():
 def test_identity_permutation_code_repeats_symbol():
     fam = qam_family(16.0, 1.0)
     code = permutation_codebook(fam, [range(16), range(16)])
-    assert code.words.shape == (16, 2)
-    assert np.allclose(code.words[:, 0], code.words[:, 1])
+    assert code.words.shape == (16, 1, 2)
+    assert np.allclose(code.scalar_words[:, 0], code.scalar_words[:, 1])
 
 
 def test_permutation_code_all_entries_nonzero():
@@ -97,7 +97,7 @@ def test_permutation_code_all_entries_nonzero():
     rng = spawn_rng(22)
     perms = [rng.permutation(len(fam)) for _ in range(2)]
     code = permutation_codebook(fam, perms)
-    words = code.words
+    words = code.scalar_words
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
             assert np.all(np.abs(words[i] - words[j]) > 0)
@@ -245,7 +245,28 @@ def test_search_meets_threshold_example():
     assert entry.min_product >= criterion_threshold(16.0, 1.0, 0.5)
     assert entry.passes
     code = search.codebook_at(16.0)
-    assert code.words.shape == (16, 2)
+    assert code.words.shape == (16, 1, 2)
+
+
+def test_searched_codebook_feeds_the_criteria():
+    # codebook_at returns a single-antenna Codebook, so the search result
+    # goes straight into the criteria, with the rows of the codebook built
+    # by hand from the recorded slot permutations
+    grid = [16.0, 64.0]
+    search = search_permutations(grid, 1.0, 2, budget=50, master_seed=3, epsilon=0.5)
+
+    def explicit(snr):
+        entry = next(e for e in search.entries if e.snr == snr)
+        fam = qam_family(snr, 1.0)
+        words = np.stack([fam.points[np.asarray(perm)] for perm in entry.perms], axis=1)
+        return _scalar_codebook(words, snr=snr, r=1.0)
+
+    assert all(isinstance(search.codebook_at(snr), Codebook) for snr in grid)
+    assert (min_entry_criterion(search.codebook_at, grid, 0.5)
+            == min_entry_criterion(explicit, grid, 0.5))
+    cov = build_covariance(Fast(), 2)
+    assert (verify_dmt_criterion(search.codebook_at, cov, grid, 0.5)
+            == verify_dmt_criterion(explicit, cov, grid, 0.5))
 
 
 def test_search_failure_is_flagged_not_raised():
@@ -537,7 +558,7 @@ def test_min_entry_criterion_permutation_code_passes():
         fam = qam_family(snr, 0.5)
         rng = spawn_rng(37, int(snr))
         perms = [rng.permutation(len(fam)) for _ in range(3)]
-        return permutation_codebook(fam, perms).as_codebook(num_rx=2)
+        return permutation_codebook(fam, perms, num_rx=2)
 
     report = min_entry_criterion(gen, [10.0, 100.0], epsilon=0.1)
     assert report["passed"]

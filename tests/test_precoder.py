@@ -124,6 +124,15 @@ def test_apply_precoder_repetition_and_energy():
     out = apply_precoder(pre, word)
     for row in out:
         assert np.sum(np.abs(row) ** 2) == pytest.approx(np.sum(np.abs(word) ** 2))
+    # a stack of words is precoded in one product, bitwise as word by word
+    rng = spawn_rng(40)
+    stack = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    out = apply_precoder(pre, stack)
+    assert out.shape == (5, 2, 3)
+    assert out.tobytes() == np.stack([apply_precoder(pre, w) for w in stack]).tobytes()
+    for bad in (np.ones(4), np.ones((3, 1)), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="codeword length"):
+            apply_precoder(pre, bad)
 
 
 def test_conjugation_identity_random():
@@ -243,6 +252,16 @@ def test_composed_design_vacuous_single_word():
     assert report["passed"]
 
 
+def test_composed_design_rejects_multi_antenna_outer():
+    # the outer code is single-antenna; a 2-antenna codebook must not be
+    # cut to its first antenna
+    cov, pre = _isi_setup()
+    words = pre.matrix * qam_family(9.0, 0.5).points[:, None, None]  # precoded repetition
+    book = Codebook(words=words, snr=9.0, mux_rate=0.5, dims=ChannelDims(2, 2, 4))
+    with pytest.raises(ValueError, match="single transmit antenna"):
+        verify_composed_design(pre, lambda snr: book, cov, [9.0], epsilon=0.5, num_rx=2)
+
+
 def test_precoded_pairs_pass_rank_criterion():
     # delay-diversity precoded repetition pairs reach the full structural
     # rank on the two-tap multicarrier channel
@@ -250,7 +269,7 @@ def test_precoded_pairs_pass_rank_criterion():
     cov, pre = _isi_setup()
     fam = qam_family(16.0, 0.5)
     outer = permutation_codebook(fam, [range(len(fam))] * 4)
-    words = np.stack([apply_precoder(pre, w) for w in outer.words])
+    words = apply_precoder(pre, outer.scalar_words)
     book = Codebook(words=words, snr=16.0, mux_rate=0.5, dims=ChannelDims(2, 2, 4))
     report = verify_rank_r0(book, cov)
     assert report["passed"]
@@ -266,16 +285,16 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
     fam = qam_family(25.0, 1.0)
     perms = [rng.permutation(len(fam)) for _ in range(4)]
     outer = permutation_codebook(fam, perms)
-    words = np.stack([apply_precoder(pre, w) for w in outer.words])
+    words = apply_precoder(pre, outer.scalar_words)
     book = Codebook(words=words, snr=25.0, mux_rate=1.0, dims=ChannelDims(2, 2, 4))
     exhaustive = xi_metric(book, cov)
-    outer_worst = pairwise_min_products(outer.words, 2)
+    outer_worst = pairwise_min_products(outer.scalar_words, 2)
     # pairs the sandwich cannot rule out, counted pair by pair
     nonzero = np.linalg.eigvalsh(weighted_row_gram(cov, pre))[4 - cov.rank * 2:]
     pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
     dist2 = []
     for i, j in pairs:
-        diff = outer.words[i] - outer.words[j]
+        diff = outer.scalar_words[i] - outer.scalar_words[j]
         dist2.append(np.sort(diff.real ** 2 + diff.imag ** 2))
     level = nonzero[-1] ** 2 * min(d[:2].prod() for d in dist2) * (1 + 1e-9)
     survivors = sum(nonzero[0] ** 2 * d[:2].prod() <= level for d in dist2)

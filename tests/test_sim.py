@@ -117,7 +117,7 @@ def test_zero_noise_decodes_perfectly():
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)]).as_codebook(num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
     est = simulate_error_prob(cov, dims, code, snr=10.0, trials=2000,
                               master_seed=54, noise_scale=0.0)
     assert est.errors == 0
@@ -143,7 +143,7 @@ def test_error_rate_dominates_outage_at_scaling_rate():
     r = 0.5
     for snr in (64.0, 256.0):
         fam = qam_family(snr, r)
-        code = permutation_codebook(fam, [range(len(fam))]).as_codebook(num_rx=1)
+        code = permutation_codebook(fam, [range(len(fam))], num_rx=1)
         err = simulate_error_prob(cov, dims, code, snr=snr, trials=100_000,
                                   master_seed=56)
         out = estimate_outage(cov, dims, SnrPoint(snr, ScalingRate(r)),
@@ -162,11 +162,22 @@ def test_precoded_pair_input():
     assert 0.0 <= est.error_rate <= 1.0
 
 
+def test_precoded_pair_rejects_multi_antenna_outer():
+    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
+    dims = ChannelDims(2, 2, 4)
+    pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
+    outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
+    book = Codebook(words=sim._resolve_words((pre, outer)), snr=9.0, mux_rate=0.5,
+                    dims=dims)
+    with pytest.raises(ValueError, match="single transmit antenna"):
+        simulate_error_prob(cov, dims, (pre, book), snr=9.0, trials=100, master_seed=57)
+
+
 def test_simulate_deterministic_across_workers():
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)]).as_codebook(num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
     kwargs = dict(snr=8.0, trials=50_000, master_seed=58)
     one = simulate_error_prob(cov, dims, code, workers=1, **kwargs)
     four = simulate_error_prob(cov, dims, code, workers=4, **kwargs)
@@ -182,7 +193,7 @@ def test_simulate_rejects_bad_inputs(kwargs):
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)]).as_codebook(num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
     args = dict(snr=8.0, trials=100, master_seed=59)
     args.update(kwargs)
     with pytest.raises(ValueError):
