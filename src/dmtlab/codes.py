@@ -75,16 +75,22 @@ def qam_family(snr, r):
                      snr=float(snr), mux_rate=float(r))
 
 
-def permutation_codebook(family, perms, num_rx=1):
-    """Single-antenna codebook whose word k carries ``family.points[perms[s][k]]``
-    in slot s; validates that every slot map is a bijection on the family."""
+def _slot_words(points, perms):
+    """(cardinality, num_slots) words whose word k carries ``points[perms[s][k]]``
+    in slot s; the slot maps are not checked."""
+    return np.stack([points[np.asarray(perm, dtype=int)] for perm in perms], axis=1)
+
+
+def permutation_codebook(family, perms):
+    """Single-antenna codebook of the ``_slot_words`` of ``perms``; validates
+    that every slot map is a bijection on the family."""
     perms = [np.asarray(perm, dtype=int) for perm in perms]
     for perm in perms:
         if not np.array_equal(np.sort(perm), np.arange(len(family))):
             raise ValueError("each slot permutation must be a bijection on the family")
-    words = np.stack([family.points[perm] for perm in perms], axis=1)
+    words = _slot_words(family.points, perms)
     return Codebook(words[:, None, :], family.snr, family.mux_rate,
-                    ChannelDims(1, num_rx, len(perms)))
+                    ChannelDims(1, 1, len(perms)))
 
 
 @dataclass(frozen=True)
@@ -355,8 +361,8 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
 
         best = None
         for combo, method in candidates:
-            worst = pairwise_min_products(permutation_codebook(fam, combo).scalar_words,
-                                          n_slots)
+            # every candidate map is a bijection by construction
+            worst = pairwise_min_products(_slot_words(fam.points, combo), n_slots)
             if best is None or worst.value > best[0].value:
                 best = (worst, combo, method)
         worst, combo, method = best

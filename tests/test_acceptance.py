@@ -339,7 +339,6 @@ def test_criterion_9_determinism_across_workers():
     outage = [estimate_outage(cov, dims, point, trials=80_000, master_seed=1009,
                               min_events=None, workers=w) for w in (1, 4)]
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4)] * 4, num_rx=2)
     errors = [simulate_error_prob(cov, dims, (classic_precoder("cdd", 2, 4, 2),
                                               permutation_codebook(fam, [range(4)] * 4)),
                                   snr=16.0, trials=40_000, master_seed=1010,

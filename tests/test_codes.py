@@ -558,7 +558,7 @@ def test_min_entry_criterion_permutation_code_passes():
         fam = qam_family(snr, 0.5)
         rng = spawn_rng(37, int(snr))
         perms = [rng.permutation(len(fam)) for _ in range(3)]
-        return permutation_codebook(fam, perms, num_rx=2)
+        return permutation_codebook(fam, perms)
 
     report = min_entry_criterion(gen, [10.0, 100.0], epsilon=0.1)
     assert report["passed"]

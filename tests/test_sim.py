@@ -12,7 +12,7 @@ from dmtlab.channel import (
     build_covariance,
 )
 from dmtlab.codes import Codebook, permutation_codebook, qam_family
-from dmtlab.precoder import classic_precoder
+from dmtlab.precoder import apply_precoder, classic_precoder
 from dmtlab.sim import (
     TraceBoundInstance,
     least_favorable_trace,
@@ -117,7 +117,7 @@ def test_zero_noise_decodes_perfectly():
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)])
     est = simulate_error_prob(cov, dims, code, snr=10.0, trials=2000,
                               master_seed=54, noise_scale=0.0)
     assert est.errors == 0
@@ -143,7 +143,7 @@ def test_error_rate_dominates_outage_at_scaling_rate():
     r = 0.5
     for snr in (64.0, 256.0):
         fam = qam_family(snr, r)
-        code = permutation_codebook(fam, [range(len(fam))], num_rx=1)
+        code = permutation_codebook(fam, [range(len(fam))])
         err = simulate_error_prob(cov, dims, code, snr=snr, trials=100_000,
                                   master_seed=56)
         out = estimate_outage(cov, dims, SnrPoint(snr, ScalingRate(r)),
@@ -167,7 +167,7 @@ def test_precoded_pair_rejects_multi_antenna_outer():
     dims = ChannelDims(2, 2, 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
-    book = Codebook(words=sim._resolve_words((pre, outer)), snr=9.0, mux_rate=0.5,
+    book = Codebook(words=apply_precoder(pre, outer.scalar_words), snr=9.0, mux_rate=0.5,
                     dims=dims)
     with pytest.raises(ValueError, match="single transmit antenna"):
         simulate_error_prob(cov, dims, (pre, book), snr=9.0, trials=100, master_seed=57)
@@ -177,7 +177,7 @@ def test_simulate_deterministic_across_workers():
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)])
     kwargs = dict(snr=8.0, trials=50_000, master_seed=58)
     one = simulate_error_prob(cov, dims, code, workers=1, **kwargs)
     four = simulate_error_prob(cov, dims, code, workers=4, **kwargs)
@@ -193,7 +193,7 @@ def test_simulate_rejects_bad_inputs(kwargs):
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
-    code = permutation_codebook(fam, [range(4), range(4)], num_rx=1)
+    code = permutation_codebook(fam, [range(4), range(4)])
     args = dict(snr=8.0, trials=100, master_seed=59)
     args.update(kwargs)
     with pytest.raises(ValueError):
@@ -310,7 +310,7 @@ def test_simulate_precoded_pair_matches_dense_decode():
     dims = ChannelDims(2, 2, 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
-    words = sim._resolve_words((pre, outer))
+    words = apply_precoder(pre, outer.scalar_words)
     est = simulate_error_prob(cov, dims, (pre, outer), snr=9.0, trials=3000,
                               master_seed=63)
     assert est.errors > 0
