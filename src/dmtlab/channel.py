@@ -376,24 +376,25 @@ def circulant_covariance(spec):
 
 
 def sample_channel(cov, dims, rng):
-    """Draw one correlated channel realization as an (N, M_R, M_T) array.
-
-    Spatially white: every transmit-receive pair is an independent process
-    across slots with covariance ``cov.entries``. The draw is
-    ``sqrt_factor @ white`` where white holds i.i.d. unit-variance
-    circularly-symmetric Gaussians: the one draw of
-    ``sample_channel_batch(cov, dims, 1, rng)``.
-    """
+    """Draw one correlated channel realization as an (N, M_R, M_T) array:
+    the one draw of ``sample_channel_batch(cov, dims, 1, rng)``."""
     return sample_channel_batch(cov, dims, 1, rng)[0]
 
 
 def sample_channel_batch(cov, dims, count, rng):
-    """Vectorized helper: ``count`` draws as one (count, N, M_R, M_T) array."""
-    n = dims.block_len
-    if cov.block_len != n:
+    """``count`` correlated channel draws as one (count, N, M_R, M_T) array.
+
+    Spatially white: every transmit-receive pair is an independent process
+    across slots with covariance ``cov.entries``. A covariance of rank rho
+    is driven by rho white (M_R, M_T) matrices W_k of i.i.d. unit-variance
+    circularly-symmetric Gaussians, H_n = sum_k sqrt(lambda_k) v_k[n] W_k,
+    so each draw takes rho * M_R * M_T complex normals from ``rng``, not
+    N * M_R * M_T.
+    """
+    if cov.block_len != dims.block_len:
         raise ValueError("covariance size does not match the block length")
-    white = complex_normal(rng, (count, n, dims.num_rx, dims.num_tx))
-    return np.einsum("nk,ckij->cnij", cov.sqrt_factor, white)
+    white = complex_normal(rng, (count, cov.rank, dims.num_rx, dims.num_tx))
+    return np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
 
 
 def build_block_circulant(taps, n):

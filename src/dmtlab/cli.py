@@ -17,7 +17,8 @@ from ._util import db_to_linear, json_field, json_value, spawn_rng
 from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
 from .codes import Codebook, effective_eigs, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
-from .sim import TraceBoundInstance, chernoff_bound, simulate_error_prob, trace_oracle
+from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, chernoff_bound,
+                  simulate_error_prob, trace_oracle)
 from .tradeoff import (
     FixedRate,
     ScalingRate,
@@ -264,6 +265,11 @@ def _cmd_pep(args):
 
 
 def _cmd_oracle_check(args):
+    if args.what == "theorem4" and not 1 <= args.n <= TRACE_ORACLE_MAX_SIZE:
+        raise ValueError(f"--n: theorem4 sizes must lie in [1, {TRACE_ORACLE_MAX_SIZE}], "
+                         f"got {args.n}")
+    if args.what == "identities" and args.n < 2:
+        raise ValueError(f"--n: identities need a block length of at least 2, got {args.n}")
     rng = spawn_rng(args.seed)
     if args.what == "theorem4":
         for trial in range(args.instances):

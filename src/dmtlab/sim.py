@@ -87,17 +87,20 @@ def _trace_value(inst, unitary):
     return float(inst.lam @ (weights @ inst.theta))
 
 
+TRACE_ORACLE_MAX_SIZE = 7
+
+
 def trace_oracle(inst, num_random_unitaries=1000, master_seed=0):
     """Brute-force check of the trace minimum.
 
-    Exhausts all permutation matrices (so theta sizes are capped at 7) and
-    samples Haar-distributed unitaries from QR factorizations of Gaussian
-    matrices. Raises if the closed form misses the permutation minimum or
-    is beaten by any sampled rotation.
+    Exhausts all permutation matrices (so theta sizes are capped at
+    ``TRACE_ORACLE_MAX_SIZE``) and samples Haar-distributed unitaries from
+    QR factorizations of Gaussian matrices. Raises if the closed form misses
+    the permutation minimum or is beaten by any sampled rotation.
     """
     n = inst.theta.size
-    if n > 7:
-        raise ValueError("permutation exhaustion capped at size 7")
+    if n > TRACE_ORACLE_MAX_SIZE:
+        raise ValueError(f"permutation exhaustion capped at size {TRACE_ORACLE_MAX_SIZE}")
     m = inst.lam.size
     perm_min = min(
         float(np.dot(inst.lam, np.asarray(perm)[:m]))

@@ -192,13 +192,19 @@ def test_circulant_covariance_degenerate_spread():
         circulant_covariance(spec)
 
 
+def _slot_covariance(draws):
+    """Sample slot covariance of (count, N, M_R, M_T) draws, pooled over the
+    scalar subchannels."""
+    flat = draws.reshape(draws.shape[0], draws.shape[1], -1)
+    return np.einsum("cnp,cmp->nm", flat, flat.conj()) / (flat.shape[0] * flat.shape[2])
+
+
 def test_sample_channel_empirical_covariance_identity():
     dims = ChannelDims(2, 2, 4)
     cov = build_covariance(Fast(), 4)
     draws = sample_channel_batch(cov, dims, 100_000, spawn_rng(11))
     # each scalar subchannel across slots: covariance ~ identity
-    flat = draws.reshape(100_000, 4, -1)
-    est = np.einsum("cnp,cmp->nm", flat, flat.conj()) / (100_000 * flat.shape[2])
+    est = _slot_covariance(draws)
     assert np.linalg.norm(est - np.eye(4)) / np.linalg.norm(np.eye(4)) < 0.02
 
 
@@ -271,9 +277,66 @@ def test_sample_channel_matches_single_draw_formula(model, dims):
     rng, ref_rng = spawn_rng(13, dims.block_len), spawn_rng(13, dims.block_len)
     for _ in range(200):
         one = sample_channel(cov, dims, rng)
-        white = complex_normal(ref_rng, (dims.block_len, dims.num_rx, dims.num_tx))
-        ref = np.einsum("nk,kij->nij", cov.sqrt_factor, white)
+        white = complex_normal(ref_rng, (cov.rank, dims.num_rx, dims.num_tx))
+        ref = np.einsum("nk,kij->nij", cov.eigvecs * np.sqrt(cov.eigvals), white)
         assert np.array_equal(one.view(float), ref.view(float))
+
+
+# one model per kind of channel.MODELS; flat with n > 1 has rank 1 < n
+_DRAW_MODELS = {
+    "flat": (Flat(), 5),
+    "fast": (Fast(), 3),
+    "block": (BlockFading(2, 2), 4),
+    "isi": (CyclicIsi(2, (1.0, 1.0)), 4),
+    "tf": (TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 3)), 6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_draw_factor_reproduces_covariance(kind):
+    model, n = _DRAW_MODELS[kind]
+    cov = build_covariance(model, n)
+    factor = cov.eigvecs * np.sqrt(cov.eigvals)
+    assert factor.shape == (n, cov.rank)
+    np.testing.assert_allclose(factor @ factor.conj().T, cov.entries, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_sample_channel_batch_draws_rank_white_matrices(kind):
+    # the stream advances by rank * M_R * M_T complex normals per draw
+    model, n = _DRAW_MODELS[kind]
+    cov = build_covariance(model, n)
+    dims = ChannelDims(3, 2, n)
+    rng, ref_rng = spawn_rng(14, n), spawn_rng(14, n)
+    sample_channel_batch(cov, dims, 7, rng)
+    complex_normal(ref_rng, (7, cov.rank, dims.num_rx, dims.num_tx))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("kind", ["isi", "block", "tf"])
+def test_sample_channel_empirical_covariance(kind):
+    # the rank-reduced draw and the old full-length draw through the PSD
+    # square root both have slot covariance cov.entries
+    model, n = _DRAW_MODELS[kind]
+    cov = build_covariance(model, n)
+    dims = ChannelDims(2, 2, n)
+    count = 100_000
+    old_draws = np.einsum("nk,ckij->cnij", cov.sqrt_factor,
+                          complex_normal(spawn_rng(15), (count, n, 2, 2)))
+    for draws in (sample_channel_batch(cov, dims, count, spawn_rng(16)), old_draws):
+        est = _slot_covariance(draws)
+        assert np.linalg.norm(est - cov.entries) / np.linalg.norm(cov.entries) < 0.02
+
+
+def test_flat_single_slot_draw_matches_sqrt_factor_draw():
+    # n = 1: one white matrix either way and a factor of exactly 1, so the
+    # 2x2 flat stream is the one of the full-length sqrt_factor draw
+    cov = build_covariance(Flat(), 1)
+    dims = ChannelDims(2, 2, 1)
+    got = sample_channel_batch(cov, dims, 16384, spawn_rng(17))
+    white = complex_normal(spawn_rng(17), (16384, 1, 2, 2))
+    ref = np.einsum("nk,ckij->cnij", cov.sqrt_factor, white)
+    assert np.array_equal(got.view(float), ref.view(float))
 
 
 @pytest.mark.parametrize("mt,mr", [(2, 2), (1, 2), (3, 2)])

@@ -495,6 +495,10 @@ def test_oracle_check_command():
                      "--instances", "20", "--unitaries", "50", "--seed", "7"]) == 0
     assert dispatch(["oracle-check", "--what", "identities", "--n", "4",
                      "--instances", "20", "--seed", "7"]) == 0
+    # the ends of the --n ranges
+    for what, n in (("theorem4", "1"), ("theorem4", "7"), ("identities", "2")):
+        assert dispatch(["oracle-check", "--what", what, "--n", n, "--instances", "3",
+                         "--unitaries", "5"]) == 0
     assert dispatch(["oracle-check", "--what", "nonsense"]) == 2
 
 
@@ -512,6 +516,20 @@ def test_oracle_check_counts_below_one_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert "passed" not in captured.out
     assert "at least 1" in captured.err
+
+
+@pytest.mark.parametrize("what,n", [
+    ("theorem4", "0"), ("theorem4", "-1"), ("theorem4", "8"),
+    ("identities", "1"), ("identities", "0"),
+])
+def test_oracle_check_n_out_of_range_exit_2(capsys, what, n):
+    # these used to fail inside numpy's sampler or, for theorem4 above the
+    # oracle's size cap, pass or fail by seed
+    assert dispatch(["oracle-check", "--what", what, "--n", n, "--instances", "3",
+                     "--unitaries", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    assert "--n" in captured.err
 
 
 def test_unknown_subcommand_exit_code():
