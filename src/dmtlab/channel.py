@@ -65,6 +65,9 @@ class ScatteringSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.tau0, self.nu0, self.grid_t, self.grid_f,
+                                   self.sigma2))):
+            raise ValueError("spreads, grid spacings and power must be finite")
         if self.tau0 <= 0 or self.nu0 <= 0:
             raise ValueError("delay and Doppler spreads must be positive")
         if self.tau0 * self.nu0 >= 1.0:

@@ -194,8 +194,7 @@ def _cmd_error_sim(args):
     trials = config.trials if args.trials is None else args.trials
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
-    with open(args.codebook) as fh:
-        book = Codebook.from_json(json.load(fh), num_rx=config.dims.num_rx)
+    book = Codebook.load(args.codebook, num_rx=config.dims.num_rx)
     columns = ["snr_db", "error_rate", "ci_low", "ci_high", "trials"]
     if args.with_outage:
         columns.append("outage_rate")
@@ -219,8 +218,7 @@ def _cmd_error_sim(args):
 def _cmd_verify_code(args):
     grid = _snr_grid(args.snr_db)
     cov = CovarianceMatrix.load(args.cov)
-    with open(args.codebook) as fh:
-        book = Codebook.from_json(json.load(fh), num_rx=args.mr)
+    book = Codebook.load(args.codebook, num_rx=args.mr)
     if args.criterion == "rank":
         result = verify_rank_r0(book, cov)
         report = {"criterion": "rank", "passed": result["passed"],
@@ -251,8 +249,7 @@ def _cmd_design_precoder(args):
 def _cmd_pep(args):
     snrs = _snr_grid(args.snr_db)
     cov = CovarianceMatrix.load(args.cov)
-    with open(args.codebook) as fh:
-        book = Codebook.from_json(json.load(fh), num_rx=args.mr)
+    book = Codebook.load(args.codebook, num_rx=args.mr)
     _, num_tx, n = book.words.shape
     keep = min(cov.rank * num_tx, n)
     worst = np.zeros(len(snrs))
@@ -336,9 +333,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dmt-curve", help="closed-form diversity curve")
-    p.add_argument("--mt", type=int, required=True)
-    p.add_argument("--mr", type=int, required=True)
-    p.add_argument("--rho", type=int, required=True,
+    p.add_argument("--mt", type=_int_at_least(1), required=True)
+    p.add_argument("--mr", type=_int_at_least(1), required=True)
+    p.add_argument("--rho", type=_int_at_least(1), required=True,
                    help="rank of the slot covariance")
     p.add_argument("--variant", choices=["jensen", "independent"], default="jensen")
     p.add_argument("--out")
@@ -383,11 +380,11 @@ def build_parser():
     p.set_defaults(func=_cmd_verify_code)
 
     p = sub.add_parser("design-precoder", help="time-frequency shift precoder")
-    p.add_argument("--nu0-t", type=float, required=True, dest="nu0_t")
-    p.add_argument("--tau0-f", type=float, required=True, dest="tau0_f")
-    p.add_argument("--num-time", type=int, required=True)
-    p.add_argument("--num-freq", type=int, required=True)
-    p.add_argument("--mt", type=int, required=True)
+    p.add_argument("--nu0-t", type=_finite_float, required=True, dest="nu0_t")
+    p.add_argument("--tau0-f", type=_finite_float, required=True, dest="tau0_f")
+    p.add_argument("--num-time", type=_int_at_least(1), required=True)
+    p.add_argument("--num-freq", type=_int_at_least(1), required=True)
+    p.add_argument("--mt", type=_int_at_least(1), required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_design_precoder)
 

@@ -13,6 +13,7 @@ criterion at slack ``epsilon`` when the measured quantity is at least
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,12 @@ _PAIR_SWEEP_BUDGET = 4_000_000  # elements per chunk in pairwise sweeps
 
 
 def criterion_threshold(snr, mux_rate, epsilon):
-    """Pass level for rate-r criteria: snr ** -(r + epsilon)."""
+    """Pass level for rate-r criteria: snr ** -(r + epsilon). The one check
+    of the slack and the SNR: both must be finite, epsilon > 0 and snr > 1."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(snr) and snr > 1):
+        raise ValueError("grid SNRs must exceed 1")
     return float(snr) ** (-(mux_rate + epsilon))
 
 
@@ -142,6 +148,11 @@ class Codebook:
                    snr=json_field(payload, "snr", "codebook", float),
                    mux_rate=json_field(payload, "r", "codebook", float),
                    dims=ChannelDims(num_tx=mt, num_rx=num_rx, block_len=n))
+
+    @classmethod
+    def load(cls, path, num_rx=1):
+        with open(path) as fh:
+            return cls.from_json(json.load(fh), num_rx)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +432,10 @@ def effective_eigs(codebook, cov):
         yield ii, jj, pair_eigvals(words, cov.entries.T, ii, jj)
 
 
-def _structural_count(cov, codebook):
+def structural_count(cov, num_tx, n):
     """cov.rank * num_tx, the structurally nonzero eigenvalue count of an
-    effective difference; the criteria need the block length to reach it."""
-    _, num_tx, n = codebook.words.shape
+    effective difference of a num_tx x n difference (or of a precoder's rows);
+    the criteria need the block length n to reach it."""
     if n < cov.rank * num_tx:
         raise ValueError("block length is below the structural eigenvalue count")
     return cov.rank * num_tx
@@ -438,7 +449,7 @@ def xi_metric(codebook, cov):
     Pair enumeration is exhaustive. Requires block_len >= rank * num_tx so
     the structural eigenvalue count is not limited by the block length.
     """
-    low = codebook.dims.block_len - _structural_count(cov, codebook)
+    low = codebook.dims.block_len - structural_count(cov, *codebook.words.shape[1:])
     m = codebook.dims.min_ant
     worst = WorstPair()
     for ii, jj, eig in effective_eigs(codebook, cov):
@@ -455,17 +466,13 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
     not recomputed. Returns a report dict with per-SNR margins; ``passed``
     is the overall verdict.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     results = []
     book = None
     for snr in snr_grid:
-        if snr <= 1:
-            raise ValueError("grid SNRs must exceed 1")
         prev, book = book, codebook_gen(snr)
+        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         if book is not prev:
             xi = xi_metric(book, cov)
-        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         results.append({"snr": float(snr), "xi": xi.value,
                         "threshold": threshold, "worst_pair": list(xi.pair),
                         "margin": xi.value / threshold if threshold > 0 else np.inf,
@@ -476,7 +483,7 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
 def verify_rank_r0(codebook, cov):
     """Fixed-rate sufficiency check: every effective difference must reach
     the full structural rank."""
-    expected = _structural_count(cov, codebook)
+    expected = structural_count(cov, *codebook.words.shape[1:])
     ranks = []
     for ii, jj, eig in effective_eigs(codebook, cov):
         chunk_ranks = eig_rank(eig, codebook.dims.block_len)
@@ -504,31 +511,21 @@ def stacked_isi_difference(e_time, num_taps, mode="cyclic"):
 
     ``cyclic`` applies cyclic delays (multicarrier model); ``linear``
     applies forward shifts (single-carrier model) and requires the trailing
-    num_taps - 1 columns of the difference to be zero so nothing falls off
-    the block.
+    num_taps - 1 columns of the difference to be zero (entries up to 1e-12
+    count as zero and are cleared) so nothing falls off the block.
     """
-    e_time = np.asarray(e_time, dtype=complex)
+    e_time = np.array(e_time, dtype=complex)
     num_tx, n = e_time.shape
     if n <= num_taps:
         raise ValueError("block length must exceed the tap count")
-    if mode == "cyclic":
-        def shifted(block, lag):
-            return np.roll(block, lag, axis=0)
-    elif mode == "linear":
+    if mode == "linear":
         tail = e_time[:, n - num_taps + 1:]
         if num_taps > 1 and np.max(np.abs(tail)) > 1e-12:
             raise ValueError("linear mode requires zero guard columns at the block end")
-
-        def shifted(block, lag):
-            out = np.zeros_like(block)
-            if lag < n:
-                out[lag:] = block[:n - lag]
-            return out
-    else:
+        tail[:] = 0  # with a zero guard, forward shifts are the cyclic ones
+    elif mode != "cyclic":
         raise ValueError(f"unknown mode: {mode!r}")
-    base = e_time.conj().T
-    stacked = np.concatenate([shifted(base, lag) for lag in range(num_taps)],
-                             axis=1).conj().T
+    stacked = np.concatenate([np.roll(e_time, lag, axis=1) for lag in range(num_taps)])
     return stacked, numerical_rank(stacked)
 
 
@@ -547,7 +544,7 @@ def block_fading_check(codebook, num_blocks):
         raise ValueError("block count must divide the block length")
     sub_len = n // num_blocks
     cov = build_covariance(BlockFading(num_blocks, sub_len), n)
-    low = n - _structural_count(cov, codebook)
+    low = n - structural_count(cov, num_tx, n)
     m = codebook.dims.min_ant
     blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
     max_err = 0.0
@@ -573,10 +570,10 @@ def min_entry_criterion(codebook_gen, snr_grid, epsilon):
     results = []
     for snr in snr_grid:
         book = codebook_gen(snr)
+        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         words = book.scalar_words
         worst = pairwise_min_products(words, 1)
         i, j = worst.pair
-        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         results.append({"snr": float(snr), "min_entry": worst.value,
                         "threshold": threshold, "worst_pair": list(worst.pair),
                         "worst_slot": int(np.argmin(np.abs(words[i] - words[j]) ** 2)),

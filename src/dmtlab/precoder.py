@@ -7,12 +7,11 @@ transmit power and the rank conditions below are scale-invariant.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import (complex_pairs, eig_rank, fft_column, json_complex, json_field,
-                    rank_tolerance)
+from ._util import complex_pairs, fft_column, json_complex, json_field
 from .channel import circulant_covariance
 from . import codes
 from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
@@ -99,6 +98,8 @@ def design_tf_shift_precoder(spec, num_tx, assignment=None):
     guarantees full structural rank of the covariance-weighted row Gram for
     the circulant surrogate of the channel covariance.
     """
+    if num_tx < 1:
+        raise ValueError("antenna count must be positive")
     v, t = spec.doppler_slots, spec.delay_slots
     if v < 1 or t < 1:
         raise ValueError("channel spread too small for the grid")
@@ -168,34 +169,26 @@ def apply_precoder(precoder, word):
     return precoder.matrix * word[..., None, :]
 
 
-def weighted_row_gram(cov, precoder):
-    """Hadamard product of the transposed covariance with the row Gram."""
-    if cov.block_len != precoder.block_len:
-        raise ValueError("covariance size does not match the precoder")
-    gram = precoder.matrix.conj().T @ precoder.matrix
-    return cov.entries.T * gram
-
-
 @dataclass(frozen=True)
 class PrecoderRankReport:
+    """Rank criterion on the precoder rows: ``gram`` is the effective
+    difference of the precoder matrix, the covariance-weighted row Gram;
+    reports compare and print by their scalar fields."""
+
     rank: int
     expected_rank: int
     sigma0: float
     passed: bool
+    gram: codes.EffectiveDifference = field(compare=False, repr=False)
 
 
 def verify_precoder_rank(cov, precoder):
     """Numerical rank and smallest nonzero eigenvalue of the weighted row Gram."""
-    eig = np.linalg.eigvalsh(weighted_row_gram(cov, precoder))
-    n = cov.block_len
-    expected = cov.rank * precoder.num_tx
-    if n < expected:
-        raise ValueError("block length is below the structural eigenvalue count")
-    rank = eig_rank(eig, n)
-    nonzero = eig[eig > rank_tolerance(eig, n)]
-    sigma0 = float(nonzero[0]) if nonzero.size else 0.0
-    return PrecoderRankReport(rank=rank, expected_rank=expected, sigma0=sigma0,
-                              passed=rank == expected)
+    gram = codes.effective_difference(cov, precoder.matrix)
+    expected = codes.structural_count(cov, precoder.num_tx, precoder.block_len)
+    sigma0 = float(gram.eigvals[-gram.rank]) if gram.rank else 0.0
+    return PrecoderRankReport(rank=gram.rank, expected_rank=expected, sigma0=sigma0,
+                              passed=gram.rank == expected, gram=gram)
 
 
 def verify_tf_precoder(spec, precoder, cov=None):
@@ -207,35 +200,34 @@ def verify_tf_precoder(spec, precoder, cov=None):
     profile and the eigenvalue at the surrogate's structural count rather
     than a hard pass/fail verdict.
     """
-    surrogate = circulant_covariance(spec)
-    out = {"circulant": verify_precoder_rank(surrogate, precoder)}
+    out = {"circulant": verify_precoder_rank(circulant_covariance(spec), precoder)}
     if cov is not None:
-        eig = np.linalg.eigvalsh(weighted_row_gram(cov, precoder))
-        structural = surrogate.rank * precoder.num_tx
+        eff = codes.effective_difference(cov, precoder.matrix)
         out["toeplitz"] = {
-            "eigvals": eig,
-            "rank": eig_rank(eig, cov.block_len),
-            "sigma_at_structural": float(eig[cov.block_len - structural]),
+            "eigvals": eff.eigvals,
+            "rank": eff.rank,
+            "sigma_at_structural": float(eff.eigvals[-out["circulant"].expected_rank]),
         }
     return out
 
 
-def _composed_sweep(gram, gram_eigs, words, m, keep):
+def _composed_sweep(report, words, m):
     """Outer m-smallest product and xi worst pairs of a precoded common-outer
     codebook, with the number of pairs eigensolved, from one sorted-distance
     sweep of the outer code.
 
-    The effective difference of such a codebook is the weighted row Gram
-    conjugated by the diagonal of the outer difference, so its eigenvalues
-    are sandwiched between sigma0 and sigma_top (the smallest nonzero and the
-    largest Gram eigenvalue) times the sorted entry powers. The sandwich
-    prunes pairs that cannot achieve the minimum; only the survivors are
-    eigensolved. A rank-deficient Gram gives xi = 0 unsolved.
+    The effective difference of such a codebook is the precoder's weighted
+    row Gram (``report.gram``) conjugated by the diagonal of the outer
+    difference, so its eigenvalues are sandwiched between sigma0 and
+    sigma_top (the smallest nonzero and the largest Gram eigenvalue) times
+    the sorted entry powers. The sandwich prunes pairs that cannot achieve
+    the minimum; only the survivors are eigensolved. A rank-deficient Gram
+    gives xi = 0 unsolved.
     """
     num, n = words.shape
-    shift = n - keep
-    sigma0, sigma_top = float(gram_eigs[shift]), float(gram_eigs[-1])
-    deficient = sigma0 <= rank_tolerance(gram_eigs, n)
+    shift = n - report.expected_rank
+    sigma0, sigma_top = report.sigma0, float(report.gram.eigvals[-1])
+    deficient = not report.passed
     outer, xi = WorstPair(), WorstPair()
     min_up, cand = np.inf, []
     for ii, jj in pair_chunks(num, n):
@@ -257,7 +249,7 @@ def _composed_sweep(gram, gram_eigs, words, m, keep):
     step = max(1, codes._PAIR_SWEEP_BUDGET // (n * n))
     for lo in range(0, cand_i.size, step):
         ii, jj = cand_i[lo:lo + step], cand_j[lo:lo + step]
-        eig = pair_eigvals(words[:, None, :], gram, ii, jj)
+        eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii, jj)
         xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
     return outer, xi, int(cand_i.size)
 
@@ -278,13 +270,8 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
     itemized per SNR in the returned report; a codebook with fewer than two
     words is flagged as a vacuous pass.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     rank_report = verify_precoder_rank(cov, precoder)
     m = min(precoder.num_tx, num_rx)
-    keep = cov.rank * precoder.num_tx
-    gram = weighted_row_gram(cov, precoder)
-    gram_eigs = np.linalg.eigvalsh(gram)
     per_snr = []
     for snr in snr_grid:
         book = outer_gen(snr)
@@ -296,7 +283,7 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
                         "chain_passed": True})
             per_snr.append(row)
             continue
-        outer, xi, evaluated = _composed_sweep(gram, gram_eigs, words, m, keep)
+        outer, xi, evaluated = _composed_sweep(rank_report, words, m)
         chain_low = rank_report.sigma0 ** m * outer.value
         row.update({
             "vacuous": False,

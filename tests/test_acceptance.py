@@ -30,7 +30,6 @@ from dmtlab.precoder import (
     classic_precoder,
     verify_composed_design,
     verify_precoder_rank,
-    weighted_row_gram,
 )
 from dmtlab.sim import (
     TraceBoundInstance,
@@ -89,7 +88,7 @@ def test_criterion_2_cdd_eigenvalue_interleaving():
     for pdp in ((1.0, 1.0), (1.0, 0.5)):
         cov = build_covariance(CyclicIsi(2, pdp), 4)
         pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
-        eig = np.sort(np.linalg.eigvalsh(weighted_row_gram(cov, pre)))
+        eig = np.sort(np.linalg.eigvalsh(effective_difference(cov, pre.matrix).matrix))
         lam = 4.0 * np.array(pdp) / sum(pdp)
         expected = np.sort(np.concatenate([lam, lam]))
         worst = max(worst, float(np.max(np.abs(eig - expected) / expected)))
@@ -149,7 +148,7 @@ def test_criterion_4_identity_suite():
         e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         precoded = apply_precoder(pre, e)
         lhs = cov.entries.T * (precoded.conj().T @ precoded)
-        rhs = np.diag(e.conj()) @ weighted_row_gram(cov, pre) @ np.diag(e)
+        rhs = np.diag(e.conj()) @ effective_difference(cov, pre.matrix).matrix @ np.diag(e)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.max(np.abs(rhs)))
 
     for trial in range(100):  # block-fading eigen multiset union

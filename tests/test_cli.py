@@ -450,6 +450,44 @@ def test_design_precoder_command(tmp_path):
                      "--num-time", "4", "--num-freq", "4", "--mt", "5"]) == 2
 
 
+_PRECODER_ARGS = {"--nu0-t": "0.5", "--tau0-f": "0.5", "--num-time": "4",
+                  "--num-freq": "4", "--mt": "2"}
+_CURVE_ARGS = {"--mt": "2", "--mr": "2", "--rho": "2"}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("design-precoder", "--nu0-t", "nan"),
+    ("design-precoder", "--tau0-f", "inf"),
+    ("design-precoder", "--mt", "0"),
+    ("design-precoder", "--num-time", "0"),
+    ("design-precoder", "--num-freq", "-1"),
+    ("dmt-curve", "--mt", "0"),
+    ("dmt-curve", "--mr", "0"),
+    ("dmt-curve", "--rho", "0"),
+], ids=["nu0-nan", "tau0-inf", "mt-zero", "num-time-zero", "num-freq-negative",
+        "curve-mt-zero", "curve-mr-zero", "curve-rho-zero"])
+def test_bad_size_or_spread_exits_2_naming_option(tmp_path, capsys, command, option, value):
+    # these used to fail inside numpy (NaN to integer, stacking no rows),
+    # name no option, or print a curve
+    base = _PRECODER_ARGS if command == "design-precoder" else _CURVE_ARGS
+    argv = [command]
+    for key, default in base.items():
+        argv += [key, value if key == option else default]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"argument {option}" in capsys.readouterr().err
+
+
+def test_codebook_load_matches_from_json(tmp_path):
+    path = _antipodal_book(tmp_path)
+    book = Codebook.load(path, num_rx=3)
+    expected = Codebook.from_json(json.loads(path.read_text()), num_rx=3)
+    assert book.words.tobytes() == expected.words.tobytes()
+    assert (book.snr, book.mux_rate, book.dims) == (expected.snr, expected.mux_rate,
+                                                     expected.dims)
+    assert Codebook.load(path).dims.num_rx == 1
+
 def test_pep_command(tmp_path):
     cov = build_covariance(Fast(), 1)
     cov_path = tmp_path / "cov.json"

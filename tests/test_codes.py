@@ -30,7 +30,7 @@ from dmtlab.codes import (
     verify_rank_r0,
     xi_metric,
 )
-from dmtlab._util import spawn_rng, unitary_fft
+from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0, num_rx=1):
@@ -497,6 +497,83 @@ def test_stacked_isi_linear_mode():
     with pytest.raises(ValueError):
         stacked_isi_difference(bad, 3, "linear")
 
+
+def _forward_shift_stack(e_time, num_taps):
+    # per-lag forward shift: lag columns of zeros, then the first n - lag columns
+    blocks = []
+    for lag in range(num_taps):
+        block = np.zeros_like(e_time)
+        block[:, lag:] = e_time[:, :e_time.shape[1] - lag]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def test_stacked_isi_matches_per_lag_shift_references():
+    rng = spawn_rng(39)
+    for trial in range(60):
+        mt, taps = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        n = taps + int(rng.integers(2, 5))
+        e = rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n))
+        cyclic, _ = stacked_isi_difference(e, taps, "cyclic")
+        expected = np.concatenate([e @ cyclic_shift_matrix(n, lag).T for lag in range(taps)])
+        assert np.array_equal(cyclic, expected)
+        e[:, n - taps + 1:] = 0  # zero guard
+        linear, rank = stacked_isi_difference(e, taps, "linear")
+        assert np.array_equal(linear, _forward_shift_stack(e, taps))
+        assert rank == np.linalg.matrix_rank(linear)
+    # a guard entry at most 1e-12 counts as zero: the stack is the forward
+    # shift of the difference with its guard cleared, and the input is kept
+    e = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+    e[:, 4:] = 0
+    e[1, 5] = 5e-13
+    kept = e.copy()
+    linear, _ = stacked_isi_difference(e, 3, "linear")
+    assert np.array_equal(e, kept)
+    cleared = e.copy()
+    cleared[1, 5] = 0
+    assert np.array_equal(linear, _forward_shift_stack(cleared, 3))
+    assert np.max(np.abs(linear - _forward_shift_stack(e, 3))) <= 1e-12
+    with pytest.raises(ValueError, match="unknown mode"):
+        stacked_isi_difference(e, 3, "circular")
+
+
+_BAD_SLACK = [0.0, -1.0, float("nan"), float("inf")]
+_BAD_SNR = [0.5, 1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("epsilon", _BAD_SLACK, ids=["zero", "negative", "nan", "inf"])
+def test_criteria_reject_bad_epsilon(epsilon):
+    # these used to pass at a threshold of snr**-r, return a report, or
+    # carry a NaN threshold into the rows
+    book = _scalar_codebook([[1.0, 1.0], [-1.0, -1.0]], snr=4.0, r=0.5)
+    cov = build_covariance(Fast(), 2)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        criterion_threshold(4.0, 0.5, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        min_entry_criterion(lambda snr: book, [4.0], epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        verify_dmt_criterion(lambda snr: book, cov, [4.0], epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        search_permutations([16.0], 1.0, 2, budget=5, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("snr", _BAD_SNR, ids=["half", "one", "nan", "inf"])
+def test_criteria_reject_grid_snr_not_above_one(snr, monkeypatch):
+    book = _scalar_codebook([[1.0, 1.0], [-1.0, -1.0]], snr=4.0, r=0.5)
+    cov = build_covariance(Fast(), 2)
+
+    def no_sweep(*args):
+        raise AssertionError("the threshold is checked before any sweep")
+    monkeypatch.setattr(codes, "pairwise_min_products", no_sweep)
+    monkeypatch.setattr(codes, "xi_metric", no_sweep)
+    with pytest.raises(ValueError, match="grid SNRs must exceed 1"):
+        criterion_threshold(snr, 0.5, 0.1)
+    with pytest.raises(ValueError, match="grid SNRs must exceed 1"):
+        min_entry_criterion(lambda s: book, [snr], 0.1)
+    with pytest.raises(ValueError, match="grid SNRs must exceed 1"):
+        verify_dmt_criterion(lambda s: book, cov, [snr], 0.1)
+    with pytest.raises(ValueError):  # an SNR of 1 passed before
+        search_permutations([snr], 1.0, 2, budget=5)
 
 def test_block_fading_multiset_identity_random():
     rng = spawn_rng(35)

@@ -11,6 +11,7 @@ from dmtlab.channel import (
 from dmtlab import codes
 from dmtlab.codes import (
     Codebook,
+    effective_difference,
     pairwise_min_products,
     permutation_codebook,
     qam_family,
@@ -26,9 +27,8 @@ from dmtlab.precoder import (
     verify_composed_design,
     verify_precoder_rank,
     verify_tf_precoder,
-    weighted_row_gram,
 )
-from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
+from dmtlab._util import cyclic_shift_matrix, rank_tolerance, spawn_rng, unitary_fft
 
 
 def test_tf_shift_precoder_full_rank_on_surrogate():
@@ -83,7 +83,7 @@ def test_cdd_multicarrier_example_eigen_multiset():
     pdp = (1.0, 0.5)
     cov = build_covariance(CyclicIsi(2, pdp), 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
-    eff = weighted_row_gram(cov, pre)
+    eff = effective_difference(cov, pre.matrix).matrix
     lam = 4 * np.array(pdp) / sum(pdp)
     expected = np.sort(np.concatenate([lam, lam]))
     assert np.allclose(np.sort(np.linalg.eigvalsh(eff)), expected, rtol=1e-9)
@@ -91,6 +91,74 @@ def test_cdd_multicarrier_example_eigen_multiset():
     assert report.rank == 4
     assert report.passed
 
+
+def _rank_cases():
+    spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
+    isi = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    zero = Precoder(matrix=np.zeros((2, 4), dtype=complex), shifts=None, doppler_stride=1,
+                    delay_stride=1, num_time=1, num_freq=4)
+    return [
+        (isi, classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)),
+        (isi, classic_precoder("cdd", num_tx=2, n_slots=4, stride=2, shifts=[0, 0])),
+        (build_covariance(CyclicIsi(2, (1.0, 1.0)), 4),
+         classic_precoder("phase-rolling", num_tx=2, n_slots=4, stride=2)),
+        (circulant_covariance(spec), design_tf_shift_precoder(spec, num_tx=2)),
+        (isi, zero),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5),
+                         ids=["cdd", "cdd-duplicate", "phase-rolling", "tf-shift", "zero"])
+def test_precoder_rank_is_rank_criterion_on_rows(case):
+    # the report's Gram is the weighted row Gram, bit for bit, and sigma0 is
+    # the smallest eigenvalue above the rank tolerance (0 when none is)
+    cov, pre = _rank_cases()[case]
+    report = verify_precoder_rank(cov, pre)
+    p = pre.matrix
+    gram = cov.entries.T * (p.conj().T @ p)
+    assert report.gram.matrix.tobytes() == gram.tobytes()
+    eig = np.linalg.eigvalsh(gram)
+    nonzero = eig[eig > rank_tolerance(eig, pre.block_len)]
+    assert report.sigma0 == (float(nonzero[0]) if nonzero.size else 0.0)
+    assert report.rank == nonzero.size
+    assert report.expected_rank == cov.rank * pre.num_tx
+    assert report.passed == (nonzero.size == cov.rank * pre.num_tx)
+    assert report == verify_precoder_rank(cov, pre)
+
+
+def test_tf_toeplitz_report_reads_the_weighted_row_gram():
+    from dmtlab.channel import TimeFrequency
+    spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
+    pre = design_tf_shift_precoder(spec, num_tx=2)
+    toeplitz = build_covariance(TimeFrequency(spec), 16)
+    eig = np.linalg.eigvalsh(toeplitz.entries.T * (pre.matrix.conj().T @ pre.matrix))
+    out = verify_tf_precoder(spec, pre, cov=toeplitz)["toeplitz"]
+    assert out["eigvals"].tobytes() == eig.tobytes()
+    assert out["rank"] == np.count_nonzero(eig > rank_tolerance(eig, 16))
+    assert out["sigma_at_structural"] == eig[16 - circulant_covariance(spec).rank * 2]
+
+
+def test_precoder_rank_rejects_size_mismatch_and_short_block():
+    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
+    spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
+    with pytest.raises(ValueError, match="difference length does not match"):
+        verify_precoder_rank(cov, design_tf_shift_precoder(spec, num_tx=2))
+    three = Precoder(matrix=np.ones((3, 4), dtype=complex), shifts=None, doppler_stride=1,
+                     delay_stride=1, num_time=1, num_freq=4)
+    with pytest.raises(ValueError, match="below the structural eigenvalue count"):
+        verify_precoder_rank(cov, three)
+
+
+def test_tf_design_rejects_bad_spreads_and_antenna_counts():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ScatteringSpec.from_normalized(bad, 0.5, 4, 4)
+        with pytest.raises(ValueError, match="finite"):
+            ScatteringSpec.from_normalized(0.5, bad, 4, 4)
+    spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
+    for num_tx in (0, -1):
+        with pytest.raises(ValueError, match="antenna count must be positive"):
+            design_tf_shift_precoder(spec, num_tx=num_tx)
 
 def test_cdd_rows_match_shift_construction():
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
@@ -148,7 +216,8 @@ def test_conjugation_identity_random():
         precoded = apply_precoder(pre, e)
         gram = precoded.conj().T @ precoded
         lhs = cov.entries.T * gram
-        rhs = np.diag(e.conj()) @ weighted_row_gram(cov, pre) @ np.diag(e)
+        row_gram = effective_difference(cov, pre.matrix).matrix
+        rhs = np.diag(e.conj()) @ row_gram @ np.diag(e)
         assert np.allclose(lhs, rhs, atol=1e-10 * max(1.0, np.max(np.abs(rhs))))
 
 
@@ -159,7 +228,7 @@ def test_eigenvalue_chain_bound_random():
     cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     rep = verify_precoder_rank(cov, pre)
-    gram = weighted_row_gram(cov, pre)
+    gram = effective_difference(cov, pre.matrix).matrix
     for _ in range(100):
         e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         eff = np.diag(e.conj()) @ gram @ np.diag(e)
@@ -290,7 +359,8 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
     exhaustive = xi_metric(book, cov)
     outer_worst = pairwise_min_products(outer.scalar_words, 2)
     # pairs the sandwich cannot rule out, counted pair by pair
-    nonzero = np.linalg.eigvalsh(weighted_row_gram(cov, pre))[4 - cov.rank * 2:]
+    row_gram = effective_difference(cov, pre.matrix).matrix
+    nonzero = np.linalg.eigvalsh(row_gram)[4 - cov.rank * 2:]
     pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
     dist2 = []
     for i, j in pairs:
