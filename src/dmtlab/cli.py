@@ -220,14 +220,10 @@ def _cmd_verify_code(args):
     cov = CovarianceMatrix.load(args.cov)
     book = Codebook.load(args.codebook, num_rx=args.mr)
     if args.criterion == "rank":
-        result = verify_rank_r0(book, cov)
-        report = {"criterion": "rank", "passed": result["passed"],
-                  "expected_rank": result["expected_rank"],
-                  "failures": result["failures"]}
+        report = {"criterion": "rank", **verify_rank_r0(book, cov)}
     else:
-        result = verify_dmt_criterion(lambda snr: book, cov, grid, args.epsilon)
-        report = {"criterion": "dmt", "passed": result["passed"],
-                  "per_snr": result["per_snr"]}
+        report = {"criterion": "dmt",
+                  **verify_dmt_criterion(lambda snr: book, cov, grid, args.epsilon)}
     write_report(report, "json", args.out)
     return 0 if report["passed"] else 1
 

@@ -23,7 +23,10 @@ from ._util import complex_pairs, eig_rank, json_complex, json_field, numerical_
 from .channel import ChannelDims, build_covariance, BlockFading
 
 _EXHAUSTIVE_CAP = 50_000
-_PAIR_SWEEP_BUDGET = 4_000_000  # elements per chunk in pairwise sweeps
+# elements per chunk in pairwise sweeps: small enough that a chunk's complex
+# temporaries (1 MB each) stay in cache, large enough to amortize numpy calls
+_PAIR_SWEEP_BUDGET = 65_536
+_LISTED_FAILURES = 100  # failing pairs a rank report lists
 
 
 def criterion_threshold(snr, mux_rate, epsilon):
@@ -254,12 +257,31 @@ def _affine_perm(coeffs, per_dim):
     return nx * per_dim + ny
 
 
-def _random_affine(per_dim, rng):
-    while True:
-        a, b, c, d = (int(v) for v in rng.integers(0, per_dim, 4))
-        if math.gcd((a * d - b * c) % per_dim, per_dim) == 1:
-            s, u = (int(v) for v in rng.integers(0, per_dim, 2))
-            return (a, b, c, d, s, u)
+def _random_affines(per_dim, count, rng):
+    """(count, 6) coefficients (a, b, c, d, s, u) of invertible affine maps.
+
+    Each map draws a, b, c, d until ad - bc is a unit mod per_dim, then s, u.
+    The walk reads one block draw; the generator is then rewound and advanced
+    by exactly the values read. Below 2**32 numpy reads bounded integers from
+    one contiguous 32-bit stream however the calls are sized, so maps and
+    stream equal those of one ``rng.integers`` call per 4 or 2 values.
+    """
+    q = per_dim
+    units = np.array([math.gcd(v, q) == 1 for v in range(q)])
+    state = rng.bit_generator.state
+    values = np.empty(0, dtype=np.int64)
+    starts, pos = [], 0
+    while len(starts) < count:
+        values = np.concatenate([values, rng.integers(0, q, 16 * (count - len(starts)) + 6)])
+        a, b, c, d = (values[k:len(values) - 5 + k] for k in range(4))
+        step = np.where(units[(a * d - b * c) % q], 6, 4).tolist()
+        while len(starts) < count and pos < len(step):
+            if step[pos] == 6:
+                starts.append(pos)
+            pos += step[pos]
+    rng.bit_generator.state = state
+    rng.integers(0, q, starts[-1] + 6)
+    return values[np.add.outer(starts, np.arange(6))]
 
 
 def _torus_bound_score(maps, per_dim):
@@ -353,10 +375,10 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
             for combo in itertools.product(perms_pool, repeat=n_slots):
                 candidates.append((combo, "exhaustive"))
         else:
-            ident_map = (1, 0, 0, 1, 0, 0)
-            maps = [[ident_map] + [_random_affine(fam.per_dim, rng)
-                                   for _ in range(n_slots - 1)]
-                    for _ in range(budget)]
+            maps = np.empty((budget, n_slots, 6), dtype=np.int64)
+            maps[:, 0] = (1, 0, 0, 1, 0, 0)  # identity map on slot 0
+            maps[:, 1:] = _random_affines(fam.per_dim, budget * (n_slots - 1),
+                                          rng).reshape(budget, n_slots - 1, 6)
             two_small, full = _torus_bound_score(maps, fam.per_dim)
             order = sorted(range(budget), key=lambda k: (two_small[k], full[k]),
                            reverse=True)
@@ -388,7 +410,7 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
 # effective differences and criteria
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveDifference:
     """Covariance-weighted difference Gram with its eigenvalue split."""
 
@@ -396,6 +418,14 @@ class EffectiveDifference:
     eigvals: np.ndarray       # all block_len eigenvalues, ascending
     nonzero_eigs: np.ndarray  # the rank-bound many largest, ascending
     rank: int
+
+    def __eq__(self, other):
+        """Equal ranks and bitwise-equal arrays."""
+        if not isinstance(other, EffectiveDifference):
+            return NotImplemented
+        return self.rank == other.rank and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("matrix", "eigvals", "nonzero_eigs"))
 
 
 def effective_difference(cov, e):
@@ -482,15 +512,18 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
 
 def verify_rank_r0(codebook, cov):
     """Fixed-rate sufficiency check: every effective difference must reach
-    the full structural rank."""
+    the full structural rank. Reports the number of failing pairs and the
+    first _LISTED_FAILURES of them in sweep order, so memory stays bounded."""
     expected = structural_count(cov, *codebook.words.shape[1:])
-    ranks = []
+    failure_count, failures = 0, []
     for ii, jj, eig in effective_eigs(codebook, cov):
-        chunk_ranks = eig_rank(eig, codebook.dims.block_len)
-        ranks.extend(zip(zip(ii.tolist(), jj.tolist()), chunk_ranks.tolist()))
-    failures = [{"pair": list(pair), "rank": rank} for pair, rank in ranks if rank != expected]
-    return {"passed": not failures, "expected_rank": expected,
-            "ranks": ranks, "failures": failures}
+        ranks = eig_rank(eig, codebook.dims.block_len)
+        bad = np.flatnonzero(ranks != expected)
+        failure_count += bad.size
+        failures += [{"pair": [int(ii[k]), int(jj[k])], "rank": int(ranks[k])}
+                     for k in bad[:_LISTED_FAILURES - len(failures)]]
+    return {"passed": failure_count == 0, "expected_rank": expected,
+            "failure_count": failure_count, "failures": failures}
 
 
 def delta_decomposition(cov, e):

@@ -421,7 +421,8 @@ def test_verify_code_rank_failure_names_pair(tmp_path):
     assert code == 1
     report = json.loads(report_path.read_text())
     assert not report["passed"]
-    assert report["failures"][0]["pair"] == [0, 1]
+    assert report["failure_count"] == 1
+    assert report["failures"] == [{"pair": [0, 1], "rank": 2}]
 
 
 def test_verify_code_rank_pass(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,9 +179,11 @@ def test_pair_sweeps_match_per_pair_oracle(monkeypatch, model, num_tx):
     if keep > n:
         return  # the rank and xi criteria need rank * num_tx <= block_len
     report = verify_rank_r0(book, cov)
-    assert report["ranks"] == [(p, dense[p].rank) for p in pairs]
-    assert report["failures"] == [{"pair": list(p), "rank": dense[p].rank}
-                                  for p in pairs if dense[p].rank != keep]
+    failures = [{"pair": list(p), "rank": dense[p].rank}
+                for p in pairs if dense[p].rank != keep]
+    assert report["failure_count"] == len(failures)
+    assert report["failures"] == failures
+    assert report["passed"] == (not failures)
 
     # xi without the repeated word, whose zero product would tie with round-off
     distinct = [p for p in pairs if 3 not in p]
@@ -213,13 +217,37 @@ def test_search_two_point_family_is_exhaustive_optimum():
     assert entry.min_product == pytest.approx(best, rel=1e-12)
 
 
+def _random_affine(per_dim, rng):
+    # one map at a time, one rng.integers call per 4 or 2 values: the oracle
+    # of the batched codes._random_affines
+    while True:
+        a, b, c, d = (int(v) for v in rng.integers(0, per_dim, 4))
+        if math.gcd((a * d - b * c) % per_dim, per_dim) == 1:
+            s, u = (int(v) for v in rng.integers(0, per_dim, 2))
+            return (a, b, c, d, s, u)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 10, 32])
+@pytest.mark.parametrize("count", [1, 7, 2400])
+def test_batched_affine_draw_matches_per_map_loop(q, count):
+    loop_rng, batch_rng = spawn_rng(31, q, count), spawn_rng(31, q, count)
+    expected = [_random_affine(q, loop_rng) for _ in range(count)]
+    maps = codes._random_affines(q, count, batch_rng)
+    assert maps.shape == (count, 6)
+    assert [tuple(int(v) for v in row) for row in maps] == expected
+    # the generator is left where the loop leaves it
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert np.array_equal(batch_rng.permutation(q * q), loop_rng.permutation(q * q))
+    assert np.array_equal(batch_rng.integers(0, q, 9), loop_rng.integers(0, q, 9))
+
+
 @pytest.mark.parametrize("budget", [4_000_000, 300])
 def test_torus_screen_matches_per_candidate_loop(monkeypatch, budget):
     # a 300-element budget scores 3 candidates of a 5x5 grid per chunk
     monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
     rng = spawn_rng(29)
     q, slots = 5, 4
-    maps = [[(1, 0, 0, 1, 0, 0)] + [codes._random_affine(q, rng) for _ in range(slots - 1)]
+    maps = [[(1, 0, 0, 1, 0, 0)] + [_random_affine(q, rng) for _ in range(slots - 1)]
             for _ in range(20)]
     two_small, full = codes._torus_bound_score(maps, q)
     da, db = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
@@ -231,6 +259,22 @@ def test_torus_screen_matches_per_candidate_loop(monkeypatch, budget):
         dist = np.sort(np.stack(dist).reshape(slots, -1)[:, 1:].astype(float), axis=0)
         assert two_small[k] == (dist[0] * dist[1]).min()
         assert full[k] == dist.prod(axis=0).min()
+
+
+@pytest.mark.parametrize("r, grid_db", [(0.5, (10.0, 20.0, 30.0, 40.0)),
+                                         (1.0, (10.0, 20.0, 30.0))])
+def test_search_is_chunk_invariant(monkeypatch, r, grid_db):
+    # criterion 8's search; at r = 1 the grid stops at 30 dB, because at 300
+    # elements a chunk the 10 000-word sweep of 40 dB takes minutes
+    grid = [10.0 ** (db / 10.0) for db in grid_db]
+    results = []
+    for budget in (4_000_000, codes._PAIR_SWEEP_BUDGET, 300):
+        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+        search = search_permutations(grid, r, 4, budget=800, master_seed=1008,
+                                     epsilon=0.5)
+        results.append([(e.perms, e.min_product, e.worst_pair, e.method)
+                        for e in search.entries])
+    assert results[0] == results[1] == results[2]
 
 
 def test_search_single_slot_reports_min_distance():
@@ -290,6 +334,18 @@ def test_effective_difference_flat_equals_gram():
     e = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     eff = effective_difference(cov, e)
     assert np.allclose(eff.matrix, e.conj().T @ e, atol=1e-12)
+
+
+def test_effective_difference_compares_by_value():
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    e = np.array([[0.5, 0.1j, 0.0, -0.3]])
+    eff = effective_difference(cov, e)
+    assert eff == effective_difference(cov, e.copy())
+    assert not (eff != effective_difference(cov, e))
+    assert eff != effective_difference(cov, 2 * e)
+    assert eff != "not an effective difference"
+    with pytest.raises(TypeError):
+        hash(eff)
 
 
 def test_effective_difference_fast_is_diagonal():
@@ -403,7 +459,22 @@ def test_verify_rank_r0_cases():
     book = _scalar_codebook([np.zeros(3), e_holed])
     report = verify_rank_r0(book, cov_fast)
     assert not report["passed"]
+    assert report["failure_count"] == 1
     assert report["failures"][0]["rank"] == 2  # one zero entry drops the rank
+
+
+def test_verify_rank_r0_lists_first_failures(monkeypatch):
+    # 17 equal words: 136 rank-0 pairs, of which the first 100 in sweep
+    # order are listed, also when the sweep takes three pairs a chunk
+    cov = build_covariance(Fast(), 3)
+    book = _scalar_codebook(np.full((17, 3), 0.5))
+    pairs = [[i, j] for i in range(17) for j in range(i + 1, 17)]
+    for budget in (4_000_000, 27):
+        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+        report = verify_rank_r0(book, cov)
+        assert not report["passed"]
+        assert report["failure_count"] == 136
+        assert report["failures"] == [{"pair": p, "rank": 0} for p in pairs[:100]]
 
 
 def test_verify_dmt_criterion_r0_full_rank_passes():
