@@ -17,6 +17,12 @@ MC_CHUNK = 16384
 # Adaptive stopping is checked every MC_WAVE chunks, independent of workers.
 MC_WAVE = 8
 
+# A chunk is drawn whole, then evaluated in sub-blocks whose temporaries hold
+# about MC_BLOCK real entries (1 MB; see ``mc_blocks``): small enough to stay
+# in cache and in malloc's heap, which hands larger blocks back to the OS on
+# free so that every chunk faults them in again.
+MC_BLOCK = 131072
+
 _Z95 = 1.959963984540054
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
@@ -109,6 +115,14 @@ def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None):
     finally:  # on an error or interrupt, drop the chunks not yet started
         pool.shutdown(cancel_futures=True)
     return total, min(trials, chunks.stop * MC_CHUNK)
+
+
+def mc_blocks(size, per_trial):
+    """Slices that cover a chunk of ``size`` trials in order, each of
+    ``MC_BLOCK // per_trial`` trials (at least one) but the last, for
+    temporaries of ``per_trial`` real entries a trial."""
+    step = max(1, MC_BLOCK // per_trial)
+    return [slice(start, start + step) for start in range(0, size, step)]
 
 
 def complex_normal(rng, shape):

@@ -257,7 +257,6 @@ class CovarianceMatrix:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     sqrt_factor: np.ndarray
-    diag_power: float
 
     def __post_init__(self):
         for arr in (self.entries, self.eigvals, self.eigvecs, self.sqrt_factor):
@@ -289,7 +288,7 @@ class CovarianceMatrix:
             raise ValueError("covariance diagonal is not constant across slots")
         sqrt_factor = (v * np.sqrt(w)) @ v.conj().T
         return cls(entries=entries, rank=rank, eigvals=w[keep], eigvecs=v[:, keep],
-                   sqrt_factor=sqrt_factor, diag_power=float(np.mean(diag)))
+                   sqrt_factor=sqrt_factor)
 
     def to_json(self):
         """Serializable dict: {"n": ..., "entries": row-major [re, im] pairs}."""
@@ -385,7 +384,8 @@ def sample_channel(cov, dims, rng):
 
 
 def sample_channel_batch(cov, dims, count, rng):
-    """``count`` correlated channel draws as one (count, N, M_R, M_T) array.
+    """``count`` correlated channel draws as one (count, N, M_R, M_T) array:
+    ``mix_white(cov, draw_white(cov, dims, count, rng))``.
 
     Spatially white: every transmit-receive pair is an independent process
     across slots with covariance ``cov.entries``. A covariance of rank rho
@@ -394,9 +394,22 @@ def sample_channel_batch(cov, dims, count, rng):
     so each draw takes rho * M_R * M_T complex normals from ``rng``, not
     N * M_R * M_T.
     """
+    return mix_white(cov, draw_white(cov, dims, count, rng))
+
+
+def draw_white(cov, dims, count, rng):
+    """The (count, rho, M_R, M_T) white matrices W_k that drive ``count``
+    draws of ``sample_channel_batch``, taken from ``rng`` in the same order."""
     if cov.block_len != dims.block_len:
         raise ValueError("covariance size does not match the block length")
-    white = complex_normal(rng, (count, cov.rank, dims.num_rx, dims.num_tx))
+    return complex_normal(rng, (count, cov.rank, dims.num_rx, dims.num_tx))
+
+
+def mix_white(cov, white):
+    """The (count, N, M_R, M_T) channels H_n = sum_k sqrt(lambda_k) v_k[n] W_k
+    of a (count, rho, M_R, M_T) white batch. Each draw is mixed on its own,
+    so mixing ``white[a:b]`` gives rows a:b of the whole batch's mix, bit
+    for bit."""
     return np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from ._util import db_to_linear, json_field, json_value, spawn_rng
 from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
-from .codes import Codebook, effective_eigs, verify_dmt_criterion, verify_rank_r0
+from .codes import (Codebook, effective_eigs, structural_count, verify_dmt_criterion,
+                    verify_rank_r0)
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
 from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, chernoff_bound,
                   simulate_error_prob, trace_oracle)
@@ -247,7 +248,7 @@ def _cmd_pep(args):
     cov = CovarianceMatrix.load(args.cov)
     book = Codebook.load(args.codebook, num_rx=args.mr)
     _, num_tx, n = book.words.shape
-    keep = min(cov.rank * num_tx, n)
+    keep = structural_count(cov, num_tx, n, clip=True)
     worst = np.zeros(len(snrs))
     for _, _, eig in effective_eigs(book, cov):
         for k, snr in enumerate(snrs):

@@ -444,7 +444,7 @@ def effective_difference(cov, e):
     gram = e.conj().T @ e
     matrix = cov.entries.T * gram
     eigvals = np.linalg.eigvalsh(matrix)
-    keep = min(cov.rank * num_tx, n)
+    keep = structural_count(cov, num_tx, n, clip=True)
     return EffectiveDifference(matrix=matrix, eigvals=eigvals,
                                nonzero_eigs=eigvals[n - keep:],
                                rank=eig_rank(eigvals, n))
@@ -462,13 +462,15 @@ def effective_eigs(codebook, cov):
         yield ii, jj, pair_eigvals(words, cov.entries.T, ii, jj)
 
 
-def structural_count(cov, num_tx, n):
+def structural_count(cov, num_tx, n, clip=False):
     """cov.rank * num_tx, the structurally nonzero eigenvalue count of an
-    effective difference of a num_tx x n difference (or of a precoder's rows);
-    the criteria need the block length n to reach it."""
-    if n < cov.rank * num_tx:
+    effective difference of a num_tx x n difference (or of a precoder's rows).
+    The criteria need the block length n to reach it, so a shorter block
+    raises, unless ``clip`` caps the count at n."""
+    count = cov.rank * num_tx
+    if n < count and not clip:
         raise ValueError("block length is below the structural eigenvalue count")
-    return cov.rank * num_tx
+    return min(count, n)
 
 
 def xi_metric(codebook, cov):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import complex_normal, run_chunks, spawn_rng, wilson_interval
-from .channel import sample_channel_batch
+from ._util import complex_normal, mc_blocks, run_chunks, spawn_rng, wilson_interval
+from .channel import draw_white, mix_white, sample_channel_batch
 from .codes import effective_difference
 from .precoder import apply_precoder
 
@@ -137,9 +137,6 @@ def _resolve_words(transmit):
     return transmit.words
 
 
-_DECODE_BUDGET = 4_000_000  # (trial, word) metric entries per decode slice
-
-
 def _check_nonnegative(value, name):
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -186,7 +183,7 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     The distance is expanded as ||r||**2 - 2 amp Re<H^H r, x_w> +
     amp**2 sum_n x_{w,n}^H H_n^H H_n x_{w,n}; ||r||**2 is common to all
     words, so the rest is one real matrix product of per-trial features with
-    a per-word table, taken in slices of at most _DECODE_BUDGET entries.
+    a per-word table, taken over the chunk's sub-blocks (``_util.mc_blocks``).
     """
     _check_nonnegative(snr, "snr")
     _check_nonnegative(noise_scale, "noise_scale")
@@ -199,18 +196,19 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     amp = np.sqrt(snr / num_tx)
     slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
     table = _word_table(slot_words, amp)
-    decode_slice = max(1, _DECODE_BUDGET // num_words)
 
     def run_chunk(rng, size):
-        blocks = sample_channel_batch(cov, dims, size, rng)
+        white = draw_white(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
         noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
-        received = amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent]) + noise
-        features = _trial_features(blocks, received)
         wrong = 0
-        for s0 in range(0, size, decode_slice):
-            decoded = np.argmin(features[s0:s0 + decode_slice] @ table.T, axis=1)
-            wrong += int(np.count_nonzero(decoded != sent[s0:s0 + decode_slice]))
+        # the (trials, words) decode product is the sub-block's largest temporary
+        for block in mc_blocks(size, num_words):
+            blocks = mix_white(cov, white[block])
+            received = (amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
+                        + noise[block])
+            decoded = np.argmin(_trial_features(blocks, received) @ table.T, axis=1)
+            wrong += int(np.count_nonzero(decoded != sent[block]))
         return wrong
 
     errors, trials = run_chunks(run_chunk, trials, master_seed, workers)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import linear_to_db, run_chunks, wilson_interval
-from .channel import sample_channel_batch
+from ._util import linear_to_db, mc_blocks, run_chunks, wilson_interval
+from .channel import draw_white, mix_white
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class DmtCurve:
             raise ValueError("diversity must be nonincreasing in the multiplexing rate")
         if abs(diversities[-1]) > 1e-12:
             raise ValueError("diversity must vanish at the maximal multiplexing rate")
-
-    def evaluate(self, r):
-        xs = np.array([p[0] for p in self.points], dtype=float)
-        ys = np.array([p[1] for p in self.points], dtype=float)
-        return float(np.interp(r, xs, ys))
 
 
 @dataclass(frozen=True)
@@ -225,9 +220,19 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
     rate = point.rate_nats()
     info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
 
+    # a trial's channel-sized complex temporaries (the mix, the log-det
+    # kernel's), counted as 16 real entries per channel entry: at 8, the
+    # 4096-trial sub-blocks of 4-entry channels still page-faulted on every
+    # chunk in a process whose first numpy.random call ran on a worker thread
+    per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
+
     def run_chunk(rng, size):
-        info = info_batch(sample_channel_batch(cov, dims, size, rng), point.snr)
-        return int(np.count_nonzero(info < rate))
+        white = draw_white(cov, dims, size, rng)
+        events = 0
+        for block in mc_blocks(size, per_trial):
+            info = info_batch(mix_white(cov, white[block]), point.snr)
+            events += int(np.count_nonzero(info < rate))
+        return events
 
     events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events)
     low, high = wilson_interval(events, done)

@@ -17,6 +17,8 @@ from dmtlab.channel import (
     build_block_circulant,
     build_covariance,
     circulant_covariance,
+    draw_white,
+    mix_white,
     sample_channel,
     sample_channel_batch,
 )
@@ -38,7 +40,7 @@ def test_flat_covariance_is_all_ones_rank_one():
     cov = build_covariance(Flat(), 3)
     assert np.allclose(cov.entries, np.ones((3, 3)))
     assert cov.rank == 1
-    assert cov.diag_power == pytest.approx(1.0)
+    assert np.mean(np.real(np.diag(cov.entries))) == pytest.approx(1.0)
 
 
 def test_block_fading_covariance():
@@ -311,6 +313,30 @@ def test_sample_channel_batch_draws_rank_white_matrices(kind):
     sample_channel_batch(cov, dims, 7, rng)
     complex_normal(ref_rng, (7, cov.rank, dims.num_rx, dims.num_tx))
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_draw_then_mix_is_sample_channel_batch(kind):
+    # same channels bit for bit, and the generator ends in the same state
+    model, n = _DRAW_MODELS[kind]
+    cov = build_covariance(model, n)
+    dims = ChannelDims(3, 2, n)
+    rng, ref_rng = spawn_rng(18, n), spawn_rng(18, n)
+    white = draw_white(cov, dims, 300, rng)
+    assert white.shape == (300, cov.rank, 2, 3)
+    mixed = mix_white(cov, white)
+    assert np.array_equal(mixed.view(float),
+                          sample_channel_batch(cov, dims, 300, ref_rng).view(float))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # any slice of the white batch mixes to the same rows of the whole mix
+    for a, b in ((0, 1), (0, 7), (5, 12), (17, 300), (299, 300), (0, 300)):
+        assert np.array_equal(mix_white(cov, white[a:b]).view(float), mixed[a:b].view(float))
+
+
+def test_draw_white_rejects_size_mismatch():
+    cov = build_covariance(Flat(), 3)
+    with pytest.raises(ValueError, match="block length"):
+        draw_white(cov, ChannelDims(1, 1, 4), 5, spawn_rng(19))
 
 
 @pytest.mark.parametrize("kind", ["isi", "block", "tf"])

@@ -764,3 +764,19 @@ def test_codebook_peak_power_enforced():
     words = np.full((1, 1, 2), 2.0, dtype=complex)  # energy 8 > n*mt = 2
     with pytest.raises(ValueError):
         Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, 2))
+
+
+def test_structural_count_clips_or_raises_below_the_block_length():
+    cov = build_covariance(Fast(), 4)  # rank 4, so two antennas need n >= 8
+    assert codes.structural_count(cov, 1, 4) == 4
+    assert codes.structural_count(cov, 2, 4, clip=True) == 4
+    with pytest.raises(ValueError, match="below the structural eigenvalue count"):
+        codes.structural_count(cov, 2, 4)
+    # the effective difference keeps the clipped count of eigenvalues
+    e = spawn_rng(90).standard_normal((2, 4)) + 0j
+    eff = effective_difference(cov, e)
+    assert np.array_equal(eff.nonzero_eigs, eff.eigvals)
+    eff = effective_difference(build_covariance(CyclicIsi(2, (1.0, 1.0)), 4), e)
+    assert np.array_equal(eff.nonzero_eigs, eff.eigvals)
+    eff = effective_difference(build_covariance(Flat(), 4), e)
+    assert np.array_equal(eff.nonzero_eigs, eff.eigvals[2:])

@@ -1,16 +1,21 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
+from dmtlab import _util
 from dmtlab.channel import (
     BlockFading,
     ChannelDims,
     CyclicIsi,
     Fast,
     Flat,
+    ScatteringSpec,
+    TimeFrequency,
     build_covariance,
     sample_channel,
+    sample_channel_batch,
 )
 from dmtlab.tradeoff import (
     DmtCurve,
@@ -223,7 +228,8 @@ def test_dmt_curve_tables():
     for L in (1, 2, 5):
         curve = jensen_dmt_curve(L, ChannelDims(1, 1, 8))
         assert curve.points == ((0, L), (1, 0))
-        assert curve.evaluate(0.25) == pytest.approx(L * 0.75)
+        xs, ys = np.array(curve.points, dtype=float).T
+        assert np.interp(0.25, xs, ys) == pytest.approx(L * 0.75)
 
 
 def test_independent_curve_never_beats_jensen():
@@ -397,3 +403,41 @@ def test_window_selection_uses_db():
     assert slope == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_diversity_slope(curve[:2], (10, 20))
+
+
+_SUB_BLOCK_CASES = {
+    "flat2x2": (Flat(), ChannelDims(2, 2, 2)),
+    "isi1x1": (CyclicIsi(2, (1.0, 1.0)), ChannelDims(1, 1, 4)),
+    "tf3x4": (TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 3, 4)),
+              ChannelDims(1, 1, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUB_BLOCK_CASES))
+@pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
+def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trials):
+    # None keeps the default MC_BLOCK; MC_CHUNK evaluates each chunk in one
+    # block, which is the old whole-chunk count, checked against the sampler
+    model, dims = _SUB_BLOCK_CASES[case]
+    cov = build_covariance(model, dims.block_len)
+    per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
+    trials = 3000 if block_trials == 1 else MC_CHUNK + 700
+    points = (SnrPoint(3.0, FixedRate(1.0)), SnrPoint(10.0, ScalingRate(0.9)))
+    for bound, point in itertools.product(("full", "jensen"), points):
+        info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
+        events = 0
+        for chunk in range(2 if trials > MC_CHUNK else 1):
+            size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
+            info = info_batch(sample_channel_batch(cov, dims, size, spawn_rng(68, chunk)),
+                              point.snr)
+            events += int(np.count_nonzero(info < point.rate_nats()))
+        if block_trials is not None:
+            monkeypatch.setattr(_util, "MC_BLOCK", per_trial * block_trials)
+        est = estimate_outage(cov, dims, point, bound=bound, trials=trials, master_seed=68,
+                              min_events=0)
+        monkeypatch.setattr(_util, "MC_BLOCK", per_trial * MC_CHUNK)
+        whole = estimate_outage(cov, dims, point, bound=bound, trials=trials,
+                                master_seed=68, min_events=0)
+        monkeypatch.undo()
+        assert est == whole
+        assert est.trials == trials and 0 < est.outage_events == events
