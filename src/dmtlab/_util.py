@@ -1,5 +1,5 @@
 """Shared numerical helpers: FFT matrices, rank tolerances, seeding, the
-Monte-Carlo chunk runner, intervals, and typed JSON fields."""
+Monte-Carlo chunk runner, the batch slicer, intervals, and typed JSON fields."""
 
 import math
 import sys
@@ -17,11 +17,12 @@ MC_CHUNK = 16384
 # Adaptive stopping is checked every MC_WAVE chunks, independent of workers.
 MC_WAVE = 8
 
-# A chunk is drawn whole, then evaluated in sub-blocks whose temporaries hold
-# about MC_BLOCK real entries (1 MB; see ``mc_blocks``): small enough to stay
-# in cache and in malloc's heap, which hands larger blocks back to the OS on
-# free so that every chunk faults them in again.
-MC_BLOCK = 131072
+# Every batched loop (Monte-Carlo sub-blocks, pairwise sweeps) takes items in
+# ``batches`` whose temporaries hold about BATCH_BUDGET real entries (1 MB):
+# small enough to stay in cache and in malloc's heap, which hands larger
+# blocks back to the OS on free so that every batch faults them in again;
+# large enough to amortize the numpy calls.
+BATCH_BUDGET = 131072
 
 _Z95 = 1.959963984540054
 
@@ -117,12 +118,12 @@ def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None):
     return total, min(trials, chunks.stop * MC_CHUNK)
 
 
-def mc_blocks(size, per_trial):
-    """Slices that cover a chunk of ``size`` trials in order, each of
-    ``MC_BLOCK // per_trial`` trials (at least one) but the last, for
-    temporaries of ``per_trial`` real entries a trial."""
-    step = max(1, MC_BLOCK // per_trial)
-    return [slice(start, start + step) for start in range(0, size, step)]
+def batches(count, per_item):
+    """Slices that cover ``range(count)`` in order, each of
+    ``BATCH_BUDGET // per_item`` items (at least one) but the last, which is
+    clipped to ``count``, for temporaries of ``per_item`` real entries an item."""
+    step = max(1, BATCH_BUDGET // per_item)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def complex_normal(rng, shape):

@@ -250,16 +250,15 @@ MODELS = {cls.kind: cls for cls in (Flat, Fast, BlockFading, CyclicIsi, TimeFreq
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hermitian PSD slot covariance with eigen data and a PSD square root."""
+    """Hermitian PSD slot covariance with its rank and nonzero eigenpairs."""
 
     entries: np.ndarray
     rank: int
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    sqrt_factor: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.entries, self.eigvals, self.eigvecs, self.sqrt_factor):
+        for arr in (self.entries, self.eigvals, self.eigvecs):
             arr.setflags(write=False)
 
     @property
@@ -280,15 +279,12 @@ class CovarianceMatrix:
         tol = rank_tolerance(w, n)
         if np.min(w) < -tol - 1e-12 * max(np.max(np.abs(w)), 1.0):
             raise ValueError("covariance is not positive semidefinite")
-        w = np.clip(w, 0.0, None)
-        keep = w > tol
+        keep = w > tol  # tol >= 0, so no kept eigenvalue is negative
         rank = int(np.count_nonzero(keep))
         diag = np.real(np.diag(entries))
         if np.max(diag) - np.min(diag) > 1e-9 * max(np.max(diag), 1.0):
             raise ValueError("covariance diagonal is not constant across slots")
-        sqrt_factor = (v * np.sqrt(w)) @ v.conj().T
-        return cls(entries=entries, rank=rank, eigvals=w[keep], eigvecs=v[:, keep],
-                   sqrt_factor=sqrt_factor)
+        return cls(entries=entries, rank=rank, eigvals=w[keep], eigvecs=v[:, keep])
 
     def to_json(self):
         """Serializable dict: {"n": ..., "entries": row-major [re, im] pairs}."""
@@ -316,13 +312,8 @@ class CovarianceMatrix:
 class BlockCirculant:
     """Block-circulant matrix of channel taps plus its rank-determining corner."""
 
-    taps: np.ndarray       # (num_taps, num_rx, num_tx)
     full: np.ndarray       # (n*num_rx, n*num_tx)
     corner: np.ndarray     # (min_ant, num_taps*max_ant)
-
-    @property
-    def rank(self):
-        return numerical_rank(self.full)
 
     @property
     def corner_rank(self):
@@ -442,5 +433,5 @@ def build_block_circulant(taps, n):
         corner = full[:num_taps * num_rx, :num_tx].T
     else:
         corner = full[(n - 1) * num_rx:, (n - num_taps) * num_tx:]
-    return BlockCirculant(taps=taps, full=full, corner=corner)
+    return BlockCirculant(full=full, corner=corner)
 

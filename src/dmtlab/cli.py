@@ -115,9 +115,11 @@ def _config_from_doc(doc):
     trials = json_field(doc, "trials", "config", int, 100_000)
     if trials <= 0:
         raise ConfigError("trials: must be positive")
+    seed = json_field(doc, "seed", "config", int, 0)
+    if seed < 0:
+        raise ConfigError("seed: must be nonnegative")
     config = ExperimentConfig(model=model, dims=dims, snr_db=snr_db,
-                              rate_mode=rate_mode, trials=trials,
-                              master_seed=json_field(doc, "seed", "config", int, 0),
+                              rate_mode=rate_mode, trials=trials, master_seed=seed,
                               output=json_field(doc, "output", "config", str, None))
     try:
         build_covariance(config.model, dims.block_len)
@@ -342,7 +344,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--bound", choices=["full", "jensen"], default="full")
     p.add_argument("--trials", type=_int_at_least(1))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--min-events", type=_int_at_least(0), default=100,
                    help="stop once this many outage events are seen; 0 runs the full cap")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
@@ -355,7 +357,7 @@ def build_parser():
                    help="codebook JSON; the same words are reused at every grid SNR")
     p.add_argument("--with-outage", action="store_true")
     p.add_argument("--trials", type=_int_at_least(1))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_error_sim)
@@ -369,7 +371,7 @@ def build_parser():
                "codes if that reading is intended.")
     p.add_argument("--codebook", required=True)
     p.add_argument("--cov", required=True)
-    p.add_argument("--mr", type=int, default=1)
+    p.add_argument("--mr", type=_int_at_least(1), default=1)
     p.add_argument("--criterion", choices=["rank", "dmt"], default="rank")
     p.add_argument("--snr-db", type=_finite_float, nargs="+", default=[10.0, 20.0, 30.0])
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
@@ -388,7 +390,7 @@ def build_parser():
     p = sub.add_parser("pep", help="worst-pair pairwise error bound sweep")
     p.add_argument("--cov", required=True)
     p.add_argument("--codebook", required=True)
-    p.add_argument("--mr", type=int, default=1)
+    p.add_argument("--mr", type=_int_at_least(1), default=1)
     p.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pep)
@@ -398,7 +400,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--instances", type=_int_at_least(1), default=100)
     p.add_argument("--unitaries", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

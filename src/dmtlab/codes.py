@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import complex_pairs, eig_rank, json_complex, json_field, numerical_rank, spawn_rng
+from ._util import (batches, complex_pairs, eig_rank, json_complex, json_field,
+                    numerical_rank, spawn_rng)
 from .channel import ChannelDims, build_covariance, BlockFading
 
 _EXHAUSTIVE_CAP = 50_000
-# elements per chunk in pairwise sweeps: small enough that a chunk's complex
-# temporaries (1 MB each) stay in cache, large enough to amortize numpy calls
-_PAIR_SWEEP_BUDGET = 65_536
 _LISTED_FAILURES = 100  # failing pairs a rank report lists
 
 
@@ -164,13 +162,12 @@ class Codebook:
 
 def pair_chunks(num, per_pair):
     """Unordered pairs i < j of ``num`` items as (ii, jj) index batches in
-    ``np.triu_indices(num, 1)`` order, _PAIR_SWEEP_BUDGET // per_pair at a time."""
+    ``np.triu_indices(num, 1)`` order, in the ``_util.batches`` of temporaries
+    of ``per_pair`` real entries a pair."""
     rows = np.arange(num)
     starts = rows * (2 * num - rows - 1) // 2  # linear index of pair (i, i + 1)
-    total = num * (num - 1) // 2
-    step = max(1, _PAIR_SWEEP_BUDGET // per_pair)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
+    for batch in batches(num * (num - 1) // 2, per_pair):
+        lo, hi = batch.start, batch.stop
         span = rows[np.searchsorted(starts, lo, "right") - 1:
                     np.searchsorted(starts, hi - 1, "right")]
         counts = (np.minimum(starts[span] + num - 1 - span, hi)
@@ -238,7 +235,7 @@ def pairwise_min_products(words, m):
     if m < 1:
         raise ValueError("m must be at least 1")
     worst = WorstPair()
-    for ii, jj in pair_chunks(num, slots):
+    for ii, jj in pair_chunks(num, 2 * slots):
         worst.update(sorted_pair_distances(words, ii, jj)[:m].prod(axis=0), ii, jj)
     return worst
 
@@ -298,15 +295,14 @@ def _torus_bound_score(maps, per_dim):
     slots, count, _ = maps.shape
     da, db = np.divmod(np.arange(1, q * q, dtype=np.int32), q)
     two_small, full = np.empty(count), np.empty(count)
-    step = max(1, _PAIR_SWEEP_BUDGET // (slots * q * q))
-    for lo in range(0, count, step):
-        a, b, c, d = (maps[:, lo:lo + step, k, None] for k in range(4))
+    for batch in batches(count, 2 * slots * q * q):
+        a, b, c, d = (maps[:, batch, k, None] for k in range(4))
         va = (a * da + b * db) % q
         vb = (c * da + d * db) % q
         dist = _sort_slots((np.minimum(va, q - va) ** 2
                             + np.minimum(vb, q - vb) ** 2).astype(float))
-        two_small[lo:lo + step] = (dist[0] * dist[1]).min(axis=-1)
-        full[lo:lo + step] = dist.prod(axis=0).min(axis=-1)
+        two_small[batch] = (dist[0] * dist[1]).min(axis=-1)
+        full[batch] = dist.prod(axis=0).min(axis=-1)
     return two_small, full
 
 
@@ -458,7 +454,7 @@ def effective_eigs(codebook, cov):
     num, _, n = words.shape
     if num < 2:
         raise ValueError("need at least two codewords")
-    for ii, jj in pair_chunks(num, n * n):
+    for ii, jj in pair_chunks(num, 2 * n * n):
         yield ii, jj, pair_eigvals(words, cov.entries.T, ii, jj)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import complex_pairs, fft_column, json_complex, json_field
+from ._util import batches, complex_pairs, fft_column, json_complex, json_field
 from .channel import circulant_covariance
 from . import codes
 from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
@@ -100,18 +100,15 @@ def design_tf_shift_precoder(spec, num_tx, assignment=None):
     """
     if num_tx < 1:
         raise ValueError("antenna count must be positive")
+    cov = circulant_covariance(spec)  # raises if the channel spread is too small
     v, t = spec.doppler_slots, spec.delay_slots
-    if v < 1 or t < 1:
-        raise ValueError("channel spread too small for the grid")
     max_p = int(np.floor(1.0 / (spec.nu0 * spec.grid_t) + 1e-12))
     max_q = int(np.floor(1.0 / (spec.tau0 * spec.grid_f) + 1e-12))
     capacity = max_p * max_q
     if capacity < num_tx:
         raise ValueError(f"only {capacity} distinct shift pairs exist for this "
                          f"channel; cannot support {num_tx} transmit antennas")
-    n = spec.block_len
-    if n < v * t * num_tx:
-        raise ValueError("block length is below the structural eigenvalue count")
+    codes.structural_count(cov, num_tx, spec.block_len)
     if assignment is None:
         assignment = [(i // max_q, i % max_q) for i in range(num_tx)]
     assignment = [tuple(int(x) for x in pair) for pair in assignment]
@@ -230,7 +227,7 @@ def _composed_sweep(report, words, m):
     deficient = not report.passed
     outer, xi = WorstPair(), WorstPair()
     min_up, cand = np.inf, []
-    for ii, jj in pair_chunks(num, n):
+    for ii, jj in pair_chunks(num, 2 * n):
         dist2 = sorted_pair_distances(words, ii, jj)
         small = dist2[:m].prod(axis=0)
         outer.update(small, ii, jj)
@@ -246,9 +243,8 @@ def _composed_sweep(report, words, m):
     cand_i, cand_j, low = (np.concatenate(part) for part in zip(*cand))
     sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
     cand_i, cand_j = cand_i[sel], cand_j[sel]
-    step = max(1, codes._PAIR_SWEEP_BUDGET // (n * n))
-    for lo in range(0, cand_i.size, step):
-        ii, jj = cand_i[lo:lo + step], cand_j[lo:lo + step]
+    for batch in batches(cand_i.size, 2 * n * n):
+        ii, jj = cand_i[batch], cand_j[batch]
         eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii, jj)
         xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
     return outer, xi, int(cand_i.size)

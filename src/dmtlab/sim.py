@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import complex_normal, mc_blocks, run_chunks, spawn_rng, wilson_interval
+from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 from .channel import draw_white, mix_white, sample_channel_batch
 from .codes import effective_difference
 from .precoder import apply_precoder
@@ -183,7 +183,7 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     The distance is expanded as ||r||**2 - 2 amp Re<H^H r, x_w> +
     amp**2 sum_n x_{w,n}^H H_n^H H_n x_{w,n}; ||r||**2 is common to all
     words, so the rest is one real matrix product of per-trial features with
-    a per-word table, taken over the chunk's sub-blocks (``_util.mc_blocks``).
+    a per-word table, taken over the chunk's sub-blocks (``_util.batches``).
     """
     _check_nonnegative(snr, "snr")
     _check_nonnegative(noise_scale, "noise_scale")
@@ -203,7 +203,7 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
         noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
         wrong = 0
         # the (trials, words) decode product is the sub-block's largest temporary
-        for block in mc_blocks(size, num_words):
+        for block in batches(size, num_words):
             blocks = mix_white(cov, white[block])
             received = (amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
                         + noise[block])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import linear_to_db, mc_blocks, run_chunks, wilson_interval
+from ._util import batches, linear_to_db, run_chunks, wilson_interval
 from .channel import draw_white, mix_white
 
 
@@ -229,7 +229,7 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
     def run_chunk(rng, size):
         white = draw_white(cov, dims, size, rng)
         events = 0
-        for block in mc_blocks(size, per_trial):
+        for block in batches(size, per_trial):
             info = info_batch(mix_white(cov, white[block]), point.snr)
             events += int(np.count_nonzero(info < rate))
         return events

@@ -22,8 +22,10 @@ from dmtlab.channel import (
     sample_channel,
     sample_channel_batch,
 )
-from dmtlab._util import complex_normal, spawn_rng, unitary_fft
+from dmtlab._util import complex_normal, numerical_rank, spawn_rng, unitary_fft
 from dmtlab.tradeoff import _jensen_stack
+
+from _oracles import psd_root
 
 
 def test_dims_invariants():
@@ -101,8 +103,8 @@ def test_expected_ranks_across_models():
         cov = build_covariance(model, n)
         assert cov.rank == rho == model.expected_rank(n)
         assert np.allclose(np.diag(cov.entries), 1.0)
-        # PSD square root reproduces the matrix
-        recon = cov.sqrt_factor @ cov.sqrt_factor.conj().T
+        # the nonzero eigenpairs reproduce the matrix
+        recon = (cov.eigvecs * cov.eigvals) @ cov.eigvecs.conj().T
         assert np.allclose(recon, cov.entries, atol=1e-10)
     # time-frequency: the rank of the circulant surrogate, not of the
     # generically full-rank two-level Toeplitz matrix
@@ -347,7 +349,7 @@ def test_sample_channel_empirical_covariance(kind):
     cov = build_covariance(model, n)
     dims = ChannelDims(2, 2, n)
     count = 100_000
-    old_draws = np.einsum("nk,ckij->cnij", cov.sqrt_factor,
+    old_draws = np.einsum("nk,ckij->cnij", psd_root(cov),
                           complex_normal(spawn_rng(15), (count, n, 2, 2)))
     for draws in (sample_channel_batch(cov, dims, count, spawn_rng(16)), old_draws):
         est = _slot_covariance(draws)
@@ -356,12 +358,12 @@ def test_sample_channel_empirical_covariance(kind):
 
 def test_flat_single_slot_draw_matches_sqrt_factor_draw():
     # n = 1: one white matrix either way and a factor of exactly 1, so the
-    # 2x2 flat stream is the one of the full-length sqrt_factor draw
+    # 2x2 flat stream is the one of the full-length PSD-root draw
     cov = build_covariance(Flat(), 1)
     dims = ChannelDims(2, 2, 1)
     got = sample_channel_batch(cov, dims, 16384, spawn_rng(17))
     white = complex_normal(spawn_rng(17), (16384, 1, 2, 2))
-    ref = np.einsum("nk,ckij->cnij", cov.sqrt_factor, white)
+    ref = np.einsum("nk,ckij->cnij", psd_root(cov), white)
     assert np.array_equal(got.view(float), ref.view(float))
 
 
@@ -372,7 +374,7 @@ def test_block_circulant_rank_identity_random(mt, mr):
     for _ in range(20):
         mats = (rng.standard_normal((taps, mr, mt)) + 1j * rng.standard_normal((taps, mr, mt))) / np.sqrt(2)
         bc = build_block_circulant(mats, n)
-        assert bc.rank == n * bc.corner_rank
+        assert numerical_rank(bc.full) == n * bc.corner_rank
         assert bc.corner.shape == (min(mt, mr), taps * max(mt, mr))
 
 
@@ -381,20 +383,20 @@ def test_block_circulant_example_dimensions():
     mats = (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
     bc = build_block_circulant(mats, 4)
     assert bc.full.shape == (8, 8)
-    assert bc.rank == 8
+    assert numerical_rank(bc.full) == 8
     assert bc.corner_rank == 2
 
 
 def test_block_circulant_zero_and_single_tap():
     zero = build_block_circulant(np.zeros((2, 2, 2)), 4)
-    assert zero.rank == 0
+    assert numerical_rank(zero.full) == 0
     assert zero.corner_rank == 0
 
     rng = spawn_rng(5)
     single = (rng.standard_normal((1, 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
     bc = build_block_circulant(single, 3)
     # block diagonal with identical blocks
-    assert bc.rank == 3 * np.linalg.matrix_rank(single[0])
+    assert numerical_rank(bc.full) == 3 * np.linalg.matrix_rank(single[0])
     off = bc.full[2:4, 0:2]
     assert np.allclose(off, 0.0)
     with pytest.raises(ValueError):

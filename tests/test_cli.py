@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmtlab import cli, codes
+from dmtlab import _util, cli
 from dmtlab.channel import (
     BlockFading,
     ChannelDims,
@@ -111,6 +111,36 @@ def test_min_events_must_be_nonnegative(tmp_path):
     assert dispatch(["outage", "--config", str(cfg), "--out", str(out),
                      "--min-events", "-1"]) == 2
     assert not out.exists()
+
+
+def test_negative_config_seed_exits_2_naming_seed(tmp_path, capsys):
+    # used to fail inside numpy's seeding with a message naming no field
+    cfg = _write_config(tmp_path / "c.json", seed=-3)
+    out = tmp_path / "out.csv"
+    assert dispatch(["outage", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "seed: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["outage", "error-sim", "oracle-check"])
+def test_negative_seed_option_exits_2_naming_option(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path / "c.json")
+    extra = {"outage": ["--config", str(cfg)],
+             "error-sim": ["--config", str(cfg), "--codebook", str(_antipodal_book(tmp_path))],
+             "oracle-check": ["--what", "identities"]}[command]
+    assert dispatch([command, "--seed", "-1"] + extra) == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-code", "pep"])
+def test_zero_receive_antennas_exit_2_naming_option(tmp_path, capsys, command):
+    extra = ["--snr-db", "10"] if command == "pep" else []
+    out = tmp_path / "out"
+    assert dispatch([command, "--codebook", str(_antipodal_book(tmp_path)),
+                     "--cov", str(_flat_cov(tmp_path)), "--mr", "0",
+                     "--out", str(out)] + extra) == 2
+    assert not out.exists()
+    assert "argument --mr" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [
@@ -506,7 +536,7 @@ def test_pep_command(tmp_path):
 
 @pytest.mark.parametrize("num_tx", [1, 2])
 def test_pep_command_matches_per_pair_bound(tmp_path, monkeypatch, num_tx):
-    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 40)  # two pairs a chunk
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 80)  # two pairs a batch
     cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
     cov_path = tmp_path / "cov.json"
     cov_path.write_text(json.dumps(cov.to_json()))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmtlab import codes
+from dmtlab import _util, codes
 from dmtlab.channel import (
     BlockFading,
     ChannelDims,
@@ -33,6 +33,8 @@ from dmtlab.codes import (
     xi_metric,
 )
 from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
+
+from _oracles import psd_root
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0, num_rx=1):
@@ -122,8 +124,8 @@ def test_pairwise_min_products_matches_double_loop(monkeypatch):
             for m, value in ((3, d2.prod()), (2, d2[:2].prod()), (1, d2[0])):
                 if value < best[m][0]:
                     best[m] = (value, (i, j))
-    for budget in (4_000_000, 7):  # one chunk; two pairs a chunk
-        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+    for budget in (8_000_000, 14):  # one batch; two pairs a batch
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
         for m in (3, 2, 1):  # full product, two smallest, smallest entry
             worst = pairwise_min_products(words, m)
             assert (worst.value, worst.pair) == best[m]
@@ -135,7 +137,7 @@ def test_pairwise_min_products_matches_double_loop(monkeypatch):
 @pytest.mark.parametrize("num", [0, 1, 2, 5, 17])
 @pytest.mark.parametrize("per_pair", [1, 2, 3, 7, 100])
 def test_pair_chunks_follow_triu_order(monkeypatch, num, per_pair):
-    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 7)
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 7)
     chunks = list(pair_chunks(num, per_pair))
     assert all(0 < ii.size <= max(1, 7 // per_pair) for ii, _ in chunks)
     ii = np.concatenate([c[0] for c in chunks]) if chunks else np.empty(0, int)
@@ -155,9 +157,9 @@ _KERNEL_COVS = {
 @pytest.mark.parametrize("model", sorted(_KERNEL_COVS))
 @pytest.mark.parametrize("num_tx", [1, 2])
 def test_pair_sweeps_match_per_pair_oracle(monkeypatch, model, num_tx):
-    # a budget of 40 elements puts two 4x4 pairs in a chunk, so every sweep
-    # crosses many chunk boundaries
-    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", 40)
+    # a budget of 80 real entries puts two 4x4 pairs in a batch, so every
+    # sweep crosses many batch boundaries
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 80)
     n, num = 4, 9
     cov = build_covariance(_KERNEL_COVS[model], n)
     rng = spawn_rng(47)
@@ -241,10 +243,11 @@ def test_batched_affine_draw_matches_per_map_loop(q, count):
     assert np.array_equal(batch_rng.integers(0, q, 9), loop_rng.integers(0, q, 9))
 
 
-@pytest.mark.parametrize("budget", [4_000_000, 300])
-def test_torus_screen_matches_per_candidate_loop(monkeypatch, budget):
-    # a 300-element budget scores 3 candidates of a 5x5 grid per chunk
-    monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+@pytest.mark.parametrize("elements", [4_000_000, 300])
+def test_torus_screen_matches_per_candidate_loop(monkeypatch, elements):
+    # 300 complex elements (600 real entries) score 3 candidates of a 5x5
+    # grid per batch
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 2 * elements)
     rng = spawn_rng(29)
     q, slots = 5, 4
     maps = [[(1, 0, 0, 1, 0, 0)] + [_random_affine(q, rng) for _ in range(slots - 1)]
@@ -264,12 +267,12 @@ def test_torus_screen_matches_per_candidate_loop(monkeypatch, budget):
 @pytest.mark.parametrize("r, grid_db", [(0.5, (10.0, 20.0, 30.0, 40.0)),
                                          (1.0, (10.0, 20.0, 30.0))])
 def test_search_is_chunk_invariant(monkeypatch, r, grid_db):
-    # criterion 8's search; at r = 1 the grid stops at 30 dB, because at 300
-    # elements a chunk the 10 000-word sweep of 40 dB takes minutes
+    # criterion 8's search; at r = 1 the grid stops at 30 dB, because at 600
+    # real entries a batch the 10 000-word sweep of 40 dB takes minutes
     grid = [10.0 ** (db / 10.0) for db in grid_db]
     results = []
-    for budget in (4_000_000, codes._PAIR_SWEEP_BUDGET, 300):
-        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+    for budget in (8_000_000, _util.BATCH_BUDGET, 600):
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
         search = search_permutations(grid, r, 4, budget=800, master_seed=1008,
                                      epsilon=0.5)
         results.append([(e.perms, e.min_product, e.worst_pair, e.method)
@@ -357,14 +360,14 @@ def test_effective_difference_fast_is_diagonal():
 
 
 def test_effective_difference_matches_explicit_stack():
-    # eigenvalues agree with the Gram of (sqrt_factor^T kron I) diag(e_n)
+    # eigenvalues agree with the Gram of (psd_root^T kron I) diag(e_n)
     rng = spawn_rng(26)
     for trial in range(100):
         n, mt, rho = 4, 2, 2
         cov = _random_cov(spawn_rng(26, trial), n, rho)
         e = rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n))
         eff = effective_difference(cov, e)
-        sqrt_t = cov.sqrt_factor.T  # transposed PSD root: sqrt_t @ sqrt_t^H = cov^T
+        sqrt_t = psd_root(cov).T  # transposed PSD root: sqrt_t @ sqrt_t^H = cov^T
         lift = np.kron(sqrt_t, np.eye(mt))
         diag_e = np.zeros((n * mt, n), dtype=complex)
         for slot in range(n):
@@ -465,12 +468,12 @@ def test_verify_rank_r0_cases():
 
 def test_verify_rank_r0_lists_first_failures(monkeypatch):
     # 17 equal words: 136 rank-0 pairs, of which the first 100 in sweep
-    # order are listed, also when the sweep takes three pairs a chunk
+    # order are listed, also when the sweep takes three pairs a batch
     cov = build_covariance(Fast(), 3)
     book = _scalar_codebook(np.full((17, 3), 0.5))
     pairs = [[i, j] for i in range(17) for j in range(i + 1, 17)]
-    for budget in (4_000_000, 27):
-        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+    for budget in (8_000_000, 54):
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
         report = verify_rank_r0(book, cov)
         assert not report["passed"]
         assert report["failure_count"] == 136

@@ -8,7 +8,7 @@ from dmtlab.channel import (
     build_covariance,
     circulant_covariance,
 )
-from dmtlab import codes
+from dmtlab import _util
 from dmtlab.codes import (
     Codebook,
     effective_difference,
@@ -369,8 +369,8 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
     level = nonzero[-1] ** 2 * min(d[:2].prod() for d in dist2) * (1 + 1e-9)
     survivors = sum(nonzero[0] ** 2 * d[:2].prod() <= level for d in dist2)
     rows = []
-    for budget in (4_000_000, 4):  # one chunk; one pair a chunk
-        monkeypatch.setattr(codes, "_PAIR_SWEEP_BUDGET", budget)
+    for budget in (8_000_000, 8):  # one batch; one pair a batch
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
         report = verify_composed_design(pre, lambda s: outer, cov, [25.0],
                                         epsilon=0.5, num_rx=2)
         row = report["per_snr"][0]

@@ -326,7 +326,7 @@ def test_decode_slices_do_not_change_results(monkeypatch):
     kwargs = dict(snr=10.0, trials=MC_CHUNK + 500, master_seed=65)
     whole = simulate_error_prob(cov, book.dims, book, **kwargs)
     # 1003 trials per slice: uneven slices within both chunks
-    monkeypatch.setattr(_util, "MC_BLOCK", 16 * 1003)
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 16 * 1003)
     sliced = simulate_error_prob(cov, book.dims, book, **kwargs)
     assert whole == sliced
     assert whole.errors > 0
@@ -336,15 +336,15 @@ def test_decode_slices_do_not_change_results(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sub_blocks_do_not_change_error_estimate(monkeypatch, block_trials, workers):
     # the decode loop sizes its sub-blocks from the codebook size; None keeps
-    # the default MC_BLOCK, MC_CHUNK evaluates each chunk in one block
+    # the default BATCH_BUDGET, MC_CHUNK evaluates each chunk in one block
     cov = _DECODE_COVS["tf"]
     book = _random_book(spawn_rng(66), 12, 2, 2)
     trials = 3000 if block_trials == 1 else MC_CHUNK + 700
     kwargs = dict(snr=4.0, trials=trials, master_seed=67, workers=workers)
-    monkeypatch.setattr(_util, "MC_BLOCK", 12 * MC_CHUNK)
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * MC_CHUNK)
     whole = simulate_error_prob(cov, book.dims, book, **kwargs)
     if block_trials is not None:
-        monkeypatch.setattr(_util, "MC_BLOCK", 12 * block_trials)
+        monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * block_trials)
     else:
         monkeypatch.undo()
     assert simulate_error_prob(cov, book.dims, book, **kwargs) == whole

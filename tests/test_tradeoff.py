@@ -416,7 +416,7 @@ _SUB_BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(_SUB_BLOCK_CASES))
 @pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
 def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trials):
-    # None keeps the default MC_BLOCK; MC_CHUNK evaluates each chunk in one
+    # None keeps the default BATCH_BUDGET; MC_CHUNK evaluates each chunk in one
     # block, which is the old whole-chunk count, checked against the sampler
     model, dims = _SUB_BLOCK_CASES[case]
     cov = build_covariance(model, dims.block_len)
@@ -432,10 +432,10 @@ def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trial
                               point.snr)
             events += int(np.count_nonzero(info < point.rate_nats()))
         if block_trials is not None:
-            monkeypatch.setattr(_util, "MC_BLOCK", per_trial * block_trials)
+            monkeypatch.setattr(_util, "BATCH_BUDGET", per_trial * block_trials)
         est = estimate_outage(cov, dims, point, bound=bound, trials=trials, master_seed=68,
                               min_events=0)
-        monkeypatch.setattr(_util, "MC_BLOCK", per_trial * MC_CHUNK)
+        monkeypatch.setattr(_util, "BATCH_BUDGET", per_trial * MC_CHUNK)
         whole = estimate_outage(cov, dims, point, bound=bound, trials=trials,
                                 master_seed=68, min_events=0)
         monkeypatch.undo()

@@ -1,0 +1,66 @@
+import numpy as np
+import pytest
+
+from dmtlab import _util, codes, precoder, sim, tradeoff
+from dmtlab.channel import ChannelDims, CyclicIsi, Flat, build_covariance
+from dmtlab.codes import Codebook, pairwise_min_products, permutation_codebook, qam_family
+from dmtlab.precoder import classic_precoder, verify_composed_design
+from dmtlab.sim import simulate_error_prob
+from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
+from dmtlab._util import MC_CHUNK, batches, spawn_rng
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 17, 64])
+@pytest.mark.parametrize("per_item", [1, 2, 3, 7, 100])
+def test_batches_cover_count_in_clipped_steps(monkeypatch, count, per_item):
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 7)
+    step = max(1, 7 // per_item)
+    slices = batches(count, per_item)
+    assert [i for s in slices for i in range(count)[s]] == list(range(count))
+    assert all(s.stop - s.start == step for s in slices[:-1])
+    if count == 0:
+        assert slices == []
+    else:  # the last slice is clipped to count
+        assert slices[-1].stop == count and 0 < count - slices[-1].start <= step
+
+
+def test_default_batch_sizes_are_pinned(monkeypatch):
+    # the pair sweeps take 65 536 // k pairs of k complex entries a pair, the
+    # Monte-Carlo sub-blocks 131 072 // per_trial trials: the sizes that the
+    # pair-sweep and sub-block timings were measured at
+    steps = {}
+
+    def spy(module):
+        def recording(count, per_item):
+            steps.setdefault(module.__name__.split(".")[-1], []).append(
+                max(1, _util.BATCH_BUDGET // per_item))
+            return batches(count, per_item)
+        monkeypatch.setattr(module, "batches", recording)
+
+    for module in (codes, precoder, sim, tradeoff):
+        spy(module)
+    rng = spawn_rng(71)
+    words = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    pairwise_min_products(words, 2)  # 4 slots
+    codes._torus_bound_score(np.tile((1, 0, 0, 1, 0, 0), (3, 4, 1)), 5)  # 4 slots, 5x5 grid
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    book = Codebook(words=0.3 * words[:, None, :], snr=10.0, mux_rate=0.0,
+                    dims=ChannelDims(1, 1, 4))
+    codes.xi_metric(book, cov)  # 4x4 effective differences
+    fam = qam_family(25.0, 1.0)
+    outer = permutation_codebook(fam, [rng.permutation(len(fam)) for _ in range(4)])
+    verify_composed_design(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2),
+                           lambda snr: outer, cov, [25.0], epsilon=0.5, num_rx=2)
+    # the composed design's outer sweep goes through codes.pair_chunks, its
+    # survivor eigensolve through precoder
+    assert steps.pop("codes") == [65536 // 4, 65536 // 100, 65536 // 16, 65536 // 4]
+    assert steps.pop("precoder") == [65536 // 16]
+    flat = build_covariance(Flat(), 2)
+    estimate_outage(flat, ChannelDims(2, 2, 2), SnrPoint(10.0, FixedRate(1.0)),
+                    trials=10, min_events=0)
+    assert steps.pop("tradeoff") == [131072 // (16 * 2 * 2 * 2)]
+    sim_book = Codebook(words=np.full((100, 1, 2), 0.5), snr=10.0, mux_rate=0.0,
+                        dims=ChannelDims(1, 1, 2))
+    simulate_error_prob(flat, sim_book.dims, sim_book, snr=10.0, trials=MC_CHUNK + 1)
+    assert steps.pop("sim") == [131072 // 100, 131072 // 100]  # one a chunk
+    assert steps == {}
