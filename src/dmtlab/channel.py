@@ -99,6 +99,14 @@ class ScatteringSpec:
         """Number of occupied delay bins of the circulant surrogate."""
         return int(np.floor(self.tau0 * self.grid_f * self.num_freq + 1e-12))
 
+    def occupied_slots(self):
+        """``(doppler_slots, delay_slots)``; raises unless both are at least 1."""
+        v, t = self.doppler_slots, self.delay_slots
+        if v < 1 or t < 1:
+            raise ValueError("channel spread too small for the grid: "
+                             f"doppler_slots={v}, delay_slots={t}")
+        return v, t
+
     def correlation(self, dt, df):
         """Closed-form slot correlation of the brick-wall spectrum.
 
@@ -355,11 +363,7 @@ def circulant_covariance(spec):
     spectrum the sampled value is constant on the support, scaled to unit
     diagonal.
     """
-    v = spec.doppler_slots
-    t = spec.delay_slots
-    if v < 1 or t < 1:
-        raise ValueError("channel spread too small for the grid: "
-                         f"doppler_slots={v}, delay_slots={t}")
+    v, t = spec.occupied_slots()
     big_m, big_k = spec.num_time, spec.num_freq
     lam = np.zeros((big_m, big_k))
     lam[:v, :t] = spec.block_len / (v * t)

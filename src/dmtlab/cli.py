@@ -197,7 +197,7 @@ def _cmd_error_sim(args):
     trials = config.trials if args.trials is None else args.trials
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
-    book = Codebook.load(args.codebook, num_rx=config.dims.num_rx)
+    book = Codebook.load(args.codebook)
     columns = ["snr_db", "error_rate", "ci_low", "ci_high", "trials"]
     if args.with_outage:
         columns.append("outage_rate")
@@ -221,12 +221,12 @@ def _cmd_error_sim(args):
 def _cmd_verify_code(args):
     grid = _snr_grid(args.snr_db)
     cov = CovarianceMatrix.load(args.cov)
-    book = Codebook.load(args.codebook, num_rx=args.mr)
+    book = Codebook.load(args.codebook)
     if args.criterion == "rank":
         report = {"criterion": "rank", **verify_rank_r0(book, cov)}
     else:
         report = {"criterion": "dmt",
-                  **verify_dmt_criterion(lambda snr: book, cov, grid, args.epsilon)}
+                  **verify_dmt_criterion(lambda snr: book, cov, grid, args.epsilon, args.mr)}
     write_report(report, "json", args.out)
     return 0 if report["passed"] else 1
 
@@ -248,7 +248,7 @@ def _cmd_design_precoder(args):
 def _cmd_pep(args):
     snrs = _snr_grid(args.snr_db)
     cov = CovarianceMatrix.load(args.cov)
-    book = Codebook.load(args.codebook, num_rx=args.mr)
+    book = Codebook.load(args.codebook)
     _, num_tx, n = book.words.shape
     keep = structural_count(cov, num_tx, n, clip=True)
     worst = np.zeros(len(snrs))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import (batches, complex_pairs, eig_rank, json_complex, json_field,
                     numerical_rank, spawn_rng)
-from .channel import ChannelDims, build_covariance, BlockFading
+from .channel import build_covariance, BlockFading
 
 _EXHAUSTIVE_CAP = 50_000
 _LISTED_FAILURES = 100  # failing pairs a rank report lists
@@ -96,18 +96,17 @@ def permutation_codebook(family, perms):
         if not np.array_equal(np.sort(perm), np.arange(len(family))):
             raise ValueError("each slot permutation must be a bijection on the family")
     words = _slot_words(family.points, perms)
-    return Codebook(words[:, None, :], family.snr, family.mux_rate,
-                    ChannelDims(1, 1, len(perms)))
+    return Codebook(words[:, None, :], family.snr, family.mux_rate)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """SNR-parametrized set of num_tx x block_len codeword matrices."""
+    """SNR-parametrized set of num_tx x block_len codeword matrices. The
+    receive count is not part of a code: the criteria take it as ``num_rx``."""
 
     words: np.ndarray  # (cardinality, num_tx, block_len)
     snr: float
     mux_rate: float
-    dims: ChannelDims
 
     def __post_init__(self):
         words = np.asarray(self.words, dtype=complex)
@@ -117,8 +116,6 @@ class Codebook:
         _, num_tx, block_len = words.shape
         if not np.all(np.isfinite(words)):
             raise ValueError("codeword entries must be finite")
-        if num_tx != self.dims.num_tx or block_len != self.dims.block_len:
-            raise ValueError("codeword shape does not match the declared dimensions")
         powers = np.sum(np.abs(words) ** 2, axis=(1, 2))
         if np.max(powers) > block_len * num_tx * (1 + 1e-9):
             raise ValueError("codeword violates the peak power constraint")
@@ -131,29 +128,32 @@ class Codebook:
     def scalar_words(self):
         """(cardinality, block_len) words of a single transmit antenna
         codebook: the form outer codes and the scalar criteria read."""
-        if self.dims.num_tx != 1:
+        if self.words.shape[1] != 1:
             raise ValueError("criterion applies to single transmit antenna codebooks")
         return self.words[:, 0, :]
 
     def to_json(self):
-        return {"mt": self.dims.num_tx, "n": self.dims.block_len,
-                "snr": self.snr, "r": self.mux_rate,
+        _, mt, n = self.words.shape
+        return {"mt": mt, "n": n, "snr": self.snr, "r": self.mux_rate,
                 "words": complex_pairs(self.words.reshape(len(self), -1))}
 
     @classmethod
-    def from_json(cls, payload, num_rx=1):
+    def from_json(cls, payload):
+        """Inverse of ``to_json``: every row must hold mt * n pairs, mt, n >= 1."""
         mt = json_field(payload, "mt", "codebook", int)
         n = json_field(payload, "n", "codebook", int)
         words = json_complex(payload, "words", "codebook", 2)
+        if min(mt, n) < 1 or words.shape[1] != mt * n:
+            raise ValueError(f"codebook.words: rows must hold mt * n = {mt} * {n} "
+                             f"pairs with mt, n >= 1, got {words.shape[1]}")
         return cls(words=words.reshape(-1, mt, n),
                    snr=json_field(payload, "snr", "codebook", float),
-                   mux_rate=json_field(payload, "r", "codebook", float),
-                   dims=ChannelDims(num_tx=mt, num_rx=num_rx, block_len=n))
+                   mux_rate=json_field(payload, "r", "codebook", float))
 
     @classmethod
-    def load(cls, path, num_rx=1):
+    def load(cls, path):
         with open(path) as fh:
-            return cls.from_json(json.load(fh), num_rx)
+            return cls.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -469,25 +469,26 @@ def structural_count(cov, num_tx, n, clip=False):
     return min(count, n)
 
 
-def xi_metric(codebook, cov):
-    """Minimum over codeword pairs of the product of the ``min_ant`` smallest
-    structurally nonzero eigenvalues of the effective difference, as a
-    ``WorstPair``.
+def xi_metric(codebook, cov, num_rx):
+    """Minimum over codeword pairs of the product of the min(num_tx, num_rx)
+    smallest structurally nonzero eigenvalues of the effective difference,
+    as a ``WorstPair``.
 
     Pair enumeration is exhaustive. Requires block_len >= rank * num_tx so
     the structural eigenvalue count is not limited by the block length.
     """
-    low = codebook.dims.block_len - structural_count(cov, *codebook.words.shape[1:])
-    m = codebook.dims.min_ant
+    _, num_tx, n = codebook.words.shape
+    low = n - structural_count(cov, num_tx, n)
+    m = min(num_tx, num_rx)
     worst = WorstPair()
     for ii, jj, eig in effective_eigs(codebook, cov):
         worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
     return worst
 
 
-def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
-    """Check the worst-pair eigenvalue product against the rate threshold
-    at every grid SNR.
+def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon, num_rx):
+    """Check the worst-pair eigenvalue product of ``xi_metric`` at ``num_rx``
+    receive antennas against the rate threshold at every grid SNR.
 
     ``codebook_gen`` maps an SNR to the codebook of the family at that SNR;
     when it returns the same object as for the previous SNR, the metric is
@@ -500,7 +501,7 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon):
         prev, book = book, codebook_gen(snr)
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         if book is not prev:
-            xi = xi_metric(book, cov)
+            xi = xi_metric(book, cov, num_rx)
         results.append({"snr": float(snr), "xi": xi.value,
                         "threshold": threshold, "worst_pair": list(xi.pair),
                         "margin": xi.value / threshold if threshold > 0 else np.inf,
@@ -515,7 +516,7 @@ def verify_rank_r0(codebook, cov):
     expected = structural_count(cov, *codebook.words.shape[1:])
     failure_count, failures = 0, []
     for ii, jj, eig in effective_eigs(codebook, cov):
-        ranks = eig_rank(eig, codebook.dims.block_len)
+        ranks = eig_rank(eig, eig.shape[-1])
         bad = np.flatnonzero(ranks != expected)
         failure_count += bad.size
         failures += [{"pair": [int(ii[k]), int(jj[k])], "rank": int(ranks[k])}
@@ -560,7 +561,7 @@ def stacked_isi_difference(e_time, num_taps, mode="cyclic"):
     return stacked, numerical_rank(stacked)
 
 
-def block_fading_check(codebook, num_blocks):
+def block_fading_check(codebook, num_blocks, num_rx):
     """Block-fading diagnostics: eigen-multiset identity, global metric, and
     the per-block worst products that per-block designs would certify.
 
@@ -576,11 +577,11 @@ def block_fading_check(codebook, num_blocks):
     sub_len = n // num_blocks
     cov = build_covariance(BlockFading(num_blocks, sub_len), n)
     low = n - structural_count(cov, num_tx, n)
-    m = codebook.dims.min_ant
+    m = min(num_tx, num_rx)
     blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
     max_err = 0.0
     per_block_min = np.full(num_blocks, np.inf)
-    worst = WorstPair()  # the sweep of xi_metric(codebook, cov)
+    worst = WorstPair()  # the sweep of xi_metric(codebook, cov, num_rx)
     for ii, jj, eff in effective_eigs(codebook, cov):
         eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
         kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)

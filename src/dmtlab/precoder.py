@@ -6,12 +6,11 @@ antenna. Rows built here have unit modulus, so precoding never changes the
 transmit power and the rank conditions below are scale-invariant.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import batches, complex_pairs, fft_column, json_complex, json_field
+from ._util import batches, complex_pairs, fft_column
 from .channel import circulant_covariance
 from . import codes
 from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
@@ -62,21 +61,6 @@ class Precoder:
                 "doppler_stride": self.doppler_stride, "delay_stride": self.delay_stride,
                 "num_time": self.num_time, "num_freq": self.num_freq}
 
-    @classmethod
-    def from_json(cls, payload):
-        """Inverse of ``to_json``; absent strides and grid mean a one-row grid."""
-        rows = json_complex(payload, "rows", "precoder", 2)
-        shifts = json_field(payload, "shifts", "precoder", default=None)
-        return cls(matrix=rows, shifts=tuple(tuple(s) for s in shifts) if shifts else None,
-                   doppler_stride=json_field(payload, "doppler_stride", "precoder", int, 1),
-                   delay_stride=json_field(payload, "delay_stride", "precoder", int, 1),
-                   num_time=json_field(payload, "num_time", "precoder", int, 1),
-                   num_freq=json_field(payload, "num_freq", "precoder", int, rows.shape[1]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
 
 def tf_shift_row(num_time, num_freq, time_shift, freq_shift):
     """Unit-modulus row inducing the given cyclic time-frequency shift.
@@ -96,19 +80,20 @@ def design_tf_shift_precoder(spec, num_tx, assignment=None):
     admissible box {0..floor(1/(nu0*T))-1} x {0..floor(1/(tau0*F))-1}; the
     default assignment enumerates pairs in row-major order. The construction
     guarantees full structural rank of the covariance-weighted row Gram for
-    the circulant surrogate of the channel covariance.
+    the circulant surrogate of the channel covariance. The block always has
+    room for that rank: v = floor(nu0*T*num_time) gives v * max_p <= num_time,
+    likewise t * max_q <= num_freq, so v * t * num_tx <= n for every antenna
+    count the box admits.
     """
     if num_tx < 1:
         raise ValueError("antenna count must be positive")
-    cov = circulant_covariance(spec)  # raises if the channel spread is too small
-    v, t = spec.doppler_slots, spec.delay_slots
+    v, t = spec.occupied_slots()
     max_p = int(np.floor(1.0 / (spec.nu0 * spec.grid_t) + 1e-12))
     max_q = int(np.floor(1.0 / (spec.tau0 * spec.grid_f) + 1e-12))
     capacity = max_p * max_q
     if capacity < num_tx:
         raise ValueError(f"only {capacity} distinct shift pairs exist for this "
                          f"channel; cannot support {num_tx} transmit antennas")
-    codes.structural_count(cov, num_tx, spec.block_len)
     if assignment is None:
         assignment = [(i // max_q, i % max_q) for i in range(num_tx)]
     assignment = [tuple(int(x) for x in pair) for pair in assignment]

@@ -17,7 +17,7 @@ from dmtlab.channel import (
     build_covariance,
 )
 from dmtlab.cli import ConfigError, ExperimentConfig, dispatch, load_config, write_report
-from dmtlab.codes import Codebook
+from dmtlab.codes import Codebook, xi_metric
 from dmtlab.precoder import classic_precoder
 from dmtlab.sim import pep_chernoff
 from dmtlab.tradeoff import FixedRate, ScalingRate
@@ -299,8 +299,7 @@ def test_outage_deterministic_bytes(tmp_path):
 
 def _antipodal_book(tmp_path):
     words = np.array([[[1.0]], [[-1.0]]], dtype=complex)
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0,
-                    dims=ChannelDims(1, 1, 1))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
     path = tmp_path / "book.json"
     path.write_text(json.dumps(book.to_json()))
     return path
@@ -409,17 +408,18 @@ def test_complex_json_text_unchanged():
     rng = np.random.default_rng(3)
     words = 0.3 * (rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
     words[0, 0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
-    book = Codebook(words=words, snr=10.0, mux_rate=0.5, dims=ChannelDims(2, 1, 4))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.5)
     cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     cases = ((cov, "entries", _pairs(cov.entries.reshape(-1)), lambda c: c.entries),
              (book, "words", [_pairs(w) for w in book.words.reshape(3, -1)], lambda b: b.words),
-             (pre, "rows", [_pairs(row) for row in pre.matrix], lambda p: p.matrix))
+             (pre, "rows", [_pairs(row) for row in pre.matrix], None))  # read by no command
     for obj, key, legacy, values in cases:
         doc = obj.to_json()
         assert json.dumps(doc, sort_keys=True) == json.dumps({**doc, key: legacy}, sort_keys=True)
-        back = type(obj).from_json(json.loads(json.dumps(doc)))
-        assert np.array_equal(values(back).view(float), values(obj).view(float))
+        if values:
+            back = type(obj).from_json(json.loads(json.dumps(doc)))
+            assert np.array_equal(values(back).view(float), values(obj).view(float))
 
 
 def test_one_word_codebook_exits_2(tmp_path, capsys):
@@ -442,7 +442,7 @@ def test_verify_code_rank_failure_names_pair(tmp_path):
     cov_path = tmp_path / "cov.json"
     cov_path.write_text(json.dumps(cov.to_json()))
     words = np.array([[[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.5]]], dtype=complex)
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, 3))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
     book_path = tmp_path / "book.json"
     book_path.write_text(json.dumps(book.to_json()))
     report_path = tmp_path / "report.json"
@@ -460,7 +460,7 @@ def test_verify_code_rank_pass(tmp_path):
     cov_path = tmp_path / "cov.json"
     cov_path.write_text(json.dumps(cov.to_json()))
     words = np.array([[[0.0] * 4], [[0.5] * 4]], dtype=complex)
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, 4))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
     book_path = tmp_path / "book.json"
     book_path.write_text(json.dumps(book.to_json()))
     assert dispatch(["verify-code", "--codebook", str(book_path),
@@ -479,6 +479,17 @@ def test_design_precoder_command(tmp_path):
     # infeasible antenna count is a usage error
     assert dispatch(["design-precoder", "--nu0-t", "0.5", "--tau0-f", "0.5",
                      "--num-time", "4", "--num-freq", "4", "--mt", "5"]) == 2
+
+
+def test_design_precoder_spread_too_small_exits_2(tmp_path, capsys):
+    # nu0*T*num_time = 0.8 occupies no Doppler bin of the 4 x 4 grid
+    out = tmp_path / "precoder.json"
+    assert dispatch(["design-precoder", "--nu0-t", "0.2", "--tau0-f", "0.5",
+                     "--num-time", "4", "--num-freq", "4", "--mt", "1",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "channel spread too small for the grid" in err and "doppler_slots=0" in err
 
 
 _PRECODER_ARGS = {"--nu0-t": "0.5", "--tau0-f": "0.5", "--num-time": "4",
@@ -512,12 +523,64 @@ def test_bad_size_or_spread_exits_2_naming_option(tmp_path, capsys, command, opt
 
 def test_codebook_load_matches_from_json(tmp_path):
     path = _antipodal_book(tmp_path)
-    book = Codebook.load(path, num_rx=3)
-    expected = Codebook.from_json(json.loads(path.read_text()), num_rx=3)
+    book = Codebook.load(path)
+    expected = Codebook.from_json(json.loads(path.read_text()))
     assert book.words.tobytes() == expected.words.tobytes()
-    assert (book.snr, book.mux_rate, book.dims) == (expected.snr, expected.mux_rate,
-                                                     expected.dims)
-    assert Codebook.load(path).dims.num_rx == 1
+    assert (book.snr, book.mux_rate) == (expected.snr, expected.mux_rate)
+
+@pytest.mark.parametrize("mt,n", [(1, 8), (4, 2), (0, 4), (-1, -4)])
+def test_misshaped_codebook_rows_exit_2(tmp_path, capsys, mt, n):
+    # four 4-pair rows declared mt=1, n=8 (or mt=4, n=2) used to load as two
+    # 8-entry words, and every subcommand ran on them and exited 0
+    rows = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16).reshape(4, 4)
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({"mt": mt, "n": n, "snr": 10.0, "r": 0.0,
+                                "words": [_pairs(row) for row in rows]}))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(build_covariance(Flat(), max(n, 1)).to_json()))
+    cfg = _write_config(tmp_path / "c.json", dims={"num_tx": max(mt, 1), "num_rx": 1,
+                                                   "block_len": max(n, 1)})
+    common = ["--codebook", str(book), "--cov", str(cov)]
+    out = tmp_path / "out"
+    for argv in (["verify-code", "--criterion", "rank", *common],
+                 ["verify-code", "--criterion", "dmt", *common],
+                 ["pep", "--snr-db", "10", *common],
+                 ["error-sim", "--config", str(cfg), "--codebook", str(book)]):
+        assert dispatch(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert "codebook.words" in capsys.readouterr().err
+
+
+def test_verify_code_dmt_rows_match_xi_metric(tmp_path):
+    # the receive count comes from --mr: on a 2-antenna code m = min(2, mr)
+    # picks one or two of the smallest nonzero eigenvalues
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    cov_path = tmp_path / "cov.json"
+    cov_path.write_text(json.dumps(cov.to_json()))
+    rng = np.random.default_rng(7)
+    words = 0.4 * (rng.standard_normal((6, 2, 4)) + 1j * rng.standard_normal((6, 2, 4)))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    book_path = tmp_path / "book.json"
+    book_path.write_text(json.dumps(book.to_json()))
+    loaded = Codebook.load(book_path)
+    xis = {}
+    for num_rx in (1, 2):
+        out = tmp_path / f"dmt{num_rx}.json"
+        assert dispatch(["verify-code", "--codebook", str(book_path), "--cov", str(cov_path),
+                         "--mr", str(num_rx), "--criterion", "dmt", "--snr-db", "40", "50",
+                         "--epsilon", "1.0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        xi = xis[num_rx] = xi_metric(loaded, cov, num_rx)
+        assert report["criterion"] == "dmt" and report["passed"]
+        for row, snr in zip(report["per_snr"], (1e4, 1e5)):
+            threshold = snr ** -1.0
+            assert row["xi"] == pytest.approx(xi.value, rel=1e-12)
+            assert row["worst_pair"] == list(xi.pair)
+            assert row["threshold"] == pytest.approx(threshold, rel=1e-12)
+            assert row["margin"] == pytest.approx(xi.value / threshold, rel=1e-12)
+            assert row["passed"]
+    assert xis[2].value < xis[1].value / 5 and xis[2].pair != xis[1].pair
+
 
 def test_pep_command(tmp_path):
     cov = build_covariance(Fast(), 1)
@@ -542,7 +605,7 @@ def test_pep_command_matches_per_pair_bound(tmp_path, monkeypatch, num_tx):
     cov_path.write_text(json.dumps(cov.to_json()))
     rng = np.random.default_rng(5)
     words = 0.3 * (rng.standard_normal((8, num_tx, 4)) + 1j * rng.standard_normal((8, num_tx, 4)))
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(num_tx, 2, 4))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
     book_path = tmp_path / "book.json"
     book_path.write_text(json.dumps(book.to_json()))
     reports = []  # the unformatted rows: the CSV keeps 12 digits
@@ -551,7 +614,7 @@ def test_pep_command_matches_per_pair_bound(tmp_path, monkeypatch, num_tx):
     assert dispatch(["pep", "--cov", str(cov_path), "--codebook", str(book_path),
                      "--mr", "2", "--snr-db", *snr_db]) == 0
     values = [row[1] for row in reports[0]["rows"]]
-    loaded = Codebook.from_json(book.to_json(), num_rx=2).words
+    loaded = Codebook.from_json(book.to_json()).words
     for db, value in zip(snr_db, values):
         snr = 10.0 ** (float(db) / 10.0)
         worst = max(pep_chernoff(cov, loaded[i] - loaded[j], snr, 2).value

@@ -6,7 +6,6 @@ import pytest
 from dmtlab import _util, codes
 from dmtlab.channel import (
     BlockFading,
-    ChannelDims,
     CyclicIsi,
     Fast,
     Flat,
@@ -37,10 +36,8 @@ from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
 from _oracles import psd_root
 
 
-def _scalar_codebook(words, snr=10.0, r=0.0, num_rx=1):
-    words = np.asarray(words, dtype=complex)[:, None, :]
-    dims = ChannelDims(1, num_rx, words.shape[2])
-    return Codebook(words=words, snr=snr, mux_rate=r, dims=dims)
+def _scalar_codebook(words, snr=10.0, r=0.0):
+    return Codebook(words=np.asarray(words, dtype=complex)[:, None, :], snr=snr, mux_rate=r)
 
 
 def _random_cov(rng, n, rho):
@@ -167,7 +164,7 @@ def test_pair_sweeps_match_per_pair_oracle(monkeypatch, model, num_tx):
                    + 1j * rng.standard_normal((num, num_tx, n)))
     words[3] = words[0]  # a zero difference: rank 0 and a zero product
     words[5, :, 1] = words[1, :, 1]  # a difference with a zero slot
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(num_tx, 2, n))
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
 
     pairs = [(i, j) for i in range(num) for j in range(i + 1, num)]
     dense = {p: effective_difference(cov, words[p[0]] - words[p[1]]) for p in pairs}
@@ -189,12 +186,11 @@ def test_pair_sweeps_match_per_pair_oracle(monkeypatch, model, num_tx):
 
     # xi without the repeated word, whose zero product would tie with round-off
     distinct = [p for p in pairs if 3 not in p]
-    book = Codebook(words=np.delete(words, 3, axis=0), snr=10.0, mux_rate=0.0,
-                    dims=ChannelDims(num_tx, 2, n))
-    m = book.dims.min_ant
+    book = Codebook(words=np.delete(words, 3, axis=0), snr=10.0, mux_rate=0.0)
+    m = min(num_tx, 2)
     prods = [dense[p].eigvals[n - keep:n - keep + m].prod() for p in distinct]
     k = int(np.argmin(prods))
-    xi = xi_metric(book, cov)
+    xi = xi_metric(book, cov, 2)
     assert xi.pair == tuple(i - (i > 3) for i in distinct[k])
     assert xi.value == pytest.approx(prods[k], rel=1e-12)
 
@@ -312,8 +308,8 @@ def test_searched_codebook_feeds_the_criteria():
     assert (min_entry_criterion(search.codebook_at, grid, 0.5)
             == min_entry_criterion(explicit, grid, 0.5))
     cov = build_covariance(Fast(), 2)
-    assert (verify_dmt_criterion(search.codebook_at, cov, grid, 0.5)
-            == verify_dmt_criterion(explicit, cov, grid, 0.5))
+    assert (verify_dmt_criterion(search.codebook_at, cov, grid, 0.5, 1)
+            == verify_dmt_criterion(explicit, cov, grid, 0.5, 1))
 
 
 def test_search_failure_is_flagged_not_raised():
@@ -408,7 +404,7 @@ def test_xi_flat_siso_is_squared_norm():
     cov = build_covariance(Flat(), 3)
     e = np.array([0.3 - 0.2j, 0.5j, -0.4])
     book = _scalar_codebook([np.zeros(3), e])
-    xi = xi_metric(book, cov)
+    xi = xi_metric(book, cov, 1)
     assert xi.value == pytest.approx(np.sum(np.abs(e) ** 2), rel=1e-10)
 
 
@@ -418,8 +414,8 @@ def test_xi_flat_matches_min_determinant():
     cov = build_covariance(Flat(), n)
     words = rng.standard_normal((5, mt, n)) + 1j * rng.standard_normal((5, mt, n))
     words *= 0.3
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(mt, 2, n))
-    xi = xi_metric(book, cov)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    xi = xi_metric(book, cov, 2)
     dets = []
     for i in range(5):
         for j in range(i + 1, 5):
@@ -433,7 +429,7 @@ def test_xi_fast_siso_is_min_entry():
     rng = spawn_rng(30)
     words = 0.5 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
     book = _scalar_codebook(words)
-    xi = xi_metric(book, cov)
+    xi = xi_metric(book, cov, 1)
     assert xi.value == pytest.approx(pairwise_min_products(words, 1).value, rel=1e-9)
 
 
@@ -441,9 +437,9 @@ def test_xi_requires_enough_block_length():
     cov = build_covariance(Fast(), 3)  # rank 3
     words = np.zeros((2, 2, 3))
     words[1, 0, 0] = 1.0
-    book = Codebook(words=words, snr=4.0, mux_rate=0.0, dims=ChannelDims(2, 2, 3))
+    book = Codebook(words=words, snr=4.0, mux_rate=0.0)
     with pytest.raises(ValueError):
-        xi_metric(book, cov)  # needs n >= rank * num_tx = 6
+        xi_metric(book, cov, 2)  # needs n >= rank * num_tx = 6
 
 
 # -- criteria ----------------------------------------------------------------
@@ -484,7 +480,7 @@ def test_verify_dmt_criterion_r0_full_rank_passes():
     cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
     words = np.stack([np.zeros(4), 0.5 * np.ones(4)])
     book = _scalar_codebook(words, r=0.0)
-    report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5)
+    report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5, 1)
     assert report["passed"]
 
 
@@ -493,13 +489,14 @@ def test_verify_dmt_criterion_reuses_metric_for_the_same_book(monkeypatch):
     book = _scalar_codebook(np.stack([np.zeros(4), 0.5 * np.ones(4)]))
     other = _scalar_codebook(np.stack([np.zeros(4), 0.4 * np.ones(4)]))
     calls = []
-    monkeypatch.setattr(codes, "xi_metric", lambda b, c: calls.append(b) or xi_metric(b, c))
-    report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5)
+    monkeypatch.setattr(codes, "xi_metric",
+                        lambda b, c, r: calls.append(b) or xi_metric(b, c, r))
+    report = verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0, 1000.0], 0.5, 1)
     assert calls == [book]
     assert len({row["xi"] for row in report["per_snr"]}) == 1
     calls.clear()
     verify_dmt_criterion(lambda snr: book if snr < 50 else other, cov,
-                         [10.0, 20.0, 100.0], 0.5)
+                         [10.0, 20.0, 100.0], 0.5, 1)
     assert calls == [book, other]
 
 
@@ -510,8 +507,8 @@ def test_verify_dmt_criterion_rank_deficit_fails():
     rng = spawn_rng(31)
     row = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     words = np.stack([np.zeros((2, n)), np.stack([row, row])])
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(2, 2, n))
-    report = verify_dmt_criterion(lambda snr: book, cov, [10.0], 0.5)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    report = verify_dmt_criterion(lambda snr: book, cov, [10.0], 0.5, 2)
     assert not report["passed"]
     assert report["per_snr"][0]["xi"] == pytest.approx(0.0, abs=1e-12)
 
@@ -626,7 +623,7 @@ def test_criteria_reject_bad_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         min_entry_criterion(lambda snr: book, [4.0], epsilon)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        verify_dmt_criterion(lambda snr: book, cov, [4.0], epsilon)
+        verify_dmt_criterion(lambda snr: book, cov, [4.0], epsilon, 1)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         search_permutations([16.0], 1.0, 2, budget=5, epsilon=epsilon)
 
@@ -645,7 +642,7 @@ def test_criteria_reject_grid_snr_not_above_one(snr, monkeypatch):
     with pytest.raises(ValueError, match="grid SNRs must exceed 1"):
         min_entry_criterion(lambda s: book, [snr], 0.1)
     with pytest.raises(ValueError, match="grid SNRs must exceed 1"):
-        verify_dmt_criterion(lambda s: book, cov, [snr], 0.1)
+        verify_dmt_criterion(lambda s: book, cov, [snr], 0.1, 1)
     with pytest.raises(ValueError):  # an SNR of 1 passed before
         search_permutations([snr], 1.0, 2, budget=5)
 
@@ -653,8 +650,8 @@ def test_block_fading_multiset_identity_random():
     rng = spawn_rng(35)
     n, blocks, mt = 4, 2, 2
     words = 0.3 * (rng.standard_normal((4, mt, n)) + 1j * rng.standard_normal((4, mt, n)))
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(mt, 2, n))
-    report = block_fading_check(book, blocks)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    report = block_fading_check(book, blocks, 2)
     assert report["multiset_ok"]
     assert report["max_multiset_err"] < 1e-10
 
@@ -663,26 +660,26 @@ def test_block_fading_global_xi_equals_xi_metric():
     rng = spawn_rng(35)
     n, blocks, mt = 4, 2, 2
     words = 0.3 * (rng.standard_normal((4, mt, n)) + 1j * rng.standard_normal((4, mt, n)))
-    books = [Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(mt, 2, n))]
+    books = [Codebook(words=words, snr=10.0, mux_rate=0.0)]
     rng = spawn_rng(36)
     words = 0.4 * (rng.standard_normal((5, 1, n)) + 1j * rng.standard_normal((5, 1, n)))
-    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, n)))
+    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0))
     small, large = 0.01, 1.0
     word = np.concatenate([np.diag([np.sqrt(small), np.sqrt(large)]),
                            np.diag([np.sqrt(large), np.sqrt(small)])], axis=1)
     words = np.stack([np.zeros((2, 4)), word]).astype(complex)
-    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(2, 2, 4)))
+    books.append(Codebook(words=words, snr=10.0, mux_rate=0.0))
     for book in books:
         cov = build_covariance(BlockFading(blocks, n // blocks), n)
-        assert block_fading_check(book, blocks)["global_xi"] == xi_metric(book, cov)
+        assert block_fading_check(book, blocks, 2)["global_xi"] == xi_metric(book, cov, 2)
 
 
 def test_block_fading_scalar_global_is_min_over_blocks():
     rng = spawn_rng(36)
     n, blocks = 4, 2
     words = 0.4 * (rng.standard_normal((5, 1, n)) + 1j * rng.standard_normal((5, 1, n)))
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, n))
-    report = block_fading_check(book, blocks)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    report = block_fading_check(book, blocks, 1)
     assert report["global_xi"].value == pytest.approx(
         min(report["per_block_min_products"]), rel=1e-9)
 
@@ -696,8 +693,8 @@ def test_block_fading_per_block_pass_global_fail():
     b1 = np.diag([np.sqrt(large), np.sqrt(small)]).astype(complex)
     word = np.concatenate([b0, b1], axis=1)  # 2 x 4
     words = np.stack([np.zeros((2, 4), dtype=complex), word])
-    book = Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(2, 2, 4))
-    report = block_fading_check(book, 2)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    report = block_fading_check(book, 2, 2)
     threshold = small * large * 0.5
     assert all(p >= threshold for p in report["per_block_min_products"])
     assert report["global_xi"].value == pytest.approx(small ** 2, rel=1e-9)
@@ -756,8 +753,8 @@ def test_ostrowski_sandwich_property():
 def test_codebook_json_round_trip():
     rng = spawn_rng(39)
     words = 0.4 * (rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
-    book = Codebook(words=words, snr=25.0, mux_rate=0.75, dims=ChannelDims(2, 2, 4))
-    clone = Codebook.from_json(book.to_json(), num_rx=2)
+    book = Codebook(words=words, snr=25.0, mux_rate=0.75)
+    clone = Codebook.from_json(book.to_json())
     assert np.allclose(clone.words, book.words)
     assert clone.snr == book.snr
     assert clone.mux_rate == book.mux_rate
@@ -766,7 +763,7 @@ def test_codebook_json_round_trip():
 def test_codebook_peak_power_enforced():
     words = np.full((1, 1, 2), 2.0, dtype=complex)  # energy 8 > n*mt = 2
     with pytest.raises(ValueError):
-        Codebook(words=words, snr=10.0, mux_rate=0.0, dims=ChannelDims(1, 1, 2))
+        Codebook(words=words, snr=10.0, mux_rate=0.0)
 
 
 def test_structural_count_clips_or_raises_below_the_block_length():

@@ -127,7 +127,7 @@ def test_antipodal_error_rate_matches_analytic():
     cov = build_covariance(Flat(), 1)
     dims = ChannelDims(1, 1, 1)
     words = np.array([[[1.0]], [[-1.0]]], dtype=complex)
-    book = Codebook(words=words, snr=4.0, mux_rate=0.0, dims=dims)
+    book = Codebook(words=words, snr=4.0, mux_rate=0.0)
     snr = 4.0
     est = simulate_error_prob(cov, dims, book, snr=snr, trials=400_000, master_seed=55)
     analytic = 0.5 * (1.0 - np.sqrt(snr / (1.0 + snr)))
@@ -167,8 +167,7 @@ def test_precoded_pair_rejects_multi_antenna_outer():
     dims = ChannelDims(2, 2, 4)
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
-    book = Codebook(words=apply_precoder(pre, outer.scalar_words), snr=9.0, mux_rate=0.5,
-                    dims=dims)
+    book = Codebook(words=apply_precoder(pre, outer.scalar_words), snr=9.0, mux_rate=0.5)
     with pytest.raises(ValueError, match="single transmit antenna"):
         simulate_error_prob(cov, dims, (pre, book), snr=9.0, trials=100, master_seed=57)
 
@@ -259,13 +258,12 @@ _DECODE_COVS = {
 }
 
 
-def _random_book(rng, num_words, num_tx, num_rx, n=4):
+def _random_book(rng, num_words, num_tx, n=4):
     words = rng.standard_normal((num_words, num_tx, n)) + 1j * rng.standard_normal(
         (num_words, num_tx, n))
     powers = np.sum(np.abs(words) ** 2, axis=(1, 2))
     words *= np.sqrt(0.9 * n * num_tx / powers.max())  # peak power below the cap
-    return Codebook(words=words, snr=10.0, mux_rate=0.0,
-                    dims=ChannelDims(num_tx, num_rx, n))
+    return Codebook(words=words, snr=10.0, mux_rate=0.0)
 
 
 @pytest.mark.parametrize("cov_name", sorted(_DECODE_COVS))
@@ -275,8 +273,7 @@ def _random_book(rng, num_words, num_tx, num_rx, n=4):
 def test_expanded_metric_matches_dense(cov_name, num_tx, num_rx, noise_scale):
     cov = _DECODE_COVS[cov_name]
     rng = spawn_rng(60, num_tx, num_rx, int(noise_scale))
-    book = _random_book(rng, 24, num_tx, num_rx)
-    dims, words = book.dims, book.words
+    dims, words = ChannelDims(num_tx, num_rx, 4), _random_book(rng, 24, num_tx).words
     amp = np.sqrt(20.0 / num_tx)
     blocks, sent, noise = _dense_draws(cov, dims, len(words), 3000, rng, noise_scale)
     received = amp * np.einsum("cnij,cjn->cni", blocks, words[sent]) + noise
@@ -296,10 +293,11 @@ def test_expanded_metric_matches_dense(cov_name, num_tx, num_rx, noise_scale):
 @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
 def test_simulate_matches_dense_decode(cov_name, num_tx, num_rx, noise_scale):
     cov = _DECODE_COVS[cov_name]
-    book = _random_book(spawn_rng(61, num_tx, num_rx), 16, num_tx, num_rx)
-    est = simulate_error_prob(cov, book.dims, book, snr=10.0, trials=2500,
+    book = _random_book(spawn_rng(61, num_tx, num_rx), 16, num_tx)
+    dims = ChannelDims(num_tx, num_rx, 4)
+    est = simulate_error_prob(cov, dims, book, snr=10.0, trials=2500,
                               master_seed=62, noise_scale=noise_scale)
-    assert est.errors == _dense_errors(cov, book.dims, book.words, 10.0, 2500, 62,
+    assert est.errors == _dense_errors(cov, dims, book.words, 10.0, 2500, 62,
                                        noise_scale)
     if noise_scale == 0.0:
         assert est.errors == 0
@@ -322,12 +320,13 @@ def test_simulate_precoded_pair_matches_dense_decode():
 
 def test_decode_slices_do_not_change_results(monkeypatch):
     cov = _DECODE_COVS["isi"]
-    book = _random_book(spawn_rng(64), 16, 2, 2)
+    book = _random_book(spawn_rng(64), 16, 2)
     kwargs = dict(snr=10.0, trials=MC_CHUNK + 500, master_seed=65)
-    whole = simulate_error_prob(cov, book.dims, book, **kwargs)
+    dims = ChannelDims(2, 2, 4)
+    whole = simulate_error_prob(cov, dims, book, **kwargs)
     # 1003 trials per slice: uneven slices within both chunks
     monkeypatch.setattr(_util, "BATCH_BUDGET", 16 * 1003)
-    sliced = simulate_error_prob(cov, book.dims, book, **kwargs)
+    sliced = simulate_error_prob(cov, dims, book, **kwargs)
     assert whole == sliced
     assert whole.errors > 0
 
@@ -338,14 +337,15 @@ def test_sub_blocks_do_not_change_error_estimate(monkeypatch, block_trials, work
     # the decode loop sizes its sub-blocks from the codebook size; None keeps
     # the default BATCH_BUDGET, MC_CHUNK evaluates each chunk in one block
     cov = _DECODE_COVS["tf"]
-    book = _random_book(spawn_rng(66), 12, 2, 2)
+    book = _random_book(spawn_rng(66), 12, 2)
+    dims = ChannelDims(2, 2, 4)
     trials = 3000 if block_trials == 1 else MC_CHUNK + 700
     kwargs = dict(snr=4.0, trials=trials, master_seed=67, workers=workers)
     monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * MC_CHUNK)
-    whole = simulate_error_prob(cov, book.dims, book, **kwargs)
+    whole = simulate_error_prob(cov, dims, book, **kwargs)
     if block_trials is not None:
         monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * block_trials)
     else:
         monkeypatch.undo()
-    assert simulate_error_prob(cov, book.dims, book, **kwargs) == whole
+    assert simulate_error_prob(cov, dims, book, **kwargs) == whole
     assert whole.errors > 0

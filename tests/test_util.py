@@ -44,9 +44,8 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     pairwise_min_products(words, 2)  # 4 slots
     codes._torus_bound_score(np.tile((1, 0, 0, 1, 0, 0), (3, 4, 1)), 5)  # 4 slots, 5x5 grid
     cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
-    book = Codebook(words=0.3 * words[:, None, :], snr=10.0, mux_rate=0.0,
-                    dims=ChannelDims(1, 1, 4))
-    codes.xi_metric(book, cov)  # 4x4 effective differences
+    book = Codebook(words=0.3 * words[:, None, :], snr=10.0, mux_rate=0.0)
+    codes.xi_metric(book, cov, 1)  # 4x4 effective differences
     fam = qam_family(25.0, 1.0)
     outer = permutation_codebook(fam, [rng.permutation(len(fam)) for _ in range(4)])
     verify_composed_design(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2),
@@ -59,8 +58,7 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     estimate_outage(flat, ChannelDims(2, 2, 2), SnrPoint(10.0, FixedRate(1.0)),
                     trials=10, min_events=0)
     assert steps.pop("tradeoff") == [131072 // (16 * 2 * 2 * 2)]
-    sim_book = Codebook(words=np.full((100, 1, 2), 0.5), snr=10.0, mux_rate=0.0,
-                        dims=ChannelDims(1, 1, 2))
-    simulate_error_prob(flat, sim_book.dims, sim_book, snr=10.0, trials=MC_CHUNK + 1)
+    sim_book = Codebook(words=np.full((100, 1, 2), 0.5), snr=10.0, mux_rate=0.0)
+    simulate_error_prob(flat, ChannelDims(1, 1, 2), sim_book, snr=10.0, trials=MC_CHUNK + 1)
     assert steps.pop("sim") == [131072 // 100, 131072 // 100]  # one a chunk
     assert steps == {}
