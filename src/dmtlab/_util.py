@@ -30,6 +30,11 @@ _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 _REQUIRED = object()
 
 
+class FieldError(ValueError):
+    """A JSON field that is missing, of the wrong type or malformed; the message
+    names it."""
+
+
 def unitary_fft(n):
     """Unitary DFT matrix, entry (k, l) = exp(-2j*pi*k*l/n) / sqrt(n)."""
     k = np.arange(n)
@@ -160,7 +165,7 @@ def linear_to_db(snr):
 def json_value(value, kind, name):
     """``value`` as ``kind``: a string, a finite number as float, or an
     integral finite number as int. A JSON bool is none of these; anything
-    else raises a ValueError naming ``name``."""
+    else raises a FieldError naming ``name``."""
     if isinstance(value, str if kind is str else (int, float)) and not isinstance(value, bool):
         if kind is str:
             return value
@@ -170,19 +175,27 @@ def json_value(value, kind, name):
                 return number
         except (ValueError, OverflowError):
             pass
-    raise ValueError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
+    raise FieldError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
 
 
 def json_field(doc, key, where, kind=None, default=_REQUIRED):
     """``doc[key]`` of the JSON object ``doc`` at ``where``, read as ``kind``
     unless that is None; a missing key gives ``default`` if one is given."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object")
+        raise FieldError(f"{where}: expected a JSON object")
     if key not in doc:
         if default is _REQUIRED:
-            raise ValueError(f"{where}.{key}: missing required field")
+            raise FieldError(f"{where}.{key}: missing required field")
         return default
     return doc[key] if kind is None else json_value(doc[key], kind, f"{where}.{key}")
+
+
+def json_floats(doc, key, where):
+    """``doc[key]`` read as a tuple of floats: a JSON list of finite numbers."""
+    values = json_field(doc, key, where)
+    if not isinstance(values, list):
+        raise FieldError(f"{where}.{key}: expected a JSON list")
+    return tuple(json_value(v, float, f"{where}.{key}[{k}]") for k, v in enumerate(values))
 
 
 def complex_pairs(values):
@@ -195,11 +208,11 @@ def json_complex(doc, key, where, ndim):
     """Inverse of ``complex_pairs``: the complex array with ``ndim`` axes kept
     at ``doc[key]``. Anything but evenly nested lists of finite [re, im]
     number pairs (null, strings, bools, NaN or inf, ragged rows) raises a
-    ValueError naming the field."""
+    FieldError naming the field."""
     pairs = np.array(json_field(doc, key, where), dtype=object)
     if (pairs.ndim != ndim + 1 or pairs.shape[-1] != 2
             or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
                        for x in pairs.flat)):
-        raise ValueError(f"{where}.{key}: expected {ndim}-level nested lists "
+        raise FieldError(f"{where}.{key}: expected {ndim}-level nested lists "
                          "of finite [re, im] number pairs")
     return pairs.astype(float).view(complex)[..., 0]

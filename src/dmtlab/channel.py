@@ -7,7 +7,7 @@ block-circulant matrix view of cyclic multipath channels.
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from ._util import (
     cyclic_shift_matrix,
     json_complex,
     json_field,
+    json_floats,
     numerical_rank,
     rank_tolerance,
     unitary_fft,
@@ -62,12 +63,10 @@ class ScatteringSpec:
     grid_f: float
     num_time: int
     num_freq: int
-    sigma2: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.tau0, self.nu0, self.grid_t, self.grid_f,
-                                   self.sigma2))):
-            raise ValueError("spreads, grid spacings and power must be finite")
+        if not np.all(np.isfinite((self.tau0, self.nu0, self.grid_t, self.grid_f))):
+            raise ValueError("spreads and grid spacings must be finite")
         if self.tau0 <= 0 or self.nu0 <= 0:
             raise ValueError("delay and Doppler spreads must be positive")
         if self.tau0 * self.nu0 >= 1.0:
@@ -76,14 +75,12 @@ class ScatteringSpec:
             raise ValueError("grid spacing exceeds the inverse channel spread")
         if self.num_time < 1 or self.num_freq < 1:
             raise ValueError("slot counts must be positive")
-        if self.sigma2 <= 0:
-            raise ValueError("per-coefficient power must be positive")
 
     @classmethod
-    def from_normalized(cls, doppler_time, delay_freq, num_time, num_freq, sigma2=1.0):
+    def from_normalized(cls, doppler_time, delay_freq, num_time, num_freq):
         """Build a spec from the dimensionless products nu0*T and tau0*F."""
         return cls(tau0=float(delay_freq), nu0=float(doppler_time), grid_t=1.0,
-                   grid_f=1.0, num_time=num_time, num_freq=num_freq, sigma2=sigma2)
+                   grid_f=1.0, num_time=num_time, num_freq=num_freq)
 
     @property
     def block_len(self):
@@ -110,29 +107,26 @@ class ScatteringSpec:
     def correlation(self, dt, df):
         """Closed-form slot correlation of the brick-wall spectrum.
 
-        Separable product of two sinc factors with linear phase; validated
-        against direct 2-D quadrature of the spectrum in the test suite.
+        Separable product of two sinc factors with linear phase, at unit
+        per-coefficient power; validated against direct 2-D quadrature of the
+        spectrum in the test suite.
         """
-        return (self.sigma2
-                * np.exp(1j * np.pi * self.nu0 * dt) * np.sinc(self.nu0 * dt)
+        return (np.exp(1j * np.pi * self.nu0 * dt) * np.sinc(self.nu0 * dt)
                 * np.exp(-1j * np.pi * self.tau0 * df) * np.sinc(self.tau0 * df))
 
 
 class FadingModel:
     """Fading across the slots of a block: a config ``kind``, the raw slot
-    covariance ``entries(n)`` (before unit-power normalisation), the rank
-    ``expected_rank(n)`` its definition implies, and its config document
-    ``to_doc()`` / ``from_doc(doc)``. ``MODELS`` maps each kind to its class.
-    The defaults here serve models whose parameters are all integers."""
+    covariance ``entries(n)`` (before unit-power normalisation), and the
+    reader ``from_doc(doc)`` of its config section, whose errors name the
+    field as ``model.<key>``. ``MODELS`` maps each kind to its class. The
+    reader here serves models whose parameters are all integers."""
 
     kind = None
 
-    def to_doc(self):
-        return {"kind": self.kind, **asdict(self)}
-
     @classmethod
     def from_doc(cls, doc):
-        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
+        return cls(**{f.name: json_field(doc, f.name, "model", int) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,6 @@ class Flat(FadingModel):
     def entries(self, n):
         return np.ones((n, n), dtype=complex)
 
-    def expected_rank(self, n):
-        return 1
-
 
 @dataclass(frozen=True)
 class Fast(FadingModel):
@@ -156,9 +147,6 @@ class Fast(FadingModel):
 
     def entries(self, n):
         return np.eye(n, dtype=complex)
-
-    def expected_rank(self, n):
-        return n
 
 
 @dataclass(frozen=True)
@@ -176,9 +164,6 @@ class BlockFading(FadingModel):
             raise ValueError("num_blocks * block_len must equal the block length")
         return np.kron(np.eye(self.num_blocks),
                        np.ones((self.block_len, self.block_len))).astype(complex)
-
-    def expected_rank(self, n):
-        return self.num_blocks
 
 
 @dataclass(frozen=True)
@@ -207,21 +192,19 @@ class CyclicIsi(FadingModel):
         fft = unitary_fft(n)
         return (fft * profile) @ fft.conj().T
 
-    def expected_rank(self, n):
-        return sum(1 for p in self.power_delay_profile if p > 0)
-
-    def to_doc(self):
-        return {"kind": self.kind, "num_taps": self.num_taps,
-                "power_delay_profile": list(self.power_delay_profile)}
-
     @classmethod
     def from_doc(cls, doc):
-        return cls(power_delay_profile=tuple(doc["power_delay_profile"]),
-                   num_taps=int(doc["num_taps"]))
+        return cls(num_taps=json_field(doc, "num_taps", "model", int),
+                   power_delay_profile=json_floats(doc, "power_delay_profile", "model"))
 
 
 @dataclass(frozen=True)
 class TimeFrequency(FadingModel):
+    """Time-frequency selective fading of a brick-wall scattering spectrum.
+    The two-level Toeplitz matrix of ``entries`` generically has full
+    numerical rank at finite block length; its circulant surrogate
+    (``circulant_covariance``) has rank ``doppler_slots * delay_slots``."""
+
     kind = "tf"
     spec: ScatteringSpec
 
@@ -234,23 +217,11 @@ class TimeFrequency(FadingModel):
         df = (f_idx[:, None] - f_idx[None, :]) * spec.grid_f
         return spec.correlation(dt, df)
 
-    def expected_rank(self, n):
-        """Rank of the circulant surrogate (occupied Doppler bins times
-        occupied delay bins); the two-level Toeplitz matrix of ``entries``
-        generically has full numerical rank at finite block length."""
-        return self.spec.doppler_slots * self.spec.delay_slots
-
-    def to_doc(self):
-        spec = self.spec
-        return {"kind": self.kind, "nu0_t": spec.nu0 * spec.grid_t,
-                "tau0_f": spec.tau0 * spec.grid_f,
-                "num_time": spec.num_time, "num_freq": spec.num_freq}
-
     @classmethod
     def from_doc(cls, doc):
         return cls(ScatteringSpec.from_normalized(
-            float(doc["nu0_t"]), float(doc["tau0_f"]),
-            int(doc["num_time"]), int(doc["num_freq"])))
+            json_field(doc, "nu0_t", "model", float), json_field(doc, "tau0_f", "model", float),
+            json_field(doc, "num_time", "model", int), json_field(doc, "num_freq", "model", int)))
 
 
 MODELS = {cls.kind: cls for cls in (Flat, Fast, BlockFading, CyclicIsi, TimeFrequency)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import db_to_linear, json_field, json_value, spawn_rng
+from ._util import FieldError, db_to_linear, json_field, json_floats, json_value, spawn_rng
 from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
 from .codes import (Codebook, effective_eigs, structural_count, verify_dmt_criterion,
                     verify_rank_r0)
@@ -33,7 +33,9 @@ _LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with defaults applied."""
+    """Validated experiment description with defaults applied, as read by
+    ``load_config``; the config format lives only in that reader and the
+    fading models' ``from_doc``."""
 
     model: object
     dims: ChannelDims
@@ -42,24 +44,6 @@ class ExperimentConfig:
     trials: int = 100_000
     master_seed: int = 0
     output: str = None
-
-    def to_json(self):
-        if isinstance(self.rate_mode, FixedRate):
-            rate_doc = {"mode": "fixed", "bits": self.rate_mode.nats / _LN2}
-        else:
-            rate_doc = {"mode": "scaling", "mux_rate": self.rate_mode.mux_rate}
-        doc = {"model": self.model.to_doc(),
-               "dims": {"num_tx": self.dims.num_tx, "num_rx": self.dims.num_rx,
-                        "block_len": self.dims.block_len},
-               "snr_db": list(self.snr_db), "rate": rate_doc,
-               "trials": self.trials, "seed": self.master_seed}
-        if self.output:
-            doc["output"] = self.output
-        return doc
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
 
 
 class ConfigError(ValueError):
@@ -73,9 +57,9 @@ def _parse_model(doc):
         raise ConfigError(f"model.kind: unknown kind {kind!r}")
     try:
         return model_cls.from_doc(doc)
-    except KeyError as exc:
-        raise ConfigError(f"model.{exc.args[0]}: missing required field") from None
-    except (TypeError, ValueError) as exc:
+    except FieldError:  # already names model.<key>
+        raise
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
@@ -98,18 +82,21 @@ def _config_from_doc(doc):
         dims = ChannelDims(**sizes)
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
-    snr_doc = json_field(doc, "snr_db", "config")
-    if not isinstance(snr_doc, list):
-        raise ConfigError("snr_db: expected a JSON list")
-    snr_db = tuple(json_value(v, float, f"snr_db[{k}]") for k, v in enumerate(snr_doc))
+    snr_db = json_floats(doc, "snr_db", "config")
     if list(snr_db) != sorted(snr_db):
         raise ConfigError("snr_db: grid must be ascending")
     rate_doc = json_field(doc, "rate", "config")
     mode = json_field(rate_doc, "mode", "rate")
     if mode == "fixed":
-        rate_mode = FixedRate(nats=json_field(rate_doc, "bits", "rate", float) * _LN2)
+        bits = json_field(rate_doc, "bits", "rate", float)
+        if bits < 0:
+            raise ConfigError("rate.bits: must be nonnegative")
+        rate_mode = FixedRate(nats=bits * _LN2)
     elif mode == "scaling":
         rate_mode = ScalingRate(mux_rate=json_field(rate_doc, "mux_rate", "rate", float))
+        if not 0 <= rate_mode.mux_rate <= dims.min_ant:
+            raise ConfigError(f"rate.mux_rate: must lie in [0, {dims.min_ant}], "
+                              "the smaller antenna count")
     else:
         raise ConfigError(f"rate.mode: unknown mode {mode!r}")
     trials = json_field(doc, "trials", "config", int, 100_000)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmtlab.channel import (
     BlockFading,
@@ -101,7 +103,7 @@ def test_expected_ranks_across_models():
     ]
     for model, n, rho in cases:
         cov = build_covariance(model, n)
-        assert cov.rank == rho == model.expected_rank(n)
+        assert cov.rank == rho
         assert np.allclose(np.diag(cov.entries), 1.0)
         # the nonzero eigenpairs reproduce the matrix
         recon = (cov.eigvecs * cov.eigvals) @ cov.eigvecs.conj().T
@@ -110,8 +112,7 @@ def test_expected_ranks_across_models():
     # generically full-rank two-level Toeplitz matrix
     for spec in (ScatteringSpec.from_normalized(0.5, 0.5, 4, 4),
                  ScatteringSpec.from_normalized(0.5, 0.25, 4, 8)):
-        model = TimeFrequency(spec)
-        assert model.expected_rank(spec.block_len) == circulant_covariance(spec).rank == 4
+        assert circulant_covariance(spec).rank == spec.doppler_slots * spec.delay_slots == 4
 
 
 @pytest.mark.parametrize("model", [None, "flat", np.ones((2, 2)), FadingModel()])
@@ -143,7 +144,7 @@ def test_brickwall_correlation_matches_quadrature():
     from scipy import integrate
 
     spec = ScatteringSpec(tau0=0.4, nu0=0.6, grid_t=1.0, grid_f=1.0, num_time=2, num_freq=2)
-    level = spec.sigma2 / (spec.tau0 * spec.nu0)
+    level = 1.0 / (spec.tau0 * spec.nu0)  # unit power spread over the support
     for dt, df in [(0.0, 0.0), (0.7, 0.3), (1.5, -2.0), (-0.4, 0.9)]:
         re = integrate.dblquad(lambda nu, tau: level * np.cos(2 * np.pi * (nu * dt - tau * df)),
                                0, spec.tau0, 0, spec.nu0)[0]
@@ -424,6 +425,36 @@ def test_covariance_json_round_trip(tmp_path):
     # file content is valid JSON with the documented keys
     payload = json.loads(path.read_text())
     assert set(payload) == {"n", "entries"}
+
+
+@st.composite
+def _covariances(draw):
+    """Unit-diagonal covariances I + B B^H, rescaled, with signed zeros: the
+    drawn B may hold zeros of either sign, and the diagonal's imaginary parts
+    are +0.0 or -0.0 as drawn."""
+    n, cols = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+    b = np.array(draw(st.lists(parts, min_size=2 * n * cols, max_size=2 * n * cols)))
+    b = b.reshape(n, cols, 2).view(complex)[..., 0]
+    raw = np.eye(n) + b @ b.conj().T
+    scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
+    entries = raw * np.outer(scale, scale)
+    entries[np.diag_indices(n)] = [complex(1.0, draw(st.sampled_from([0.0, -0.0])))
+                                   for _ in range(n)]
+    return CovarianceMatrix.from_entries(entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cov=_covariances())
+def test_covariance_json_round_trip_is_bitwise(tmp_path_factory, cov):
+    path = tmp_path_factory.mktemp("cov") / "cov.json"
+    cov.save(path)
+    loaded = CovarianceMatrix.load(path)
+    # every float of the entries, signed zeros included, comes back bit for bit
+    assert loaded.entries.shape == cov.entries.shape
+    assert np.array_equal(loaded.entries.view(float).view(np.int64),
+                          cov.entries.view(float).view(np.int64))
+    assert loaded.rank == cov.rank
 
 
 def test_covariance_rejects_non_hermitian():

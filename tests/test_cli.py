@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dmtlab import _util, cli
 from dmtlab.channel import (
+    MODELS,
     BlockFading,
     ChannelDims,
     CyclicIsi,
@@ -143,23 +144,51 @@ def test_zero_receive_antennas_exit_2_naming_option(tmp_path, capsys, command):
     assert "argument --mr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    {"model": 5},
-    7,
-    {"snr_db": 5},
-    {"model": {"kind": "isi", "num_taps": 1, "power_delay_profile": 3}},
-    {"dims": {"num_tx": None, "num_rx": 1, "block_len": 1}},
-    {"trials": None},
-    {"snr_db": [[1]]},
-    {"rate": {"mode": "fixed", "bits": None}},
-    {"seed": "x"},
-    {"trials": 2.7},
-    {"trials": True},
-    {"output": 5},
-], ids=["model", "top-level", "snr_db", "power_delay_profile", "num_tx-null",
-        "trials-null", "snr_db-nested", "bits-null", "seed-string",
-        "trials-fraction", "trials-bool", "output-int"])
-def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc):
+def _model_section(**model):
+    """Config overrides for a model section on a 1x1 link of 4 slots."""
+    return {"model": model, "dims": {"num_tx": 1, "num_rx": 1, "block_len": 4}}
+
+
+# each bad document with the field its config error names
+WRONG_TYPE_CASES = {
+    "model": ({"model": 5}, "model"),
+    "top-level": (7, "config"),
+    "snr_db": ({"snr_db": 5}, "config.snr_db"),
+    "power_delay_profile": (
+        {"model": {"kind": "isi", "num_taps": 1, "power_delay_profile": 3}},
+        "model.power_delay_profile"),
+    "num_tx-null": ({"dims": {"num_tx": None, "num_rx": 1, "block_len": 1}}, "dims.num_tx"),
+    "trials-null": ({"trials": None}, "config.trials"),
+    "snr_db-nested": ({"snr_db": [[1]]}, "config.snr_db[0]"),
+    "bits-null": ({"rate": {"mode": "fixed", "bits": None}}, "rate.bits"),
+    "seed-string": ({"seed": "x"}, "config.seed"),
+    "trials-fraction": ({"trials": 2.7}, "config.trials"),
+    "trials-bool": ({"trials": True}, "config.trials"),
+    "output-int": ({"output": 5}, "config.output"),
+    # model sections follow the same type rules as the rest of the config
+    "num_blocks-fraction": (_model_section(kind="block", num_blocks=2.7, block_len=2),
+                            "model.num_blocks"),
+    "num_blocks-bool": (_model_section(kind="block", num_blocks=True, block_len=4),
+                        "model.num_blocks"),
+    "num_taps-string": (_model_section(kind="isi", num_taps="2",
+                                       power_delay_profile=[1.0, 0.5]), "model.num_taps"),
+    "pdp-strings": (_model_section(kind="isi", num_taps=2, power_delay_profile=["1", "0.5"]),
+                    "model.power_delay_profile[0]"),
+    "nu0_t-string": (_model_section(kind="tf", nu0_t="0.5", tau0_f=0.5, num_time=2,
+                                    num_freq=2), "model.nu0_t"),
+    "num_time-fraction": (_model_section(kind="tf", nu0_t=0.5, tau0_f=0.5, num_time=2.9,
+                                         num_freq=2), "model.num_time"),
+    "pdp-null": (_model_section(kind="isi", num_taps=2, power_delay_profile=[1.0, None]),
+                 "model.power_delay_profile[1]"),
+    "pdp-nan": (_model_section(kind="isi", num_taps=2,
+                               power_delay_profile=[1.0, float("nan")]),
+                "model.power_delay_profile[1]"),
+    "block_len-missing": (_model_section(kind="block", num_blocks=2), "model.block_len"),
+}
+
+
+@pytest.mark.parametrize("doc,field", WRONG_TYPE_CASES.values(), ids=WRONG_TYPE_CASES)
+def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc, field):
     path = tmp_path / "c.json"
     if isinstance(doc, dict):
         _write_config(path, **doc)
@@ -168,7 +197,42 @@ def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc):
     out = tmp_path / "out.csv"
     assert dispatch(["outage", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    # the field is named once, right after the file
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {field}: ")
+
+
+@pytest.mark.parametrize("rate,dims,command,field", [
+    ({"mode": "fixed", "bits": -1}, (1, 1), "outage", "rate.bits"),
+    ({"mode": "fixed", "bits": -1}, (1, 1), "error-sim-outage", "rate.bits"),
+    ({"mode": "scaling", "mux_rate": 5}, (1, 1), "outage", "rate.mux_rate"),
+    ({"mode": "scaling", "mux_rate": 5}, (1, 1), "error-sim", "rate.mux_rate"),
+    ({"mode": "scaling", "mux_rate": -0.5}, (1, 1), "outage", "rate.mux_rate"),
+    ({"mode": "scaling", "mux_rate": 2.5}, (2, 3), "outage", "rate.mux_rate"),
+], ids=["bits-outage", "bits-error-sim", "mux-outage", "mux-error-sim", "mux-negative",
+        "mux-above-min-ant"])
+def test_out_of_range_rate_exits_2_naming_field(tmp_path, capsys, rate, dims, command, field):
+    # a negative rate used to print outage rows of probability 0, and a
+    # multiplexing rate above min(num_tx, num_rx) failed only inside the outage
+    # estimator, naming no field, or not at all without --with-outage
+    cfg = _write_config(tmp_path / "c.json", rate=rate,
+                        dims={"num_tx": dims[0], "num_rx": dims[1], "block_len": 1})
+    out = tmp_path / "out.csv"
+    argv = ["outage", "--config", str(cfg), "--out", str(out)]
+    if command.startswith("error-sim"):
+        argv = ["error-sim", "--config", str(cfg), "--codebook", str(_antipodal_book(tmp_path)),
+                "--out", str(out)] + (["--with-outage"] if command.endswith("outage") else [])
+    assert dispatch(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: {field}: ")
+
+
+def test_rate_range_edges_load(tmp_path):
+    cfg = load_config(_write_config(tmp_path / "a.json", rate={"mode": "fixed", "bits": 0}))
+    assert cfg.rate_mode == FixedRate(0.0)
+    cfg = load_config(_write_config(tmp_path / "b.json",
+                                    rate={"mode": "scaling", "mux_rate": 2},
+                                    dims={"num_tx": 2, "num_rx": 3, "block_len": 1}))
+    assert cfg.rate_mode == ScalingRate(2.0)
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -183,7 +247,7 @@ def test_trials_must_be_positive(tmp_path, trials):
     assert not out.exists()
 
 
-# one config of each model kind, with the model section its saved file holds
+# one model of each kind, with the config section that describes it
 MODEL_CASES = [
     (Flat(), 1, {"kind": "flat"}),
     (Fast(), 3, {"kind": "fast"}),
@@ -198,29 +262,17 @@ MODEL_CASES = [
 _MODEL_IDS = [doc["kind"] for _, _, doc in MODEL_CASES]
 
 
-def _case_config(model, n):
-    return ExperimentConfig(model=model, dims=ChannelDims(2, 2, n), snr_db=(0.0, 10.0, 20.0),
-                            rate_mode=ScalingRate(0.75), trials=5000, master_seed=7)
-
-
 @pytest.mark.parametrize("model,n,model_doc", MODEL_CASES, ids=_MODEL_IDS)
 def test_config_round_trip(tmp_path, model, n, model_doc):
-    cfg = _case_config(model, n)
+    # a config document, written as JSON, loads to the config it describes
+    doc = {"model": model_doc, "dims": {"num_tx": 2, "num_rx": 2, "block_len": n},
+           "snr_db": [0.0, 10.0, 20.0], "rate": {"mode": "scaling", "mux_rate": 0.75},
+           "trials": 5000, "seed": 7}
     path = tmp_path / "cfg.json"
-    cfg.save(path)
-    clone = load_config(path)
-    assert clone == cfg
-
-
-@pytest.mark.parametrize("model,n,model_doc", MODEL_CASES, ids=_MODEL_IDS)
-def test_config_save_bytes(tmp_path, model, n, model_doc):
-    # the file layout, field names and int/float types of every model section
-    path = tmp_path / "cfg.json"
-    _case_config(model, n).save(path)
-    expected = {"model": model_doc, "dims": {"num_tx": 2, "num_rx": 2, "block_len": n},
-                "snr_db": [0.0, 10.0, 20.0], "rate": {"mode": "scaling", "mux_rate": 0.75},
-                "trials": 5000, "seed": 7}
-    assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2)
+    path.write_text(json.dumps(doc))
+    assert load_config(path) == ExperimentConfig(
+        model=model, dims=ChannelDims(2, 2, n), snr_db=(0.0, 10.0, 20.0),
+        rate_mode=ScalingRate(0.75), trials=5000, master_seed=7)
 
 
 def _model_docs():
@@ -247,34 +299,50 @@ def _block_len(model_doc, extra):
     return model_doc.get("num_taps", 1) + extra
 
 
+def _rate_doc(mode, value, min_ant):
+    if mode == "fixed":
+        return {"mode": "fixed", "bits": value}
+    return {"mode": "scaling", "mux_rate": value * min_ant}
+
+
 _CONFIG_DOCS = st.builds(
     lambda model, extra, mt, mr, snr, rate, trials, seed, eps: {
         "model": model, "dims": {"num_tx": mt, "num_rx": mr,
                                  "block_len": _block_len(model, extra)},
-        "snr_db": sorted(snr), "rate": rate, "trials": trials, "seed": seed,
-        "epsilon": eps},
+        "snr_db": sorted(snr), "rate": _rate_doc(*rate, min(mt, mr)), "trials": trials,
+        "seed": seed, "epsilon": eps},
     _model_docs(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
     st.lists(st.floats(-20.0, 60.0), max_size=4),
-    st.one_of(st.fixed_dictionaries({"mode": st.just("fixed"), "bits": st.floats(0.0, 30.0)}),
-              st.fixed_dictionaries({"mode": st.just("scaling"),
-                                     "mux_rate": st.floats(0.0, 3.0)})),
+    st.one_of(st.tuples(st.just("fixed"), st.floats(0.0, 30.0)),
+              st.tuples(st.just("scaling"), st.floats(0.0, 1.0))),
     st.integers(1, 10 ** 9), st.integers(0, 2 ** 31 - 1), st.floats(0.0, 1.0))
+
+
+def _model_of(doc):
+    """The fading model a drawn model section describes, built in code."""
+    params = {key: value for key, value in doc.items() if key != "kind"}
+    if doc["kind"] == "tf":
+        return TimeFrequency(ScatteringSpec.from_normalized(
+            params["nu0_t"], params["tau0_f"], params["num_time"], params["num_freq"]))
+    return MODELS[doc["kind"]](**params)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(doc=_CONFIG_DOCS)
 def test_config_json_round_trip_property(tmp_path_factory, doc):
-    # a config loaded from a file saves and loads back equal, byte-stably; the
-    # docs are drawn as files because a FixedRate built in code from arbitrary
-    # nats can come back one ulp off through the file's bits
-    workdir = tmp_path_factory.mktemp("cfg")
-    (workdir / "in.json").write_text(json.dumps(doc))
-    cfg = load_config(workdir / "in.json")
-    cfg.save(workdir / "a.json")
-    clone = load_config(workdir / "a.json")
-    assert clone == cfg
-    clone.save(workdir / "b.json")
-    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+    # every drawn document loads, and each field of the config is the
+    # document's; the unknown "epsilon" key is ignored
+    path = tmp_path_factory.mktemp("cfg") / "in.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(path)
+    assert cfg.model == _model_of(doc["model"])
+    assert cfg.dims == ChannelDims(**doc["dims"])
+    assert cfg.snr_db == tuple(doc["snr_db"])
+    rate = doc["rate"]
+    assert cfg.rate_mode == (FixedRate(rate["bits"] * np.log(2.0)) if rate["mode"] == "fixed"
+                             else ScalingRate(rate["mux_rate"]))
+    assert (cfg.trials, cfg.master_seed, cfg.output) == (doc["trials"], doc["seed"], None)
+    assert all(type(v) is int for v in (cfg.trials, cfg.master_seed, *doc["dims"].values()))
 
 
 def test_outage_command_csv(tmp_path):

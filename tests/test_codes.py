@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmtlab import _util, codes
 from dmtlab.channel import (
@@ -758,6 +761,28 @@ def test_codebook_json_round_trip():
     assert np.allclose(clone.words, book.words)
     assert clone.snr == book.snr
     assert clone.mux_rate == book.mux_rate
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 4)),
+       data=st.data(),
+       snr=st.floats(allow_nan=False, allow_infinity=False),
+       mux_rate=st.floats(allow_nan=False, allow_infinity=False))
+def test_codebook_json_round_trip_is_bitwise(tmp_path_factory, shape, data, snr, mux_rate):
+    # entries of modulus below 1 keep every word inside the power constraint
+    parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+    size = 2 * int(np.prod(shape))
+    flat = np.array(data.draw(st.lists(parts, min_size=size, max_size=size)))
+    book = Codebook(words=flat.view(complex).reshape(shape), snr=snr, mux_rate=mux_rate)
+    path = tmp_path_factory.mktemp("book") / "book.json"
+    path.write_text(json.dumps(book.to_json()))
+    clone = Codebook.load(path)
+    # every float, signed zeros included, comes back bit for bit
+    assert clone.words.shape == book.words.shape
+    assert np.array_equal(clone.words.view(float).view(np.int64),
+                          book.words.view(float).view(np.int64))
+    assert np.array_equal(np.array([clone.snr, clone.mux_rate]).view(np.int64),
+                          np.array([snr, mux_rate]).view(np.int64))
 
 
 def test_codebook_peak_power_enforced():
