@@ -51,6 +51,7 @@ from .precoder import (
 from .sim import (
     PepBound,
     TraceBoundInstance,
+    error_curve,
     least_favorable_trace,
     pep_chernoff,
     pep_monte_carlo,
@@ -69,6 +70,7 @@ from .tradeoff import (
     jensen_dmt_curve,
     jensen_mutual_information,
     mutual_information,
+    outage_curve,
     singularity_levels,
 )
 

@@ -90,12 +90,17 @@ def spawn_rng(master_seed, *path):
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path)))
 
 
-def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None):
-    """Sum ``chunk_fn(spawn_rng(master_seed, c), size)`` over the chunks c of
-    the fixed MC_CHUNK grid, in chunk order, so a fixed seed gives the same
-    total for any ``workers``. A positive ``min_events`` stops after the first
-    wave of MC_WAVE chunks whose running total reaches it; None or 0 runs the
-    full cap. Returns ``(total, trials_run)``."""
+def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None, num_points=1):
+    """Per-point sums of ``chunk_fn(spawn_rng(master_seed, c), size, live)``
+    over the chunks c of the fixed MC_CHUNK grid, in chunk order, so a fixed
+    seed gives the same totals for any ``workers``. ``chunk_fn`` returns one
+    total per point of a grid of ``num_points``; only the entries of ``live``,
+    the indices of the points still running, are read. A positive
+    ``min_events`` retires a point after the first wave of MC_WAVE chunks whose
+    running total for it reaches it, and stops once every point has retired;
+    None or 0 runs the full cap. A point's total and trial count are thus those
+    of a grid of that point alone. Returns ``(totals, trials_run)``, two lists
+    with one entry per point."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if workers < 1:
@@ -105,22 +110,30 @@ def run_chunks(chunk_fn, trials, master_seed, workers=1, min_events=None):
     num_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     wave = MC_WAVE if min_events else num_chunks
 
-    def run(chunk_idx):
+    def run(chunk_idx, live):
         size = min(MC_CHUNK, trials - chunk_idx * MC_CHUNK)
-        return chunk_fn(spawn_rng(master_seed, chunk_idx), size)
+        return chunk_fn(spawn_rng(master_seed, chunk_idx), size, live)
 
-    total = 0
+    totals = [0] * num_points
+    done = [trials] * num_points
+    live = tuple(range(num_points))
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         for start in range(0, num_chunks, wave):
             chunks = range(start, min(start + wave, num_chunks))
-            for result in pool.map(run, chunks):
-                total += result
-            if min_events and total >= min_events:
-                break
+            for result in pool.map(run, chunks, [live] * len(chunks)):
+                for j in live:
+                    totals[j] += result[j]
+            if min_events:
+                for j in live:
+                    if totals[j] >= min_events:
+                        done[j] = min(trials, chunks.stop * MC_CHUNK)
+                live = tuple(j for j in live if totals[j] < min_events)
+                if not live:
+                    break
     finally:  # on an error or interrupt, drop the chunks not yet started
         pool.shutdown(cancel_futures=True)
-    return total, min(trials, chunks.stop * MC_CHUNK)
+    return totals, done
 
 
 def batches(count, per_item):

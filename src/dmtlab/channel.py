@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._util import (
+    FieldError,
     assert_hermitian,
     complex_normal,
     complex_pairs,
@@ -120,13 +121,21 @@ class FadingModel:
     covariance ``entries(n)`` (before unit-power normalisation), and the
     reader ``from_doc(doc)`` of its config section, whose errors name the
     field as ``model.<key>``. ``MODELS`` maps each kind to its class. The
-    reader here serves models whose parameters are all integers."""
+    reader here serves models whose parameters are all counts."""
 
     kind = None
 
     @classmethod
     def from_doc(cls, doc):
-        return cls(**{f.name: json_field(doc, f.name, "model", int) for f in fields(cls)})
+        return cls(**{f.name: _count(doc, f.name) for f in fields(cls)})
+
+
+def _count(doc, key):
+    """``doc[key]`` of a model section, read as a positive integer."""
+    value = json_field(doc, key, "model", int)
+    if value < 1:
+        raise FieldError(f"model.{key}: must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -194,8 +203,12 @@ class CyclicIsi(FadingModel):
 
     @classmethod
     def from_doc(cls, doc):
-        return cls(num_taps=json_field(doc, "num_taps", "model", int),
-                   power_delay_profile=json_floats(doc, "power_delay_profile", "model"))
+        num_taps = _count(doc, "num_taps")
+        profile = json_floats(doc, "power_delay_profile", "model")
+        try:  # with a valid tap count, only the profile can be at fault
+            return cls(num_taps=num_taps, power_delay_profile=profile)
+        except ValueError as exc:
+            raise FieldError(f"model.power_delay_profile: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,9 @@ from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, buil
 from .codes import (Codebook, effective_eigs, structural_count, verify_dmt_criterion,
                     verify_rank_r0)
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
-from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, chernoff_bound,
-                  simulate_error_prob, trace_oracle)
-from .tradeoff import (
-    FixedRate,
-    ScalingRate,
-    SnrPoint,
-    estimate_outage,
-    jensen_dmt_curve,
-)
+from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, chernoff_bound, error_curve,
+                  trace_oracle)
+from .tradeoff import FixedRate, ScalingRate, SnrPoint, jensen_dmt_curve, outage_curve
 
 _LN2 = float(np.log(2.0))
 
@@ -83,8 +77,10 @@ def _config_from_doc(doc):
     except ValueError as exc:
         raise ConfigError(f"dims: {exc}") from exc
     snr_db = json_floats(doc, "snr_db", "config")
+    if not snr_db:
+        raise ConfigError("config.snr_db: grid must not be empty")
     if list(snr_db) != sorted(snr_db):
-        raise ConfigError("snr_db: grid must be ascending")
+        raise ConfigError("config.snr_db: grid must be ascending")
     rate_doc = json_field(doc, "rate", "config")
     mode = json_field(rate_doc, "mode", "rate")
     if mode == "fixed":
@@ -166,13 +162,13 @@ def _cmd_outage(args):
     trials = config.trials if args.trials is None else args.trials
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
-    rows = []
-    for snr_db in config.snr_db:
-        point = SnrPoint(snr=float(db_to_linear(snr_db)), rate_mode=config.rate_mode)
-        est = estimate_outage(cov, config.dims, point, bound=args.bound,
-                              trials=trials, master_seed=seed,
-                              min_events=args.min_events, workers=args.workers)
-        rows.append([snr_db, est.probability, est.ci_low, est.ci_high, est.trials])
+    points = [SnrPoint(snr=float(db_to_linear(snr_db)), rate_mode=config.rate_mode)
+              for snr_db in config.snr_db]
+    estimates = outage_curve(cov, config.dims, points, bound=args.bound,
+                             trials=trials, master_seed=seed, min_events=args.min_events,
+                             workers=args.workers)
+    rows = [[snr_db, est.probability, est.ci_low, est.ci_high, est.trials]
+            for snr_db, est in zip(config.snr_db, estimates)]
     report = {"columns": ["snr_db", "probability", "ci_low", "ci_high", "trials"],
               "rows": rows}
     write_report(report, "csv", args.out or config.output)
@@ -185,22 +181,19 @@ def _cmd_error_sim(args):
     seed = config.master_seed if args.seed is None else args.seed
     cov = build_covariance(config.model, config.dims.block_len)
     book = Codebook.load(args.codebook)
+    snrs = [float(db_to_linear(snr_db)) for snr_db in config.snr_db]
+    estimates = error_curve(cov, config.dims, book, snrs, trials=trials, master_seed=seed,
+                            workers=args.workers)
     columns = ["snr_db", "error_rate", "ci_low", "ci_high", "trials"]
+    rows = [[snr_db, est.error_rate, est.ci_low, est.ci_high, est.trials]
+            for snr_db, est in zip(config.snr_db, estimates)]
     if args.with_outage:
         columns.append("outage_rate")
-    rows = []
-    for snr_db in config.snr_db:
-        snr = float(db_to_linear(snr_db))
-        est = simulate_error_prob(cov, config.dims, book, snr=snr, trials=trials,
-                                  master_seed=seed, workers=args.workers)
-        row = [snr_db, est.error_rate, est.ci_low, est.ci_high, est.trials]
-        if args.with_outage:
-            point = SnrPoint(snr=snr, rate_mode=config.rate_mode)
-            out = estimate_outage(cov, config.dims, point, trials=trials,
-                                  master_seed=seed, min_events=None,
-                                  workers=args.workers)
+        points = [SnrPoint(snr=snr, rate_mode=config.rate_mode) for snr in snrs]
+        outages = outage_curve(cov, config.dims, points, trials=trials, master_seed=seed,
+                               min_events=None, workers=args.workers)
+        for row, out in zip(rows, outages):
             row.append(out.probability)
-        rows.append(row)
     write_report({"columns": columns, "rows": rows}, "csv", args.out or config.output)
     return 0
 

@@ -156,36 +156,48 @@ def _word_table(x, amp):
     return np.concatenate(cols, axis=-1).reshape(len(x), -1)
 
 
-def _trial_features(blocks, received):
-    """Real (trials, slots * (T**2 + 2T)) features matching ``_word_table``:
-    per slot the diagonal and the Re/Im upper triangle of the Gram H_n^H H_n,
-    and the Re/Im matched filter H_n^H r_n."""
+def _gram_features(blocks):
+    """Real (trials, slots, T**2) SNR-free features of ``_trial_features``: per
+    slot the diagonal and the Re/Im upper triangle of the Gram H_n^H H_n."""
     conj = blocks.conj()
     jj, kk = np.triu_indices(blocks.shape[-1], 1)
     upper = np.einsum("cnrp,cnrp->cnp", conj[..., jj], blocks[..., kk])
-    matched = np.einsum("cnri,cnr->cni", conj, received)
-    cols = (np.einsum("cnri,cnri->cni", conj, blocks).real, upper.real, upper.imag,
-            matched.real, matched.imag)
-    return np.concatenate(cols, axis=-1).reshape(len(blocks), -1)
+    return np.concatenate((np.einsum("cnri,cnri->cni", conj, blocks).real, upper.real,
+                           upper.imag), axis=-1)
 
 
-def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
-                        noise_scale=1.0, workers=1):
-    """Exhaustive-ML decoding error rate over random channels and noise.
+def _trial_features(gram, blocks, received):
+    """Real (trials, slots * (T**2 + 2T)) features matching ``_word_table``:
+    per slot the ``_gram_features`` ``gram`` of ``blocks`` and the Re/Im
+    matched filter H_n^H r_n."""
+    matched = np.einsum("cnri,cnr->cni", blocks.conj(), received)
+    return np.concatenate((gram, matched.real, matched.imag), axis=-1).reshape(len(blocks), -1)
+
+
+def error_curve(cov, dims, transmit, snrs, trials=10_000, master_seed=0, noise_scale=1.0,
+                workers=1):
+    """Exhaustive-ML decoding error rates over a grid of SNRs, one
+    ``ErrorEstimate`` with a Wilson 95% interval per SNR, in grid order.
 
     Per trial: draw a correlated channel, pick a codeword uniformly, add
     white complex Gaussian noise (scaled by ``noise_scale``; zero gives a
     sanity mode that must decode perfectly), decode by minimizing the
-    slot-summed distance over the whole codebook. Wilson 95% interval.
-    Designed for desk-scale codebooks; decoding cost is linear in the
-    codebook size.
+    slot-summed distance over the whole codebook. Designed for desk-scale
+    codebooks; decoding cost is linear in the codebook size. Every SNR sees
+    the same channels, words and noise (common random numbers): each chunk
+    is drawn and mixed once and decoded at every SNR, and an SNR's estimate
+    is that of a grid of that SNR alone.
 
     The distance is expanded as ||r||**2 - 2 amp Re<H^H r, x_w> +
     amp**2 sum_n x_{w,n}^H H_n^H H_n x_{w,n}; ||r||**2 is common to all
     words, so the rest is one real matrix product of per-trial features with
     a per-word table, taken over the chunk's sub-blocks (``_util.batches``).
     """
-    _check_nonnegative(snr, "snr")
+    snrs = tuple(snrs)
+    if not snrs:
+        raise ValueError("the SNR grid must not be empty")
+    for snr in snrs:
+        _check_nonnegative(snr, "snr")
     _check_nonnegative(noise_scale, "noise_scale")
     words = _resolve_words(transmit)
     num_words, num_tx, n = words.shape
@@ -193,28 +205,40 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
         raise ValueError("codebook must be nonempty")
     if (num_tx, n) != (dims.num_tx, dims.block_len):
         raise ValueError("codeword shape does not match the channel dimensions")
-    amp = np.sqrt(snr / num_tx)
+    amps = [np.sqrt(snr / num_tx) for snr in snrs]
     slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
-    table = _word_table(slot_words, amp)
+    tables = [_word_table(slot_words, amp).T for amp in amps]
 
-    def run_chunk(rng, size):
+    def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
         noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
-        wrong = 0
+        wrong = [0] * len(snrs)
         # the (trials, words) decode product is the sub-block's largest temporary
         for block in batches(size, num_words):
             blocks = mix_white(cov, white[block])
-            received = (amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
-                        + noise[block])
-            decoded = np.argmin(_trial_features(blocks, received) @ table.T, axis=1)
-            wrong += int(np.count_nonzero(decoded != sent[block]))
+            faded = np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
+            gram = _gram_features(blocks)
+            for j in live:
+                received = amps[j] * faded + noise[block]
+                decoded = np.argmin(_trial_features(gram, blocks, received) @ tables[j], axis=1)
+                wrong[j] += int(np.count_nonzero(decoded != sent[block]))
         return wrong
 
-    errors, trials = run_chunks(run_chunk, trials, master_seed, workers)
-    low, high = wilson_interval(errors, trials)
-    return ErrorEstimate(error_rate=errors / trials, trials=trials, errors=errors,
-                         ci_low=low, ci_high=high)
+    errors, done = run_chunks(run_chunk, trials, master_seed, workers, num_points=len(snrs))
+    estimates = []
+    for count, runs in zip(errors, done):
+        low, high = wilson_interval(count, runs)
+        estimates.append(ErrorEstimate(error_rate=count / runs, trials=runs, errors=count,
+                                       ci_low=low, ci_high=high))
+    return estimates
+
+
+def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
+                        noise_scale=1.0, workers=1):
+    """``error_curve`` on the grid of the one SNR ``snr``."""
+    return error_curve(cov, dims, transmit, (snr,), trials, master_seed, noise_scale,
+                       workers)[0]
 
 
 def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
@@ -224,9 +248,9 @@ def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
     e = np.asarray(e, dtype=complex)
     coef = snr / (4.0 * dims.num_tx)
 
-    def run_chunk(rng, size):
+    def run_chunk(rng, size, live):
         faded = np.einsum("cnij,jn->cni", sample_channel_batch(cov, dims, size, rng), e)
-        return float(np.sum(np.exp(-coef * np.sum(np.abs(faded) ** 2, axis=(1, 2)))))
+        return [float(np.sum(np.exp(-coef * np.sum(np.abs(faded) ** 2, axis=(1, 2)))))]
 
-    total, trials = run_chunks(run_chunk, trials, master_seed)
+    (total,), (trials,) = run_chunks(run_chunk, trials, master_seed)
     return total / trials

@@ -143,8 +143,10 @@ def jensen_dmt_curve(rho, dims, variant="jensen"):
     return DmtCurve(points=tuple(points))
 
 
-def _logdet_identity_plus(h, a):
-    """log det(I + a h h^H) over a (..., k, m) batch of wide matrices, k <= m.
+def _logdet_identity_plus(h):
+    """a -> log det(I + a h h^H) over a (..., k, m) batch of wide matrices,
+    k <= m. The SNR-free work (||h||_F^2, the minor sum or the Gram) is done
+    here, once; each call of the returned function does only the SNR step.
 
     For k <= 2 rows this is the closed form log1p(a ||h||_F^2 + a^2 det(h h^H)),
     where det(h h^H) is the sum of the squared 2x2 minors of h (Cauchy-Binet;
@@ -154,16 +156,17 @@ def _logdet_identity_plus(h, a):
     k, m = h.shape[-2:]
     if k > 2:
         gram = np.einsum("...ij,...kj->...ik", h, h.conj())
-        return np.linalg.slogdet(np.eye(k) + a * gram)[1]
+        return lambda a: np.linalg.slogdet(np.eye(k) + a * gram)[1]
     if k == 1:
-        return np.log1p(a * (np.abs(h[..., 0, :]) ** 2).sum(axis=-1))
+        power = (np.abs(h[..., 0, :]) ** 2).sum(axis=-1)
+        return lambda a: np.log1p(a * power)
     power = (np.abs(h) ** 2).sum(axis=(-2, -1))
     top, bottom = h[..., 0, :], h[..., 1, :]
     det = 0.0
     for shift in range(1, m):  # all minors on columns (j, j + shift) at once
         minor = top[..., :-shift] * bottom[..., shift:] - top[..., shift:] * bottom[..., :-shift]
         det = det + (minor.real ** 2 + minor.imag ** 2).sum(axis=-1)
-    return np.log1p(a * power + a * a * det)
+    return lambda a: np.log1p(a * power + a * a * det)
 
 
 def _wide(blocks):
@@ -179,46 +182,66 @@ def _jensen_stack(blocks):
     return wide.transpose(0, 2, 1, 3).reshape(len(blocks), wide.shape[2], -1)
 
 
+def _information(blocks, bound):
+    """snr -> per-draw information of a (count, N, M_R, M_T) batch under
+    ``bound``: the average slot log-det ("full") or the log-det of the Jensen
+    channel ("jensen"). The SNR-free work is done once, here."""
+    _, n, _, num_tx = blocks.shape
+    if bound == "full":
+        logdet = _logdet_identity_plus(_wide(blocks))
+        return lambda snr: logdet(snr / num_tx).mean(axis=1)
+    logdet = _logdet_identity_plus(_jensen_stack(blocks))
+    return lambda snr: logdet(snr / (num_tx * n))
+
+
 def _mutual_information_batch(blocks, snr):
     """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
-    return _logdet_identity_plus(_wide(blocks), snr / blocks.shape[-1]).mean(axis=1)
+    return _information(blocks, "full")(snr)
 
 
 def _jensen_information_batch(blocks, snr):
     """Per-draw log-det of the Jensen channels of a (count, N, M_R, M_T) batch."""
-    _, n, _, num_tx = blocks.shape
-    return _logdet_identity_plus(_jensen_stack(blocks), snr / (num_tx * n))
+    return _information(blocks, "jensen")(snr)
 
 
-def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=0,
-                    min_events=100, workers=1):
-    """Monte-Carlo outage probability with a 95% Wilson interval.
+def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
+                 min_events=100, workers=1):
+    """Monte-Carlo outage probabilities over a grid of SNR points, one
+    ``OutageEstimate`` with a 95% Wilson interval per point, in grid order.
 
     Parameters
     ----------
     cov : CovarianceMatrix
     dims : ChannelDims
-    point : SnrPoint
+    points : nonempty sequence of SnrPoint
     bound : {"full", "jensen"}
         Whether outage is declared on the per-slot average information or on
         the stacked-channel upper bound.
     trials : int
-        Trial cap. Sampling stops early once ``min_events`` outage events
-        have accumulated (checked on a fixed chunk schedule so results do
-        not depend on the worker count); ``min_events`` of None or 0 always
-        runs the full cap.
+        Trial cap per point. A point stops early once ``min_events`` outage
+        events have accumulated at it (checked on a fixed chunk schedule so
+        results do not depend on the worker count); ``min_events`` of None or
+        0 always runs the full cap.
     master_seed : int
         Chunk c draws from the generator seeded by (master_seed, c), so a
         fixed seed gives byte-identical results for any ``workers``.
+
+    Every point of the grid sees the same draws (common random numbers):
+    each chunk is drawn and mixed once, and every point still running is
+    evaluated on it. A point's estimate is that of a grid of that point
+    alone.
     """
-    if isinstance(point.rate_mode, ScalingRate):
-        r = point.rate_mode.mux_rate
-        if not 0 <= r <= dims.min_ant:
-            raise ValueError("multiplexing rate must lie in [0, min_ant]")
+    points = tuple(points)
+    if not points:
+        raise ValueError("the SNR grid must not be empty")
+    for point in points:
+        if isinstance(point.rate_mode, ScalingRate):
+            r = point.rate_mode.mux_rate
+            if not 0 <= r <= dims.min_ant:
+                raise ValueError("multiplexing rate must lie in [0, min_ant]")
     if bound not in ("full", "jensen"):
         raise ValueError(f"unknown bound: {bound!r}")
-    rate = point.rate_nats()
-    info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
+    rates = [point.rate_nats() for point in points]
 
     # a trial's channel-sized complex temporaries (the mix, the log-det
     # kernel's), counted as 16 real entries per channel entry: at 8, the
@@ -226,18 +249,29 @@ def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=
     # chunk in a process whose first numpy.random call ran on a worker thread
     per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
 
-    def run_chunk(rng, size):
+    def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
-        events = 0
+        events = [0] * len(points)
         for block in batches(size, per_trial):
-            info = info_batch(mix_white(cov, white[block]), point.snr)
-            events += int(np.count_nonzero(info < rate))
+            info = _information(mix_white(cov, white[block]), bound)
+            for j in live:
+                events[j] += int(np.count_nonzero(info(points[j].snr) < rates[j]))
         return events
 
-    events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events)
-    low, high = wilson_interval(events, done)
-    return OutageEstimate(probability=events / done, trials=done,
-                          outage_events=events, ci_low=low, ci_high=high)
+    events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events, len(points))
+    estimates = []
+    for count, runs in zip(events, done):
+        low, high = wilson_interval(count, runs)
+        estimates.append(OutageEstimate(probability=count / runs, trials=runs,
+                                        outage_events=count, ci_low=low, ci_high=high))
+    return estimates
+
+
+def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=0,
+                    min_events=100, workers=1):
+    """``outage_curve`` on the grid of one SnrPoint ``point``."""
+    return outage_curve(cov, dims, (point,), bound, trials, master_seed, min_events,
+                        workers)[0]
 
 
 def fit_diversity_slope(curve, window_db):

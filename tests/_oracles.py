@@ -2,9 +2,98 @@
 
 import numpy as np
 
+from dmtlab import sim
+from dmtlab._util import batches, complex_normal, run_chunks, wilson_interval
+from dmtlab.channel import draw_white, mix_white
+from dmtlab.sim import ErrorEstimate
+from dmtlab.tradeoff import (OutageEstimate, _jensen_information_batch,
+                             _mutual_information_batch)
+
 
 def psd_root(cov):
     """Hermitian PSD square root of ``cov.entries``: eigendecomposition with
     negative rounding-level eigenvalues clipped to zero."""
     w, v = np.linalg.eigh(cov.entries)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def logdet_identity_plus(h, a):
+    """log det(I + a h h^H) over a (..., k, m) batch of wide matrices in one
+    pass: the closed form of ``tradeoff._logdet_identity_plus`` before it was
+    split into an SNR-free stage and an SNR step, with the same arithmetic."""
+    k, m = h.shape[-2:]
+    if k > 2:
+        gram = np.einsum("...ij,...kj->...ik", h, h.conj())
+        return np.linalg.slogdet(np.eye(k) + a * gram)[1]
+    if k == 1:
+        return np.log1p(a * (np.abs(h[..., 0, :]) ** 2).sum(axis=-1))
+    power = (np.abs(h) ** 2).sum(axis=(-2, -1))
+    top, bottom = h[..., 0, :], h[..., 1, :]
+    det = 0.0
+    for shift in range(1, m):
+        minor = top[..., :-shift] * bottom[..., shift:] - top[..., shift:] * bottom[..., :-shift]
+        det = det + (minor.real ** 2 + minor.imag ** 2).sum(axis=-1)
+    return np.log1p(a * power + a * a * det)
+
+
+def single_point_outage(cov, dims, point, bound, trials, master_seed, min_events, workers):
+    """The outage estimate of one SNR point by the per-point chunk loop that
+    ran once per grid SNR before the grid became the unit of work: each chunk
+    is drawn, mixed and evaluated for this point alone."""
+    rate = point.rate_nats()
+    info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
+    per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
+
+    def run_chunk(rng, size, live):
+        white = draw_white(cov, dims, size, rng)
+        events = 0
+        for block in batches(size, per_trial):
+            info = info_batch(mix_white(cov, white[block]), point.snr)
+            events += int(np.count_nonzero(info < rate))
+        return [events]
+
+    (events,), (done,) = run_chunks(run_chunk, trials, master_seed, workers, min_events)
+    low, high = wilson_interval(events, done)
+    return OutageEstimate(probability=events / done, trials=done,
+                          outage_events=events, ci_low=low, ci_high=high)
+
+
+def _one_pass_features(blocks, received):
+    """``sim._trial_features`` of a sub-block built in one pass, Gram and
+    matched filter together."""
+    conj = blocks.conj()
+    jj, kk = np.triu_indices(blocks.shape[-1], 1)
+    upper = np.einsum("cnrp,cnrp->cnp", conj[..., jj], blocks[..., kk])
+    matched = np.einsum("cnri,cnr->cni", conj, received)
+    cols = (np.einsum("cnri,cnri->cni", conj, blocks).real, upper.real, upper.imag,
+            matched.real, matched.imag)
+    return np.concatenate(cols, axis=-1).reshape(len(blocks), -1)
+
+
+def single_snr_errors(cov, dims, transmit, snr, trials, master_seed, noise_scale, workers):
+    """The ML error estimate at one SNR by the per-SNR chunk loop that ran
+    once per grid SNR before the grid became the unit of work: each chunk is
+    drawn, mixed and decoded at this SNR alone."""
+    words = sim._resolve_words(transmit)
+    num_words, num_tx, n = words.shape
+    amp = np.sqrt(snr / num_tx)
+    slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
+    table = sim._word_table(slot_words, amp)
+
+    def run_chunk(rng, size, live):
+        white = draw_white(cov, dims, size, rng)
+        sent = rng.integers(0, num_words, size)
+        noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
+        wrong = 0
+        for block in batches(size, num_words):
+            blocks = mix_white(cov, white[block])
+            received = (amp * np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
+                        + noise[block])
+            decoded = np.argmin(_one_pass_features(blocks, received) @ table.T, axis=1)
+            wrong += int(np.count_nonzero(decoded != sent[block]))
+        return [wrong]
+
+    (errors,), (done,) = run_chunks(run_chunk, trials, master_seed, workers)
+    low, high = wilson_interval(errors, done)
+    return ErrorEstimate(error_rate=errors / done, trials=done, errors=errors,
+                         ci_low=low, ci_high=high)

@@ -201,6 +201,39 @@ def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc, field):
     assert capsys.readouterr().err.startswith(f"config error: {path}: {field}: ")
 
 
+# each out-of-range config with the field its config error names
+RANGE_CASES = {
+    "empty-grid": ({"snr_db": []}, "config.snr_db"),
+    "num_blocks-zero": (_model_section(kind="block", num_blocks=0, block_len=4),
+                        "model.num_blocks"),
+    "block_len-negative": (_model_section(kind="block", num_blocks=2, block_len=-2),
+                           "model.block_len"),
+    "num_taps-zero": (_model_section(kind="isi", num_taps=0, power_delay_profile=[]),
+                      "model.num_taps"),
+    "pdp-length": (_model_section(kind="isi", num_taps=2, power_delay_profile=[1.0]),
+                   "model.power_delay_profile"),
+    "pdp-negative": (_model_section(kind="isi", num_taps=2, power_delay_profile=[1.0, -0.5]),
+                     "model.power_delay_profile"),
+    "pdp-zero": (_model_section(kind="isi", num_taps=2, power_delay_profile=[0.0, 0.0]),
+                 "model.power_delay_profile"),
+}
+
+
+@pytest.mark.parametrize("doc,field", RANGE_CASES.values(), ids=RANGE_CASES)
+@pytest.mark.parametrize("command", ["outage", "error-sim"])
+def test_config_out_of_range_exits_2_naming_field(tmp_path, capsys, doc, field, command):
+    # an empty grid used to print only the CSV header and exit 0, and model
+    # range errors named the section ("model: block counts must be positive")
+    cfg = _write_config(tmp_path / "c.json", **doc)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "error-sim":
+        argv += ["--codebook", str(_antipodal_book(tmp_path))]
+    assert dispatch(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: {field}: ")
+
+
 @pytest.mark.parametrize("rate,dims,command,field", [
     ({"mode": "fixed", "bits": -1}, (1, 1), "outage", "rate.bits"),
     ({"mode": "fixed", "bits": -1}, (1, 1), "error-sim-outage", "rate.bits"),
@@ -312,7 +345,7 @@ _CONFIG_DOCS = st.builds(
         "snr_db": sorted(snr), "rate": _rate_doc(*rate, min(mt, mr)), "trials": trials,
         "seed": seed, "epsilon": eps},
     _model_docs(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
-    st.lists(st.floats(-20.0, 60.0), max_size=4),
+    st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=4),
     st.one_of(st.tuples(st.just("fixed"), st.floats(0.0, 30.0)),
               st.tuples(st.just("scaling"), st.floats(0.0, 1.0))),
     st.integers(1, 10 ** 9), st.integers(0, 2 ** 31 - 1), st.floats(0.0, 1.0))

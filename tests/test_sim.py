@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmtlab import _util, sim
 from dmtlab.channel import (
+    BlockFading,
     ChannelDims,
     CyclicIsi,
     Fast,
@@ -15,6 +18,7 @@ from dmtlab.codes import Codebook, permutation_codebook, qam_family
 from dmtlab.precoder import apply_precoder, classic_precoder
 from dmtlab.sim import (
     TraceBoundInstance,
+    error_curve,
     least_favorable_trace,
     pep_chernoff,
     pep_monte_carlo,
@@ -23,6 +27,8 @@ from dmtlab.sim import (
 )
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
 from dmtlab._util import MC_CHUNK, spawn_rng
+
+from _oracles import single_snr_errors
 
 
 def test_pep_zero_difference_is_one():
@@ -281,7 +287,7 @@ def test_expanded_metric_matches_dense(cov_name, num_tx, num_rx, noise_scale):
     dense = _dense_metric(faded, received, amp)
     power = np.sum(np.abs(received) ** 2, axis=(1, 2))
     table = sim._word_table(np.swapaxes(words, 1, 2), amp)
-    expanded = sim._trial_features(blocks, received) @ table.T
+    expanded = sim._trial_features(sim._gram_features(blocks), blocks, received) @ table.T
     scale = power[:, None] + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
     assert np.max(np.abs(expanded + power[:, None] - dense) / scale) < 1e-12
     assert np.array_equal(np.argmin(expanded, axis=1), np.argmin(dense, axis=1))
@@ -349,3 +355,49 @@ def test_sub_blocks_do_not_change_error_estimate(monkeypatch, block_trials, work
         monkeypatch.undo()
     assert simulate_error_prob(cov, dims, book, **kwargs) == whole
     assert whole.errors > 0
+
+
+# one case per fading model kind and a 3 x 3 link
+_ERROR_CURVE_CASES = {
+    "flat": (build_covariance(Flat(), 4), ChannelDims(2, 2, 4)),
+    "fast": (build_covariance(Fast(), 4), ChannelDims(1, 2, 4)),
+    "block": (build_covariance(BlockFading(2, 2), 4), ChannelDims(2, 1, 4)),
+    "isi": (_DECODE_COVS["isi"], ChannelDims(2, 2, 4)),
+    "tf": (_DECODE_COVS["tf"], ChannelDims(1, 1, 4)),
+    "mimo3x3": (_DECODE_COVS["isi"], ChannelDims(3, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+@pytest.mark.parametrize("case", sorted(_ERROR_CURVE_CASES))
+def test_error_curve_equals_single_snr_oracle(case, noise_scale):
+    cov, dims = _ERROR_CURVE_CASES[case]
+    book = _random_book(spawn_rng(69, dims.num_tx), 16, dims.num_tx)
+    snrs = (1.0, 4.0, 10.0, 40.0)
+    trials = MC_CHUNK + 700
+    expected = [single_snr_errors(cov, dims, book, snr, trials, 70, noise_scale, 1)
+                for snr in snrs]
+    for workers in (1, 2):
+        assert error_curve(cov, dims, book, snrs, trials, 70, noise_scale, workers) == expected
+    assert sum(est.errors for est in expected) > 0 if noise_scale else all(
+        est.errors == 0 for est in expected)
+
+
+def test_error_curve_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        error_curve(build_covariance(Flat(), 2), ChannelDims(1, 1, 2),
+                    _random_book(spawn_rng(71), 4, 1, n=2), [], trials=100)
+
+
+_PROPERTY_SNRS = (0.5, 2.0, 8.0, 32.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(picks=st.lists(st.integers(0, len(_PROPERTY_SNRS) - 1), min_size=1, max_size=6),
+       trials=st.integers(1, 2 * MC_CHUNK))
+def test_error_curve_of_a_shuffled_or_repeated_grid_is_permuted(picks, trials):
+    cov, dims = _DECODE_COVS["isi"], ChannelDims(1, 1, 4)
+    book = _random_book(spawn_rng(72), 8, 1)
+    base = error_curve(cov, dims, book, _PROPERTY_SNRS, trials, 73)
+    picked = error_curve(cov, dims, book, [_PROPERTY_SNRS[k] for k in picks], trials, 73)
+    assert picked == [base[k] for k in picks]

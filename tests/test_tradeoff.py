@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmtlab import _util
+from dmtlab import _util, tradeoff
 from dmtlab.channel import (
+    MODELS,
     BlockFading,
     ChannelDims,
     CyclicIsi,
@@ -27,11 +30,14 @@ from dmtlab.tradeoff import (
     jensen_dmt_curve,
     jensen_mutual_information,
     mutual_information,
+    outage_curve,
     singularity_levels,
     _jensen_information_batch,
     _mutual_information_batch,
 )
 from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
+
+from _oracles import logdet_identity_plus, single_point_outage
 
 
 def _realization(blocks):
@@ -193,6 +199,23 @@ def test_three_antenna_case_takes_slogdet_path(monkeypatch):
     assert not calls  # two rows take the closed form
 
 
+@pytest.mark.parametrize("num_rx,num_tx", KERNEL_SHAPES + [(3, 3), (3, 4)])
+def test_staged_information_equals_one_pass_kernel_bitwise(num_rx, num_tx):
+    # the SNR-free stage runs once and the SNR step at each SNR, with the
+    # arithmetic of the one-pass kernel, so the log-dets are equal bit for bit
+    blocks = complex_normal(spawn_rng(17, num_rx, num_tx), (300, 4, num_rx, num_tx))
+    wide = blocks if num_rx <= num_tx else blocks.swapaxes(-1, -2)
+    stack = wide.transpose(0, 2, 1, 3).reshape(300, wide.shape[2], -1)
+    for bound in ("full", "jensen"):
+        info = tradeoff._information(blocks, bound)
+        for snr in db_to_linear(KERNEL_SNR_DB):
+            if bound == "full":
+                expected = logdet_identity_plus(wide, snr / num_tx).mean(axis=1)
+            else:
+                expected = logdet_identity_plus(stack, snr / (num_tx * 4))
+            assert np.array_equal(info(snr), expected)
+
+
 def test_singularity_levels_trivia():
     levels = singularity_levels(_realization(np.full((1, 1, 1), 1.0)), 100.0)
     assert levels.per_slot[0, 0] == pytest.approx(0.0)
@@ -321,34 +344,55 @@ def test_run_chunks_grid_waves_and_order(workers):
     trials = 20 * MC_CHUNK + 5
     sizes = []
 
-    def count_chunk(rng, size):
+    def count_chunk(rng, size, live):
         sizes.append(size)
-        return 1
+        return [1]
 
-    assert run_chunks(count_chunk, trials, 0, workers) == (21, trials)
+    assert run_chunks(count_chunk, trials, 0, workers) == ([21], [trials])
     assert sorted(sizes) == [5] + [MC_CHUNK] * 20
     # stop only on a wave boundary, once the running total reaches min_events
-    assert run_chunks(count_chunk, trials, 0, workers, 1) == (MC_WAVE, MC_WAVE * MC_CHUNK)
+    assert run_chunks(count_chunk, trials, 0, workers, 1) == ([MC_WAVE], [MC_WAVE * MC_CHUNK])
     assert run_chunks(count_chunk, trials, 0, workers, MC_WAVE + 1) == (
-        2 * MC_WAVE, 2 * MC_WAVE * MC_CHUNK)
-    assert run_chunks(count_chunk, trials, 0, workers, 0) == (21, trials)
+        [2 * MC_WAVE], [2 * MC_WAVE * MC_CHUNK])
+    assert run_chunks(count_chunk, trials, 0, workers, 0) == ([21], [trials])
     # float totals are summed in chunk order from the (seed, chunk) streams
-    total, done = run_chunks(lambda rng, size: rng.standard_normal() * size, trials, 7, workers)
+    total, done = run_chunks(lambda rng, size, live: [rng.standard_normal() * size],
+                             trials, 7, workers)
     expected = 0.0
     for chunk in range(21):
         expected += spawn_rng(7, chunk).standard_normal() * min(MC_CHUNK, trials - chunk * MC_CHUNK)
-    assert (total, done) == (expected, trials)
+    assert (total, done) == ([expected], [trials])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_chunks_retires_each_point_on_its_own_wave(workers):
+    # point j gains j events a chunk: 0 never retires, 1 retires after the
+    # second wave, 2 and 3 after the first; retired points are not evaluated
+    trials = 20 * MC_CHUNK + 5
+    lives = []
+
+    def chunk(rng, size, live):
+        lives.append(live)
+        return [j if j in live else None for j in range(4)]
+
+    totals, done = run_chunks(chunk, trials, 0, workers, MC_WAVE + 1, num_points=4)
+    assert totals == [0, 2 * MC_WAVE, 2 * MC_WAVE, 3 * MC_WAVE]
+    assert done == [trials, 2 * MC_WAVE * MC_CHUNK, MC_WAVE * MC_CHUNK, MC_WAVE * MC_CHUNK]
+    assert lives == [(0, 1, 2, 3)] * MC_WAVE + [(0, 1)] * MC_WAVE + [(0,)] * 5
+    for j in range(4):  # each point alone runs the same waves
+        alone = run_chunks(lambda rng, size, live: [j], trials, 0, workers, MC_WAVE + 1)
+        assert alone == ([totals[j]], [done[j]])
 
 
 def test_run_chunks_error_drops_queued_chunks():
     calls = []
 
-    def failing_chunk(rng, size):
+    def failing_chunk(rng, size, live):
         calls.append(size)
         if len(calls) == 1:
             raise RuntimeError("chunk failed")
         time.sleep(0.01)
-        return 0
+        return [0]
 
     with pytest.raises(RuntimeError, match="chunk failed"):
         run_chunks(failing_chunk, 50 * MC_CHUNK, 0, workers=2)
@@ -441,3 +485,69 @@ def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trial
         monkeypatch.undo()
         assert est == whole
         assert est.trials == trials and 0 < est.outage_events == events
+
+
+# one case per fading model kind and a 3 x 3 link, whose log-dets take the
+# slogdet path; the grids put points into outage at very different rates
+_CURVE_CASES = {
+    "flat": (Flat(), ChannelDims(2, 1, 1), FixedRate(np.log(2.0)), (2.0, 9.0, 12.0, 18.0, 24.0)),
+    "fast": (Fast(), ChannelDims(1, 2, 2), FixedRate(np.log(2.0)), (-2.0, 2.5, 5.0, 7.5, 12.0)),
+    "block": (BlockFading(2, 2), ChannelDims(1, 1, 4), FixedRate(np.log(2.0)),
+              (0.0, 9.0, 12.0, 18.0, 25.0)),
+    "isi": (CyclicIsi(2, (1.0, 0.5)), ChannelDims(2, 1, 4), ScalingRate(0.5),
+            (3.0, 6.0, 9.0, 14.0, 22.0)),
+    "tf": (TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)), ChannelDims(1, 1, 4),
+           ScalingRate(0.5), (3.0, 9.0, 14.0, 22.0, 30.0)),
+    "flat3x3": (Flat(), ChannelDims(3, 3, 1), FixedRate(3 * np.log(2.0)), (2.0, 8.0)),
+}
+
+
+def test_curve_cases_cover_every_model_kind():
+    assert {type(model).kind for model, *_ in _CURVE_CASES.values()} == set(MODELS)
+
+
+@pytest.mark.parametrize("min_events", [None, 0, 100, 5000])
+@pytest.mark.parametrize("bound", ["full", "jensen"])
+@pytest.mark.parametrize("case", sorted(_CURVE_CASES))
+def test_outage_curve_equals_single_point_oracle(case, bound, min_events):
+    model, dims, rate, grid_db = _CURVE_CASES[case]
+    cov = build_covariance(model, dims.block_len)
+    points = [SnrPoint(float(db_to_linear(db)), rate) for db in grid_db]
+    # with min_events, three waves: a point retires after the first, after
+    # the second or never; without, two chunks, the second partial
+    trials = 2 * MC_WAVE * MC_CHUNK + 700 if min_events else MC_CHUNK + 700
+    expected = [single_point_outage(cov, dims, point, bound, trials, 72, min_events, 1)
+                for point in points]
+    for workers in (1, 2):
+        assert outage_curve(cov, dims, points, bound, trials, 72, min_events,
+                            workers) == expected
+    if min_events:
+        assert len({est.trials for est in expected}) > 1  # points retire apart
+        assert all(est.trials == trials or est.outage_events >= min_events
+                   for est in expected)
+
+
+def test_outage_curve_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        outage_curve(build_covariance(Flat(), 1), ChannelDims(1, 1, 1), [], trials=100)
+
+
+_PROPERTY_GRID_DB = (0.0, 4.0, 8.0, 12.0, 16.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(picks=st.lists(st.integers(0, len(_PROPERTY_GRID_DB) - 1), min_size=1, max_size=7),
+       min_events=st.sampled_from([None, 0, 20, 300, 3000]),
+       trials=st.one_of(st.integers(1, 2 * MC_CHUNK),
+                        st.integers(MC_WAVE * MC_CHUNK + 1, 2 * MC_WAVE * MC_CHUNK + 1)),
+       bound=st.sampled_from(["full", "jensen"]))
+def test_outage_curve_of_a_shuffled_or_repeated_grid_is_permuted(picks, min_events, trials,
+                                                                 bound):
+    # every point's estimate is its own: reordering or repeating grid points
+    # reorders or repeats the estimates and changes nothing else
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    dims = ChannelDims(1, 1, 4)
+    points = [SnrPoint(float(db_to_linear(db)), FixedRate(1.0)) for db in _PROPERTY_GRID_DB]
+    base = outage_curve(cov, dims, points, bound, trials, 73, min_events)
+    picked = outage_curve(cov, dims, [points[k] for k in picks], bound, trials, 73, min_events)
+    assert picked == [base[k] for k in picks]
