@@ -143,32 +143,6 @@ def jensen_dmt_curve(rho, dims, variant="jensen"):
     return DmtCurve(points=tuple(points))
 
 
-def _logdet_identity_plus(h):
-    """a -> log det(I + a h h^H) over a (..., k, m) batch of wide matrices,
-    k <= m. The SNR-free work (||h||_F^2, the minor sum or the Gram) is done
-    here, once; each call of the returned function does only the SNR step.
-
-    For k <= 2 rows this is the closed form log1p(a ||h||_F^2 + a^2 det(h h^H)),
-    where det(h h^H) is the sum of the squared 2x2 minors of h (Cauchy-Binet;
-    |det h|^2 when h is square). Summing minors avoids the cancellation of the
-    Gram determinant on near-singular h. Wider row counts use slogdet.
-    """
-    k, m = h.shape[-2:]
-    if k > 2:
-        gram = np.einsum("...ij,...kj->...ik", h, h.conj())
-        return lambda a: np.linalg.slogdet(np.eye(k) + a * gram)[1]
-    if k == 1:
-        power = (np.abs(h[..., 0, :]) ** 2).sum(axis=-1)
-        return lambda a: np.log1p(a * power)
-    power = (np.abs(h) ** 2).sum(axis=(-2, -1))
-    top, bottom = h[..., 0, :], h[..., 1, :]
-    det = 0.0
-    for shift in range(1, m):  # all minors on columns (j, j + shift) at once
-        minor = top[..., :-shift] * bottom[..., shift:] - top[..., shift:] * bottom[..., :-shift]
-        det = det + (minor.real ** 2 + minor.imag ** 2).sum(axis=-1)
-    return lambda a: np.log1p(a * power + a * a * det)
-
-
 def _wide(blocks):
     """Slot matrices with min(M_R, M_T) rows: transposed when M_R > M_T,
     which leaves log det(I + a H H^H) unchanged."""
@@ -179,29 +153,77 @@ def _jensen_stack(blocks):
     """The (count, min_ant, N * max_ant) Jensen channels of a (count, N, M_R,
     M_T) batch: each draw's wide slot matrices side by side."""
     wide = _wide(blocks)
-    return wide.transpose(0, 2, 1, 3).reshape(len(blocks), wide.shape[2], -1)
+    count, n, k, m = wide.shape
+    return wide.transpose(0, 2, 1, 3).reshape(count, k, n * m)
 
 
-def _information(blocks, bound):
-    """snr -> per-draw information of a (count, N, M_R, M_T) batch under
+def _snr_free(blocks, bound):
+    """The SNR-free statistics of a (count, N, M_R, M_T) batch under ``bound``,
+    one row per draw, from which ``_snr_step`` gives its information at any
+    SNR. Of each wide matrix h (each slot's for "full", the Jensen channel's
+    for "jensen") they are ||h||_F^2 for one row and (||h||_F^2, det(h h^H))
+    for two, on a last axis of length 1 or 2, and the complex Gram h h^H for
+    more. det(h h^H) is the sum of the squared 2x2 minors of h (Cauchy-Binet;
+    |det h|^2 when h is square), which avoids the cancellation of the Gram
+    determinant on near-singular h."""
+    h = _wide(blocks) if bound == "full" else _jensen_stack(blocks)
+    k, m = h.shape[-2:]
+    if k > 2:
+        return np.einsum("...ij,...kj->...ik", h, h.conj())
+    if k == 1:
+        return (np.abs(h[..., 0, :]) ** 2).sum(axis=-1)[..., None]
+    top, bottom = h[..., 0, :], h[..., 1, :]
+    det = 0.0
+    for shift in range(1, m):  # all minors on columns (j, j + shift) at once
+        minor = top[..., :-shift] * bottom[..., shift:] - top[..., shift:] * bottom[..., :-shift]
+        det = det + (minor.real ** 2 + minor.imag ** 2).sum(axis=-1)
+    return np.stack(((np.abs(h) ** 2).sum(axis=(-2, -1)), det), axis=-1)
+
+
+def _snr_step(stats, bound, a):
+    """Per-draw information from ``_snr_free``'s statistics at power ``a`` per
+    entry: log det(I + a h h^H), averaged over the slots for "full". One or two
+    rows take the closed form log1p(a ||h||_F^2 + a^2 det(h h^H)), more rows
+    slogdet."""
+    if np.iscomplexobj(stats):
+        logdet = np.linalg.slogdet(np.eye(stats.shape[-1]) + a * stats)[1]
+    elif stats.shape[-1] == 1:
+        logdet = np.log1p(a * stats[..., 0])
+    else:
+        logdet = np.log1p(a * stats[..., 0] + a * a * stats[..., 1])
+    return logdet.mean(axis=1) if bound == "full" else logdet
+
+
+def _information(blocks, bound, snr):
+    """Per-draw information of a (count, N, M_R, M_T) batch at ``snr`` under
     ``bound``: the average slot log-det ("full") or the log-det of the Jensen
-    channel ("jensen"). The SNR-free work is done once, here."""
-    _, n, _, num_tx = blocks.shape
-    if bound == "full":
-        logdet = _logdet_identity_plus(_wide(blocks))
-        return lambda snr: logdet(snr / num_tx).mean(axis=1)
-    logdet = _logdet_identity_plus(_jensen_stack(blocks))
-    return lambda snr: logdet(snr / (num_tx * n))
+    channel ("jensen")."""
+    scale = blocks.shape[-1] * (1 if bound == "full" else blocks.shape[1])
+    return _snr_step(_snr_free(blocks, bound), bound, snr / scale)
 
 
 def _mutual_information_batch(blocks, snr):
     """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
-    return _information(blocks, "full")(snr)
+    return _information(blocks, "full", snr)
 
 
 def _jensen_information_batch(blocks, snr):
     """Per-draw log-det of the Jensen channels of a (count, N, M_R, M_T) batch."""
-    return _information(blocks, "jensen")(snr)
+    return _information(blocks, "jensen", snr)
+
+
+def _chains(points, rates, live):
+    """The points of ``live`` sorted by (SNR ascending, rate descending) and
+    cut into chains: a point whose rate is no larger than its predecessor's
+    joins its chain. Information never falls as the SNR rises, so along a
+    chain each point's outage draws are among those of the point before."""
+    chains = []
+    for j in sorted(live, key=lambda j: (points[j].snr, -rates[j])):
+        if chains and rates[j] <= rates[chains[-1][-1]]:
+            chains[-1].append(j)
+        else:
+            chains.append([j])
+    return chains
 
 
 def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
@@ -227,9 +249,22 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
         fixed seed gives byte-identical results for any ``workers``.
 
     Every point of the grid sees the same draws (common random numbers):
-    each chunk is drawn and mixed once, and every point still running is
-    evaluated on it. A point's estimate is that of a grid of that point
-    alone.
+    each chunk is drawn and mixed once, and the SNR-free statistics of its
+    draws are computed once. Information never falls as the SNR rises, so the
+    points still running are cut into chains (``_chains``): sorted by SNR,
+    then by falling rate, a point whose rate is no larger than the previous
+    point's joins that point's chain, and its outage draws are among that
+    point's. Each chain's first point is evaluated on every draw, each later
+    point on the draws kept at the point before it: those whose information
+    there lies below its rate plus a slack of 1e-9 * max(1, |rate|). The slack
+    keeps a superset, so a log-det whose rounding falls below its value at a
+    lower SNR drops no draw. The kept draws are evaluated at the end of the
+    chunk or once they fill a sub-block, so they never hold two sub-blocks,
+    and are copied only when fewer than half of them are in outage (else all
+    are kept). A ``ScalingRate`` grid has a rate that rises with the SNR, so
+    each of its points is a chain of its own and gains nothing. Event counts
+    are those of evaluating every point on every draw, so a point's estimate
+    is that of a grid of that point alone.
     """
     points = tuple(points)
     if not points:
@@ -249,13 +284,37 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
     # chunk in a process whose first numpy.random call ran on a worker thread
     per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
 
+    scale = dims.num_tx * (1 if bound == "full" else dims.block_len)
+
+    def evaluate(stats, j, events, more):
+        """Add point j's outage events among the rows of ``stats`` to
+        ``events`` and return rows that include all that can still be in
+        outage at the points after j in its chain: when ``more`` such points
+        follow and fewer than half the rows are in outage at j, a copy of
+        those below j's rate plus the slack (a superset, so a log-det rounded
+        below its value at a lower SNR drops no draw); else ``stats`` itself."""
+        info = _snr_step(stats, bound, points[j].snr / scale)
+        hits = int(np.count_nonzero(info < rates[j]))
+        events[j] += hits
+        if more and 2 * hits < len(info):
+            return stats[info < rates[j] + 1e-9 * max(1.0, abs(rates[j]))]
+        return stats
+
     def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
         events = [0] * len(points)
+        chains = [(chain, []) for chain in _chains(points, rates, live)]
         for block in batches(size, per_trial):
-            info = _information(mix_white(cov, white[block]), bound)
-            for j in live:
-                events[j] += int(np.count_nonzero(info(points[j].snr) < rates[j]))
+            stats = _snr_free(mix_white(cov, white[block]), bound)
+            for chain, rows in chains:
+                rows.append(evaluate(stats, chain[0], events, len(chain) > 1))
+                # the later points run on the rows kept so far at the end of
+                # the chunk, or once they fill a sub-block, which bounds them
+                if block.stop == size or sum(map(len, rows)) >= len(stats):
+                    kept = rows[0] if len(rows) == 1 else np.concatenate(rows)
+                    rows.clear()
+                    for j in chain[1:]:
+                        kept = evaluate(kept, j, events, j != chain[-1])
         return events
 
     events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events, len(points))

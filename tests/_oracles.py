@@ -19,8 +19,8 @@ def psd_root(cov):
 
 def logdet_identity_plus(h, a):
     """log det(I + a h h^H) over a (..., k, m) batch of wide matrices in one
-    pass: the closed form of ``tradeoff._logdet_identity_plus`` before it was
-    split into an SNR-free stage and an SNR step, with the same arithmetic."""
+    pass: the closed form of ``tradeoff._snr_free`` followed by
+    ``tradeoff._snr_step``, with the same arithmetic."""
     k, m = h.shape[-2:]
     if k > 2:
         gram = np.einsum("...ij,...kj->...ik", h, h.conj())

@@ -201,19 +201,65 @@ def test_three_antenna_case_takes_slogdet_path(monkeypatch):
 
 @pytest.mark.parametrize("num_rx,num_tx", KERNEL_SHAPES + [(3, 3), (3, 4)])
 def test_staged_information_equals_one_pass_kernel_bitwise(num_rx, num_tx):
-    # the SNR-free stage runs once and the SNR step at each SNR, with the
-    # arithmetic of the one-pass kernel, so the log-dets are equal bit for bit
+    # the SNR-free statistics are computed once and the SNR step runs at each
+    # SNR, on all draws or on any subset of them, with the arithmetic of the
+    # one-pass kernel, so the log-dets are equal bit for bit
     blocks = complex_normal(spawn_rng(17, num_rx, num_tx), (300, 4, num_rx, num_tx))
     wide = blocks if num_rx <= num_tx else blocks.swapaxes(-1, -2)
     stack = wide.transpose(0, 2, 1, 3).reshape(300, wide.shape[2], -1)
+    subset = spawn_rng(18).random(300) < 0.3
     for bound in ("full", "jensen"):
-        info = tradeoff._information(blocks, bound)
+        stats = tradeoff._snr_free(blocks, bound)
+        assert len(stats) == 300
         for snr in db_to_linear(KERNEL_SNR_DB):
             if bound == "full":
-                expected = logdet_identity_plus(wide, snr / num_tx).mean(axis=1)
+                a = snr / num_tx
+                expected = logdet_identity_plus(wide, a).mean(axis=1)
             else:
-                expected = logdet_identity_plus(stack, snr / (num_tx * 4))
-            assert np.array_equal(info(snr), expected)
+                a = snr / (num_tx * 4)
+                expected = logdet_identity_plus(stack, a)
+            assert np.array_equal(tradeoff._snr_step(stats, bound, a), expected)
+            assert np.array_equal(tradeoff._snr_step(stats[subset], bound, a), expected[subset])
+            assert np.array_equal(tradeoff._information(blocks, bound, snr), expected)
+
+
+@pytest.mark.parametrize("num_rx,num_tx", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])
+def test_information_of_no_draws_is_empty(num_rx, num_tx):
+    # an empty kept set can reach the SNR step, and the Jensen stack of no
+    # draws keeps its (0, min_ant, N * max_ant) shape
+    blocks = np.zeros((0, 4, num_rx, num_tx), dtype=complex)
+    for kernel, bound in KERNELS:
+        assert kernel(blocks, 10.0).shape == (0,)
+        assert tradeoff._snr_step(tradeoff._snr_free(blocks, bound), bound, 2.5).shape == (0,)
+    assert tradeoff._jensen_stack(blocks).shape == (0, min(num_rx, num_tx), 4 * max(num_rx, num_tx))
+
+
+def _assert_information_nondecreasing_in_snr(blocks, snr_grid):
+    # the premise of the kept-set slack: along a draw's information curve
+    # every computed value is at least the one at any lower SNR, up to 1e-12
+    # relative
+    for kernel, _ in KERNELS:
+        info = np.array([kernel(blocks, snr) for snr in snr_grid])
+        assert np.all(info[1:] >= info[:-1] - 1e-12 * np.abs(info[:-1]))
+
+
+# coarse steps over the whole range, then SNRs a few ulps to 1e-9 apart
+_MONOTONE_SNR = np.concatenate([db_to_linear(np.arange(-20.0, 60.5, 2.5)),
+                                100.0 * (1.0 + np.array([0, 4e-16, 1e-15, 1e-13, 1e-11, 1e-9]))])
+_MONOTONE_SNR.sort()
+
+
+@pytest.mark.parametrize("num_rx,num_tx", KERNEL_SHAPES + [(3, 3), (3, 4), (4, 3)])
+def test_information_is_nondecreasing_in_snr(num_rx, num_tx):
+    blocks = complex_normal(spawn_rng(19, num_rx, num_tx), (300, 4, num_rx, num_tx))
+    _assert_information_nondecreasing_in_snr(blocks, _MONOTONE_SNR)
+
+
+@pytest.mark.parametrize("num_rx,num_tx", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_information_of_near_singular_draws_is_nondecreasing_in_snr(num_rx, num_tx):
+    # the draws of the mpmath test, whose minor sums nearly cancel
+    blocks = _near_singular_blocks(spawn_rng(15, num_rx, num_tx, 4), 12, 4, num_rx, num_tx)
+    _assert_information_nondecreasing_in_snr(blocks, _MONOTONE_SNR)
 
 
 def test_singularity_levels_trivia():
@@ -551,3 +597,80 @@ def test_outage_curve_of_a_shuffled_or_repeated_grid_is_permuted(picks, min_even
     base = outage_curve(cov, dims, points, bound, trials, 73, min_events)
     picked = outage_curve(cov, dims, [points[k] for k in picks], bound, trials, 73, min_events)
     assert picked == [base[k] for k in picks]
+
+
+# the models of the one-row (log1p), two-row (minor sum) and slogdet kernels,
+# with the rate unit of the grid below in bits
+_NESTED_CASES = {
+    "isi1x1": (CyclicIsi(2, (1.0, 1.0)), ChannelDims(1, 1, 4), 1.0),
+    "flat2x2": (Flat(), ChannelDims(2, 2, 1), 2.0),
+    "fast3x3": (Fast(), ChannelDims(3, 3, 2), 4.0),
+}
+# (dB, rate in units): the chains are the 10 dB points, then 15 dB to 50 dB
+# (sorted by SNR, then by falling rate: 3 units at 15 dB ends the first
+# chain); the 10 dB 1-unit point is repeated; at 40 dB no draw is in outage,
+# so the kept set reaching 50 dB is empty
+_NESTED_GRID = ((10.0, 2.0), (15.0, 3.0), (10.0, 1.0), (20.0, 1.0), (10.0, 1.0),
+                (50.0, 1.0), (40.0, 1.0))
+
+
+def _grid_points(grid, unit=1.0):
+    return [SnrPoint(float(db_to_linear(db)), FixedRate(unit * bits * np.log(2.0)))
+            for db, bits in grid]
+
+
+def test_chains_cut_where_the_rate_rises():
+    points = _grid_points(_NESTED_GRID)
+    rates = [p.rate_nats() for p in points]
+    assert tradeoff._chains(points, rates, range(7)) == [[0, 2, 4], [1, 3, 6, 5]]
+    assert tradeoff._chains(points, rates, (1, 3, 5)) == [[1, 3, 5]]
+    scaling = [SnrPoint(float(db_to_linear(db)), ScalingRate(0.5)) for db in (20.0, 0.0, 10.0)]
+    assert tradeoff._chains(scaling, [p.rate_nats() for p in scaling], range(3)) == [[1], [2], [0]]
+
+
+@pytest.mark.parametrize("min_events", [None, 100])
+@pytest.mark.parametrize("bound", ["full", "jensen"])
+@pytest.mark.parametrize("case", sorted(_NESTED_CASES))
+def test_nested_outage_curve_equals_single_point_oracle(monkeypatch, case, bound, min_events):
+    model, dims, unit = _NESTED_CASES[case]
+    cov = build_covariance(model, dims.block_len)
+    points = _grid_points(_NESTED_GRID, unit)
+    # with min_events, two waves: the high-outage points retire after the first
+    trials = MC_WAVE * MC_CHUNK + 700 if min_events else MC_CHUNK + 700
+    expected = [single_point_outage(cov, dims, point, bound, trials, 74, min_events, 1)
+                for point in points]
+    step, rows = tradeoff._snr_step, []
+
+    def recording_step(stats, bound, a):
+        rows.append(len(stats))
+        return step(stats, bound, a)
+
+    monkeypatch.setattr(tradeoff, "_snr_step", recording_step)
+    for workers in (1, 2):
+        assert outage_curve(cov, dims, points, bound, trials, 74, min_events,
+                            workers) == expected
+    assert expected[5].outage_events == expected[6].outage_events == 0
+    assert 0 in rows  # the 50 dB point ran on an empty kept set
+    # kept rows are evaluated once they fill a sub-block, so no SNR step
+    # ever sees two sub-blocks' worth
+    sub_block = _util.BATCH_BUDGET // (16 * dims.block_len * dims.num_rx * dims.num_tx)
+    assert max(rows) < 2 * sub_block
+    if min_events:
+        assert len({est.trials for est in expected}) > 1
+
+
+_BITS = (0.5, 1.0, 2.0, 3.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grid=st.lists(st.tuples(st.sampled_from(_PROPERTY_GRID_DB), st.sampled_from(_BITS)),
+                     min_size=1, max_size=6),
+       trials=st.integers(1, 2 * MC_CHUNK),
+       bound=st.sampled_from(["full", "jensen"]))
+def test_nested_outage_curve_of_a_random_grid_equals_single_point_oracle(grid, trials, bound):
+    cov = build_covariance(CyclicIsi(2, (1.0, 0.5)), 4)
+    dims = ChannelDims(1, 1, 4)
+    points = _grid_points(grid)
+    expected = [single_point_outage(cov, dims, point, bound, trials, 75, None, 1)
+                for point in points]
+    assert outage_curve(cov, dims, points, bound, trials, 75, None) == expected

@@ -7,7 +7,20 @@ from dmtlab.codes import Codebook, pairwise_min_products, permutation_codebook, 
 from dmtlab.precoder import classic_precoder, verify_composed_design
 from dmtlab.sim import simulate_error_prob
 from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
-from dmtlab._util import MC_CHUNK, batches, spawn_rng
+from dmtlab._util import MC_CHUNK, batches, complex_normal, spawn_rng
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (5, 3, 2)])
+def test_complex_normal_is_bitwise_the_two_draws_combined(shape):
+    # every random stream (channels, words, noise) is built on this identity
+    rng = spawn_rng(20, len(shape))
+    z = complex_normal(rng, shape)
+    ref_rng = spawn_rng(20, len(shape))
+    a, b = ref_rng.standard_normal(shape), ref_rng.standard_normal(shape)
+    ref = (a + 1j * b) / np.sqrt(2)
+    assert z.dtype == ref.dtype == np.complex128 and z.shape == shape
+    assert z.tobytes() == ref.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()  # same draws consumed
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 17, 64])
