@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import (batches, complex_pairs, eig_rank, json_complex, json_field,
                     numerical_rank, spawn_rng)
 from .channel import build_covariance, BlockFading
@@ -178,8 +179,8 @@ def pair_chunks(num, per_pair):
 
 def _sort_slots(values):
     """Sort along the first (slot) axis in place: an odd-even transposition
-    network of elementwise min/max. Its passes grow as slots**2; it beats a
-    row-wise ``np.sort`` up to about 8 slots."""
+    network of elementwise min/max. Its passes grow as slots**2: it beats a
+    row-wise ``np.sort`` at 4 slots, but was measured slower from 8 slots."""
     count = len(values)
     for phase in range(count):
         for s in range(phase % 2, count - 1, 2):
@@ -189,13 +190,42 @@ def _sort_slots(values):
     return values
 
 
-def sorted_pair_distances(words, ii, jj):
-    """Squared slot distances |w_i - w_j|**2 of scalar codewords
-    (cardinality, num_slots), as a (num_slots, pairs) array sorted along
-    the slot axis."""
-    slots = np.ascontiguousarray(words.T)
-    diffs = np.take(slots, ii, axis=1) - np.take(slots, jj, axis=1)
-    return _sort_slots(diffs.real ** 2 + diffs.imag ** 2)
+def pair_strips(num, per_pair):
+    """Row strips ``(i0, i1)`` of the pair triangle of ``num`` items: rows
+    i0..i1-1 against the columns i0+1..num-1, as rectangles of temporaries
+    of ``per_pair`` real entries a cell within ``_util.BATCH_BUDGET``. A
+    strip is at most an eighth of its column count high, so the cells below
+    the diagonal (j <= i), which are not pairs, stay under 1/16 of it."""
+    i0 = 0
+    while i0 < num - 1:
+        cols = num - 1 - i0
+        i1 = i0 + max(1, min(_util.BATCH_BUDGET // (per_pair * cols), -(-cols // 8)))
+        yield i0, i1
+        i0 = i1
+
+
+def distance_strips(words):
+    """Sorted squared slot distances |w_i - w_j|**2 of scalar codewords
+    (cardinality, num_slots), one ``pair_strips`` strip at a time: yields
+    ``(rows, cols, dist2, below)`` with word indices ``rows`` (h, 1) and
+    ``cols`` (width,), ``dist2`` (num_slots, h, width) sorted along the slot
+    axis, and ``below`` the index of the cells with j <= i. In C order the
+    other cells are the pairs of the strip in ``np.triu_indices`` order.
+    Every strip is computed in one buffer, so ``dist2`` is overwritten by
+    the next strip; a fresh buffer a strip would be handed back to the OS
+    by malloc and faulted in again each time."""
+    num, slots = words.shape
+    re, im = np.ascontiguousarray(words.real.T), np.ascontiguousarray(words.imag.T)
+    buf = np.empty(max(_util.BATCH_BUDGET, 2 * slots * (num - 1)))
+    for i0, i1 in pair_strips(num, 2 * slots):
+        dx, dy = buf[:2 * slots * (i1 - i0) * (num - 1 - i0)].reshape(2, slots, i1 - i0, -1)
+        np.subtract(re[:, i0:i1, None], re[:, None, i0 + 1:], out=dx)
+        np.subtract(im[:, i0:i1, None], im[:, None, i0 + 1:], out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        yield (np.arange(i0, i1)[:, None], np.arange(i0 + 1, num),
+               _sort_slots(dx), np.tril_indices(i1 - i0, -1))
 
 
 def pair_eigvals(words, weight, ii, jj):
@@ -212,31 +242,42 @@ def pair_eigvals(words, weight, ii, jj):
 
 @dataclass
 class WorstPair:
-    """Running minimum of a per-pair statistic; ties keep the first pair."""
+    """Running minimum of a per-pair statistic; ties keep the first pair in
+    C order."""
 
     value: float = np.inf
     pair: tuple = (-1, -1)
 
     def update(self, values, ii, jj):
-        k = int(np.argmin(values))
+        """Fold in ``values`` of the pairs (ii, jj), index arrays that
+        broadcast to its shape."""
+        k = np.unravel_index(np.argmin(values), values.shape)
         if values[k] < self.value:
+            ii, jj = np.broadcast_arrays(ii, jj)
             self.value, self.pair = float(values[k]), (int(ii[k]), int(jj[k]))
 
 
-def pairwise_min_products(words, m):
+def pairwise_min_products(words, m, floor=-np.inf):
     """Exhaustive worst pair of a (cardinality, num_slots) array of scalar
     codewords: the minimum over unordered pairs of the product of the m
     smallest squared slot distances. m >= num_slots gives the full product
-    and m = 1 the smallest entry. Chunked so memory stays bounded."""
+    and m = 1 the smallest entry. The sweep stops after the strip in which
+    the running minimum reaches ``floor`` or less; the value returned is
+    then at most ``floor`` but need not be the minimum, which suffices for
+    a caller that only asks whether the minimum exceeds ``floor``."""
     words = np.asarray(words, dtype=complex)
-    num, slots = words.shape
+    num, _ = words.shape
     if num < 2:
         raise ValueError("need at least two codewords")
     if m < 1:
         raise ValueError("m must be at least 1")
     worst = WorstPair()
-    for ii, jj in pair_chunks(num, 2 * slots):
-        worst.update(sorted_pair_distances(words, ii, jj)[:m].prod(axis=0), ii, jj)
+    for rows, cols, dist2, below in distance_strips(words):
+        small = dist2[:m].prod(axis=0)
+        small[below] = np.inf
+        worst.update(small, rows, cols)
+        if worst.value <= floor:
+            break
     return worst
 
 
@@ -346,6 +387,8 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    if not isinstance(n_slots, (int, np.integer)) or n_slots < 1:
+        raise ValueError(f"n_slots must be an integer >= 1, got {n_slots!r}")
     entries = []
     for grid_idx, snr in enumerate(sorted(snr_grid)):
         fam = qam_family(snr, r)
@@ -390,8 +433,10 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
 
         best = None
         for combo, method in candidates:
-            # every candidate map is a bijection by construction
-            worst = pairwise_min_products(_slot_words(fam.points, combo), n_slots)
+            # every candidate map is a bijection by construction; a sweep
+            # that reaches the best value so far cannot win and stops early
+            worst = pairwise_min_products(_slot_words(fam.points, combo), n_slots,
+                                          -np.inf if best is None else best[0].value)
             if best is None or worst.value > best[0].value:
                 best = (worst, combo, method)
         worst, combo, method = best

@@ -13,8 +13,7 @@ import numpy as np
 from ._util import batches, complex_pairs, fft_column
 from .channel import circulant_covariance
 from . import codes
-from .codes import (WorstPair, criterion_threshold, pair_chunks, pair_eigvals,
-                    sorted_pair_distances)
+from .codes import WorstPair, criterion_threshold, distance_strips, pair_eigvals
 
 
 @dataclass(frozen=True)
@@ -206,22 +205,25 @@ def _composed_sweep(report, words, m):
     the minimum; only the survivors are eigensolved. A rank-deficient Gram
     gives xi = 0 unsolved.
     """
-    num, n = words.shape
+    n = words.shape[1]
     shift = n - report.expected_rank
     sigma0, sigma_top = report.sigma0, float(report.gram.eigvals[-1])
     deficient = not report.passed
     outer, xi = WorstPair(), WorstPair()
     min_up, cand = np.inf, []
-    for ii, jj in pair_chunks(num, 2 * n):
-        dist2 = sorted_pair_distances(words, ii, jj)
+    for rows, cols, dist2, below in distance_strips(words):
         small = dist2[:m].prod(axis=0)
-        outer.update(small, ii, jj)
+        small[below] = np.inf
+        outer.update(small, rows, cols)
         if not deficient:
-            min_up = min(min_up, float(dist2[shift:shift + m].prod(axis=0).min()))
+            up = dist2[shift:shift + m].prod(axis=0)
+            up[below] = np.inf
+            min_up = min(min_up, float(up.min()))
             # min_up only falls, so this keeps a superset of the final survivors
             low = (sigma0 ** m) * small
             sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
-            cand.append((ii[sel], jj[sel], low[sel]))
+            r, c = np.nonzero(sel)
+            cand.append((rows[r, 0], cols[c], low[sel]))
     if deficient:
         xi.value = 0.0
         return outer, xi, 0

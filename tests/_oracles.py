@@ -5,6 +5,7 @@ import numpy as np
 from dmtlab import sim
 from dmtlab._util import batches, complex_normal, run_chunks, wilson_interval
 from dmtlab.channel import draw_white, mix_white
+from dmtlab.codes import WorstPair, _sort_slots, pair_eigvals
 from dmtlab.sim import ErrorEstimate
 from dmtlab.tradeoff import (OutageEstimate, _jensen_information_batch,
                              _mutual_information_batch)
@@ -97,3 +98,42 @@ def single_snr_errors(cov, dims, transmit, snr, trials, master_seed, noise_scale
     low, high = wilson_interval(errors, done)
     return ErrorEstimate(error_rate=errors / done, trials=done, errors=errors,
                          ci_low=low, ci_high=high)
+
+
+def sorted_pair_distances(words, ii, jj):
+    """The gather kernel of the sorted-distance sweeps: squared slot
+    distances |w_i - w_j|**2 of scalar codewords (cardinality, num_slots),
+    as a (num_slots, pairs) array sorted along the slot axis."""
+    slots = np.ascontiguousarray(words.T)
+    diffs = np.take(slots, ii, axis=1) - np.take(slots, jj, axis=1)
+    return _sort_slots(diffs.real ** 2 + diffs.imag ** 2)
+
+
+def gather_min_products(words, m):
+    """``codes.pairwise_min_products`` by the gather kernel over every pair
+    at once, in ``np.triu_indices`` order."""
+    ii, jj = np.triu_indices(len(words), 1)
+    worst = WorstPair()
+    worst.update(sorted_pair_distances(words, ii, jj)[:m].prod(axis=0), ii, jj)
+    return worst
+
+
+def gather_composed_sweep(report, words, m):
+    """``precoder._composed_sweep`` by the gather kernel over every pair at
+    once: the outer and xi worst pairs and the number of pairs eigensolved."""
+    n = words.shape[1]
+    shift = n - report.expected_rank
+    sigma0, sigma_top = report.sigma0, float(report.gram.eigvals[-1])
+    ii, jj = np.triu_indices(len(words), 1)
+    dist2 = sorted_pair_distances(words, ii, jj)
+    small = dist2[:m].prod(axis=0)
+    outer, xi = WorstPair(), WorstPair()
+    outer.update(small, ii, jj)
+    if not report.passed:
+        xi.value = 0.0
+        return outer, xi, 0
+    min_up = float(dist2[shift:shift + m].prod(axis=0).min())
+    sel = (sigma0 ** m) * small <= (sigma_top ** m) * min_up * (1 + 1e-9)
+    eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii[sel], jj[sel])
+    xi.update(eig[:, shift:shift + m].prod(axis=-1), ii[sel], jj[sel])
+    return outer, xi, int(np.count_nonzero(sel))

@@ -21,6 +21,7 @@ from dmtlab.codes import (
     criterion_threshold,
     block_fading_check,
     delta_decomposition,
+    distance_strips,
     effective_difference,
     min_entry_criterion,
     pair_chunks,
@@ -36,7 +37,7 @@ from dmtlab.codes import (
 )
 from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
 
-from _oracles import psd_root
+from _oracles import gather_min_products, psd_root, sorted_pair_distances
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0):
@@ -132,6 +133,55 @@ def test_pairwise_min_products_matches_double_loop(monkeypatch):
         assert pairwise_min_products(words, 4) == pairwise_min_products(words, 3)
     with pytest.raises(ValueError, match="m must be"):
         pairwise_min_products(words, 0)
+
+
+def sweep_words(kind, num, slots):
+    """Scalar words for the strip-kernel tests: complex normals, or the first
+    ``num`` words of a permutation code on the 10 x 10 QAM grid, whose
+    lattice differences tie exactly."""
+    rng = spawn_rng(61, num, slots)
+    if kind == "random":
+        return rng.standard_normal((num, slots)) + 1j * rng.standard_normal((num, slots))
+    fam = qam_family(100.0, 1.0)
+    perms = [rng.permutation(len(fam)) for _ in range(slots)]
+    return permutation_codebook(fam, perms).scalar_words[:num]
+
+
+_STRIP_CASES = [(kind, num, slots) for kind in ("random", "lattice")
+                for num in (2, 3, 17, 100) for slots in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("budget", [None, 1])  # the default; one-row strips
+@pytest.mark.parametrize("kind, num, slots", _STRIP_CASES)
+def test_strip_sweeps_match_gather_kernel(monkeypatch, budget, kind, num, slots):
+    if budget is not None:
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
+    words = sweep_words(kind, num, slots)
+    ii, jj = np.triu_indices(num, 1)
+    # the pair cells of the strips, in C order, are the gathered pairs
+    cells = []
+    for rows, cols, dist2, below in distance_strips(words):
+        pair = np.ones(dist2.shape[1:], dtype=bool)
+        pair[below] = False
+        assert budget is None or dist2.shape[1] == 1
+        cells.append((np.broadcast_to(rows, pair.shape)[pair],
+                      np.broadcast_to(cols, pair.shape)[pair], dist2[:, pair]))
+    rows, cols, dist2 = (np.concatenate(part, axis=-1) for part in zip(*cells))
+    assert np.array_equal(rows, ii) and np.array_equal(cols, jj)
+    assert dist2.tobytes() == sorted_pair_distances(words, ii, jj).tobytes()
+    for m in sorted({1, 2, slots}):
+        worst = pairwise_min_products(words, m)
+        assert worst == gather_min_products(words, m)
+        assert type(worst.value) is float and type(worst.pair[0]) is int
+
+
+def test_lattice_sweep_words_tie_exactly():
+    # the lattice cases above exercise the tie-breaking between exact ties:
+    # the smallest slot distance is reached by many pairs
+    for num in (17, 100):
+        words = sweep_words("lattice", num, 4)
+        smallest = sorted_pair_distances(words, *np.triu_indices(num, 1))[0]
+        assert np.count_nonzero(smallest == smallest.min()) > 1
 
 
 @pytest.mark.parametrize("num", [0, 1, 2, 5, 17])
@@ -277,6 +327,35 @@ def test_search_is_chunk_invariant(monkeypatch, r, grid_db):
         results.append([(e.perms, e.min_product, e.worst_pair, e.method)
                         for e in search.entries])
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("r, grid_db", [(0.5, (10.0, 20.0, 30.0)), (1.0, (10.0, 20.0))])
+def test_search_early_exit_keeps_entries(monkeypatch, r, grid_db):
+    # a candidate sweep stops once it reaches the best value so far; with
+    # the floor forced to -inf every candidate is swept in full
+    grid = [10.0 ** (db / 10.0) for db in grid_db]
+    sweep, exits = codes.pairwise_min_products, []
+
+    def search(full):
+        def pairwise(words, m, floor=-np.inf):
+            if full:
+                return sweep(words, m)
+            worst = sweep(words, m, floor)
+            exits.append(worst.value <= floor)
+            return worst
+        monkeypatch.setattr(codes, "pairwise_min_products", pairwise)
+        found = search_permutations(grid, r, 4, budget=800, master_seed=1008, epsilon=0.5)
+        return found.entries
+
+    assert search(full=False) == search(full=True)
+    assert any(exits)
+
+
+@pytest.mark.parametrize("n_slots", [0, -1, 1.5, 2.0])
+def test_search_rejects_slot_counts_other_than_positive_integers(n_slots):
+    # a 0-slot search would list all size! permutations of the family
+    with pytest.raises(ValueError, match="n_slots"):
+        search_permutations([100.0], 1.0, n_slots, budget=5)
 
 
 def test_search_single_slot_reports_min_distance():

@@ -3,6 +3,7 @@ import pytest
 
 from dmtlab.channel import (
     CyclicIsi,
+    Flat,
     ScatteringSpec,
     build_covariance,
     circulant_covariance,
@@ -28,6 +29,9 @@ from dmtlab.precoder import (
     verify_tf_precoder,
 )
 from dmtlab._util import cyclic_shift_matrix, rank_tolerance, spawn_rng, unitary_fft
+
+from _oracles import gather_composed_sweep
+from test_codes import sweep_words
 
 
 def test_tf_shift_precoder_full_rank_on_surrogate():
@@ -394,3 +398,36 @@ def test_pruned_xi_matches_exhaustive(monkeypatch):
         assert row["outer_worst_pair"] == list(outer_worst.pair)
         rows.append(row)
     assert rows[0] == rows[1]
+
+
+_COMPOSED_SETUPS = {  # (model, precoder, num_rx): m = 1, 2 and 4 = slots
+    "cdd2-rx1": (CyclicIsi(2, (1.0, 0.5)), ("cdd", 2, 4, 2, None), 1),
+    "cdd2-rx2": (CyclicIsi(2, (1.0, 0.5)), ("cdd", 2, 4, 2, None), 2),
+    "cdd4-rx4": (Flat(), ("cdd", 4, 4, 1, None), 4),
+    "deficient": (CyclicIsi(2, (1.0, 0.5)), ("cdd", 2, 4, 2, [0, 0]), 2),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1])  # the default; one-row strips
+@pytest.mark.parametrize("kind", ["random", "lattice"])
+@pytest.mark.parametrize("num", [2, 3, 17, 100])
+@pytest.mark.parametrize("setup", sorted(_COMPOSED_SETUPS))
+def test_composed_design_matches_gather_kernel(monkeypatch, budget, kind, num, setup):
+    if budget is not None:
+        monkeypatch.setattr(_util, "BATCH_BUDGET", budget)
+    model, (kind_pre, num_tx, n, stride, shifts), num_rx = _COMPOSED_SETUPS[setup]
+    cov = build_covariance(model, n)
+    pre = classic_precoder(kind_pre, num_tx, n, stride, shifts=shifts)
+    words = sweep_words(kind, num, n) * (0.3 if kind == "random" else 1.0)
+    outer = Codebook(words=words[:, None, :], snr=25.0, mux_rate=1.0)
+    row = verify_composed_design(pre, lambda snr: outer, cov, [25.0], epsilon=0.5,
+                                 num_rx=num_rx)["per_snr"][0]
+    m = min(num_tx, num_rx)
+    assert pairwise_min_products(outer.scalar_words, m).value == row["outer_min_product"]
+    ref_outer, ref_xi, evaluated = gather_composed_sweep(
+        verify_precoder_rank(cov, pre), outer.scalar_words, m)
+    assert (row["outer_min_product"], row["outer_worst_pair"]) == (
+        ref_outer.value, list(ref_outer.pair))
+    assert (row["xi"], row["xi_worst_pair"], row["xi_pairs_evaluated"]) == (
+        ref_xi.value, list(ref_xi.pair), evaluated)
+    assert (evaluated == 0) == (setup == "deficient")

@@ -3,7 +3,8 @@ import pytest
 
 from dmtlab import _util, codes, precoder, sim, tradeoff
 from dmtlab.channel import ChannelDims, CyclicIsi, Flat, build_covariance
-from dmtlab.codes import Codebook, pairwise_min_products, permutation_codebook, qam_family
+from dmtlab.codes import (Codebook, pair_strips, pairwise_min_products, permutation_codebook,
+                          qam_family)
 from dmtlab.precoder import classic_precoder, verify_composed_design
 from dmtlab.sim import simulate_error_prob
 from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
@@ -38,7 +39,9 @@ def test_batches_cover_count_in_clipped_steps(monkeypatch, count, per_item):
 
 
 def test_default_batch_sizes_are_pinned(monkeypatch):
-    # the pair sweeps take 65 536 // k pairs of k complex entries a pair, the
+    # the distance sweeps take row strips of 131 072 // (k * cols) rows of
+    # k real entries a cell, at most an eighth of the columns high; the other
+    # pair sweeps take 65 536 // k pairs of k complex entries a pair, the
     # Monte-Carlo sub-blocks 131 072 // per_trial trials: the sizes that the
     # pair-sweep and sub-block timings were measured at
     steps = {}
@@ -50,8 +53,16 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
             return batches(count, per_item)
         monkeypatch.setattr(module, "batches", recording)
 
+    def strip_heights(num, per_pair):
+        return [i1 - i0 for i0, i1 in pair_strips(num, per_pair)]
+
+    def recording_strips(num, per_pair):
+        steps.setdefault("strips", []).append((num, per_pair, strip_heights(num, per_pair)))
+        return pair_strips(num, per_pair)
+
     for module in (codes, precoder, sim, tradeoff):
         spy(module)
+    monkeypatch.setattr(codes, "pair_strips", recording_strips)
     rng = spawn_rng(71)
     words = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     pairwise_min_products(words, 2)  # 4 slots
@@ -63,10 +74,16 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     outer = permutation_codebook(fam, [rng.permutation(len(fam)) for _ in range(4)])
     verify_composed_design(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2),
                            lambda snr: outer, cov, [25.0], epsilon=0.5, num_rx=2)
-    # the composed design's outer sweep goes through codes.pair_chunks, its
-    # survivor eigensolve through precoder
-    assert steps.pop("codes") == [65536 // 4, 65536 // 100, 65536 // 16, 65536 // 4]
+    # the composed design's outer sweep walks the strips, its survivor
+    # eigensolve goes through precoder
+    assert steps.pop("strips") == [(5, 8, [1, 1, 1, 1]),
+                                   (25, 8, [3, 3, 3, 2, 2, 2, 2] + [1] * 7)]
+    assert steps.pop("codes") == [65536 // 100, 65536 // 16]
     assert steps.pop("precoder") == [65536 // 16]
+    # on a 1024-word 4-slot code the budget sets the first strips
+    heights = strip_heights(1024, 8)
+    assert heights[:3] == [131072 // (8 * 1023), 131072 // (8 * 1007), 131072 // (8 * 991)]
+    assert max(heights) == 45 and sum(heights) == 1023
     flat = build_covariance(Flat(), 2)
     estimate_outage(flat, ChannelDims(2, 2, 2), SnrPoint(10.0, FixedRate(1.0)),
                     trials=10, min_events=0)
