@@ -57,6 +57,7 @@ from .sim import (
     pep_monte_carlo,
     simulate_error_prob,
     trace_oracle,
+    worst_pep,
 )
 from .tradeoff import (
     DmtCurve,

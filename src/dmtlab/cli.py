@@ -15,11 +15,10 @@ import numpy as np
 
 from ._util import FieldError, db_to_linear, json_field, json_floats, json_value, spawn_rng
 from .channel import MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance
-from .codes import (Codebook, effective_eigs, structural_count, verify_dmt_criterion,
-                    verify_rank_r0)
+from .codes import Codebook, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_tf_precoder
-from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, chernoff_bound, error_curve,
-                  trace_oracle)
+from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, error_curve, trace_oracle,
+                  worst_pep)
 from .tradeoff import FixedRate, ScalingRate, SnrPoint, jensen_dmt_curve, outage_curve
 
 _LN2 = float(np.log(2.0))
@@ -198,10 +197,19 @@ def _cmd_error_sim(args):
     return 0
 
 
-def _cmd_verify_code(args):
-    grid = _snr_grid(args.snr_db)
+def _code_and_cov(args):
+    """The ``--codebook`` and ``--cov`` of a criterion, of one block length."""
     cov = CovarianceMatrix.load(args.cov)
     book = Codebook.load(args.codebook)
+    if book.words.shape[-1] != cov.block_len:
+        raise ValueError(f"--codebook n = {book.words.shape[-1]} does not match "
+                         f"--cov n = {cov.block_len}")
+    return book, cov
+
+
+def _cmd_verify_code(args):
+    grid = _snr_grid(args.snr_db)
+    book, cov = _code_and_cov(args)
     if args.criterion == "rank":
         report = {"criterion": "rank", **verify_rank_r0(book, cov)}
     else:
@@ -227,15 +235,9 @@ def _cmd_design_precoder(args):
 
 def _cmd_pep(args):
     snrs = _snr_grid(args.snr_db)
-    cov = CovarianceMatrix.load(args.cov)
-    book = Codebook.load(args.codebook)
-    _, num_tx, n = book.words.shape
-    keep = structural_count(cov, num_tx, n, clip=True)
-    worst = np.zeros(len(snrs))
-    for _, _, eig in effective_eigs(book, cov):
-        for k, snr in enumerate(snrs):
-            worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx, args.mr).max())
-    rows = [[snr_db, float(value)] for snr_db, value in zip(args.snr_db, worst)]
+    book, cov = _code_and_cov(args)
+    rows = [[snr_db, value] for snr_db, value in zip(args.snr_db,
+                                                    worst_pep(book, cov, snrs, args.mr))]
     write_report({"columns": ["snr_db", "pep_bound"], "rows": rows}, "csv", args.out)
     return 0
 

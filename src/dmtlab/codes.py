@@ -12,6 +12,7 @@ criterion at slack ``epsilon`` when the measured quantity is at least
 (in SNR exponent) than the nominal target ``snr ** -r``.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -204,6 +205,17 @@ def pair_strips(num, per_pair):
         i0 = i1
 
 
+@functools.lru_cache(maxsize=256)
+def _below(height):
+    """``np.tril_indices(height, -1)``, read-only: the cells j <= i of a strip
+    of ``height`` rows. Heights repeat across strips and sweeps, so each
+    index is built once."""
+    below = np.tril_indices(height, -1)
+    for index in below:
+        index.setflags(write=False)
+    return below
+
+
 def distance_strips(words):
     """Sorted squared slot distances |w_i - w_j|**2 of scalar codewords
     (cardinality, num_slots), one ``pair_strips`` strip at a time: yields
@@ -225,19 +237,54 @@ def distance_strips(words):
         dy *= dy
         dx += dy
         yield (np.arange(i0, i1)[:, None], np.arange(i0 + 1, num),
-               _sort_slots(dx), np.tril_indices(i1 - i0, -1))
+               _sort_slots(dx), _below(i1 - i0))
+
+
+def _pair_buffers(words, weight, count):
+    """Buffers of ``_pair_matrices`` for up to ``count`` pairs of ``words``."""
+    n = words.shape[-1]
+    side = (count,) + words.shape[1:]
+    return (np.empty(side, words.dtype), np.empty(side, words.dtype),
+            np.empty(side[:-2] + (n, n), np.result_type(words, weight)))
+
+
+def _pair_matrices(words, weight, ii, jj, bufs):
+    """``weight * (e^H e)`` for e = w_i - w_j over the pairs (ii, jj) of words
+    (cardinality, ..., num_tx, block_len), computed in the ``_pair_buffers``
+    ``bufs``; returns a view of the last buffer."""
+    n = words.shape[-1]
+    if weight.shape != (n, n):
+        raise ValueError("difference length does not match the covariance size")
+    a, b, mat = (buf[:len(ii)] for buf in bufs)
+    np.take(words, ii, axis=0, out=a, mode="clip")  # indices are valid; no buffering
+    np.take(words, jj, axis=0, out=b, mode="clip")
+    np.subtract(a, b, out=b)
+    np.conjugate(b, out=a)
+    np.einsum("...mi,...mj->...ij", a, b, out=mat)
+    return np.multiply(weight, mat, out=mat)
 
 
 def pair_eigvals(words, weight, ii, jj):
     """Ascending eigenvalues of ``weight * (e^H e)`` for e = w_i - w_j, over
     words (cardinality, ..., num_tx, block_len): with the transposed slot
     covariance as ``weight``, the effective-difference eigenvalues."""
+    return np.linalg.eigvalsh(_pair_matrices(words, weight, ii, jj,
+                                             _pair_buffers(words, weight, len(ii))))
+
+
+def effective_matrices(words, weight):
+    """The ``pair_eigvals`` matrices of every pair of ``words`` as
+    ``(ii, jj, mat)`` in ``pair_chunks`` batches. All batches are computed in
+    the same buffers, so ``mat`` is overwritten by the next batch; fresh
+    buffers a batch would be handed back to the OS by malloc and faulted in
+    again each time."""
     n = words.shape[-1]
-    if weight.shape != (n, n):
-        raise ValueError("difference length does not match the covariance size")
-    diffs = words[ii] - words[jj]
-    gram = np.einsum("...mi,...mj->...ij", diffs.conj(), diffs)
-    return np.linalg.eigvalsh(weight * gram)
+    if len(words) < 2:
+        raise ValueError("need at least two codewords")
+    bufs = None
+    for ii, jj in pair_chunks(len(words), 2 * n * n):
+        bufs = bufs or _pair_buffers(words, weight, len(ii))  # the first batch is largest
+        yield ii, jj, _pair_matrices(words, weight, ii, jj, bufs)
 
 
 @dataclass
@@ -255,6 +302,41 @@ class WorstPair:
         if values[k] < self.value:
             ii, jj = np.broadcast_arrays(ii, jj)
             self.value, self.pair = float(values[k]), (int(ii[k]), int(jj[k]))
+
+
+class Survivors:
+    """Pairs that a bound screen cannot rule out of a running minimum at any
+    of ``points`` points. At a point a pair survives unless its lower bound
+    exceeds ``best``, the smallest upper bound of any pair seen so far; a
+    NaN lower bound always survives. ``best`` only falls, so the pairs kept
+    while sweeping are a superset of the final survivors, which ``eigs``
+    filters once more against the final ``best``. So every pair whose value
+    could tie or beat the minimum is eigensolved, and folding in the
+    survivors gives the minimum and first pair that every pair gives."""
+
+    def __init__(self, points=1):
+        self.best = np.full(points, np.inf)
+        self._kept = []
+
+    def add(self, ii, jj, low, up):
+        """Fold in the pairs (ii, jj), index arrays that broadcast to the pair
+        shape, with lower bounds ``low`` (points, *pair shape) and ``up``, the
+        smallest upper bound of these pairs at each point. The cells of the
+        pair shape are taken in C order."""
+        self.best = np.minimum(self.best, up)
+        keep = ~np.all(low > self.best.reshape((-1,) + (1,) * (low.ndim - 1)), axis=0)
+        ii, jj = np.broadcast_arrays(ii, jj)
+        self._kept.append((ii[keep], jj[keep], low[:, keep]))
+
+    def eigs(self, words, weight):
+        """``pair_eigvals`` of the survivors in the order they were added, as
+        ``(ii, jj, eig)`` in ``_util.batches``."""
+        ii, jj, low = (np.concatenate(part, axis=-1) for part in zip(*self._kept))
+        keep = ~np.all(low > self.best[:, None], axis=0)
+        ii, jj = ii[keep], jj[keep]
+        n = words.shape[-1]
+        for batch in batches(ii.size, 2 * n * n):
+            yield ii[batch], jj[batch], pair_eigvals(words, weight, ii[batch], jj[batch])
 
 
 def pairwise_min_products(words, m, floor=-np.inf):
@@ -329,12 +411,18 @@ def _torus_bound_score(maps, per_dim):
     mapped difference mod per_dim, so its magnitude is at least the circular
     distance. ``maps`` is (candidates, num_slots, 6); returns per candidate
     (min 2-smallest product, min full product) over all nonzero index
-    differences, in grid units.
+    differences, in grid units. A difference and its negation mod per_dim
+    have the same circular distances in every slot, since each map is
+    linear in the difference, so only the one of lower linear index is
+    scored.
     """
     q = per_dim
     maps = np.asarray(maps, dtype=np.int32).transpose(1, 0, 2)  # slot axis first
     slots, count, _ = maps.shape
-    da, db = np.divmod(np.arange(1, q * q, dtype=np.int32), q)
+    idx = np.arange(1, q * q, dtype=np.int32)
+    da, db = np.divmod(idx, q)
+    half = idx <= (-da % q) * q + (-db % q)
+    da, db = da[half], db[half]
     two_small, full = np.empty(count), np.empty(count)
     for batch in batches(count, 2 * slots * q * q):
         a, b, c, d = (maps[:, batch, k, None] for k in range(4))
@@ -494,13 +582,101 @@ def effective_difference(cov, e):
 def effective_eigs(codebook, cov):
     """Ascending effective-difference eigenvalues of every codeword pair:
     yields ``(ii, jj, eig)`` in ``pair_chunks`` order, with eig of shape
-    (pairs, block_len)."""
-    words = codebook.words
-    num, _, n = words.shape
-    if num < 2:
-        raise ValueError("need at least two codewords")
-    for ii, jj in pair_chunks(num, 2 * n * n):
-        yield ii, jj, pair_eigvals(words, cov.entries.T, ii, jj)
+    (pairs, block_len). The dense sweep: the screened criteria take it when
+    the screen does not apply, and the tests take it as their oracle."""
+    for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
+        yield ii, jj, np.linalg.eigvalsh(mat)
+
+
+def _eig_slack(weight, num_tx):
+    """Per unit of trace, a bound on how far an effective difference M (as
+    computed) lies from a PSD matrix M* and on how far each ``eigvalsh``
+    eigenvalue of M lies from M*'s: the rounding of the Gram, the product
+    and the eigensolve, plus the weight's own distance from a PSD matrix
+    (its asymmetry, and the negative part of the Hermitian matrix of its
+    lower triangle, the one ``eigvalsh`` reads), scaled by the weight's
+    smallest diagonal entry, since ||A o G|| <= ||A|| max G_ii for a PSD G."""
+    n = weight.shape[0]
+    lower = np.tril(weight) + np.tril(weight, -1).conj().T
+    defect = (np.linalg.norm(weight - lower, 2)
+              + max(0.0, -float(np.linalg.eigvalsh(weight)[0])))
+    return 2.0 ** -46 * (n + num_tx) + defect / float(np.min(weight.diagonal().real))
+
+
+def _psd_terms(mat, slack):
+    """Screen terms of a stack of n x n effective differences M, each within
+    eps = slack * tr M of a PSD M* (``_eig_slack``): the real diagonal d,
+    eps, ``top`` >= tr M* >= ||M*||, ``det_lo`` <= det M* from one batched
+    ``det``, and ``lam_lo`` = det_lo * ((n - 1) / top) ** (n - 1) <= the
+    smallest eigenvalue of M* (AM-GM on the other n - 1). That determinant
+    is det(M + E) for an LU backward error E with ||E|| <= 4 n**3 2**(n-1)
+    u max|M_ij| (pivot growth at most 2**(n-1)), then rounded by numpy's
+    sign * exp(log|det|), and |det(M* + F) - det M*| <= n ||F|| (||M*|| +
+    ||F||)**(n-1)."""
+    n = mat.shape[-1]
+    diag = mat.diagonal(axis1=-2, axis2=-1).real
+    trace = diag.sum(axis=-1)
+    eps = slack * trace
+    top = trace + n * eps
+    det = np.linalg.det(mat).real
+    pert = eps + 4 * n ** 3 * 2 ** (n - 1) * 2.0 ** -53 * top
+    logs = n + np.abs(np.log(top)) + np.abs(np.log(np.abs(det)))
+    det_lo = det - np.abs(det) * 2.0 ** -50 * n * logs - n * pert * (top + pert) ** (n - 1)
+    return diag, eps, top, det_lo, det_lo * ((n - 1) / top) ** (n - 1)
+
+
+def _rank_certified(diag, eps, top, det_lo, lam_lo):
+    """Pairs whose every ``eigvalsh`` eigenvalue is sure to clear
+    ``eig_rank``'s tolerance RANK_TOL_FACTOR * max|eig| * n, with the largest
+    eigenvalue at most top + eps. A NaN bound certifies nothing."""
+    n = diag.shape[-1]
+    return lam_lo - eps > _util.RANK_TOL_FACTOR * n * (top + eps) * (1 + 2.0 ** -50)
+
+
+def _xi_bounds(diag, eps, top, det_lo, lam_lo, m):
+    """Bounds (1, pairs) on the computed product of the m smallest
+    eigenvalues of full-rank-structured effective differences. Low: AM-GM on
+    the other n - m eigenvalues, det * ((n - m) / tr) ** (n - m), less the
+    eigensolve error eps per factor, relative to the smallest eigenvalue's
+    bound. Up: Cauchy interlacing on the principal submatrix of the m
+    smallest diagonal entries, then Hadamard's inequality, each entry
+    widened by 2 eps. Both are widened for the product's rounding."""
+    n = diag.shape[-1]
+    low = (det_lo * ((n - m) / top) ** (n - m)
+           * np.maximum(0.0, 1 - eps / lam_lo) ** m)
+    up = np.prod(np.sort(diag, axis=-1)[:, :m] + 2 * eps[:, None], axis=-1)
+    return (low * (1 - 2.0 ** -48 * n))[None], (up * (1 + 2.0 ** -48 * n))[None]
+
+
+def screened_eigs(codebook, cov, bounds, points=1):
+    """Eigenvalues of the codeword pairs that a bound screen keeps for a
+    running minimum, as ``(ii, jj, eig)`` in ``np.triu_indices`` order.
+
+    Each ``effective_matrices`` batch gets one batched ``det``; ``bounds``
+    of its ``_psd_terms`` (d, eps, top, det_lo, lam_lo) gives lower and
+    upper bounds (points, pairs) on each pair's computed statistic, and the
+    ``Survivors`` are eigensolved. The bounds assume a PSD matrix with
+    nonzero determinant, so the screen needs cov.rank * num_tx >= block_len;
+    below that det M = 0 structurally and callers take ``effective_eigs``."""
+    words, weight = codebook.words, cov.entries.T
+    slack = _eig_slack(weight, words.shape[-2])
+    survivors = Survivors(points)
+    with np.errstate(all="ignore"):  # a zero difference gives NaN bounds
+        for ii, jj, mat in effective_matrices(words, weight):
+            low, up = bounds(*_psd_terms(mat, slack))
+            survivors.add(ii, jj, low, up.min(axis=-1))
+    return survivors.eigs(words, weight)
+
+
+def _uncertified_eigs(codebook, cov):
+    """``effective_eigs`` of only the pairs that ``_rank_certified`` leaves
+    open, eigensolved in their batch."""
+    slack = _eig_slack(cov.entries.T, codebook.words.shape[-2])
+    for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
+        with np.errstate(all="ignore"):
+            open_ = ~_rank_certified(*_psd_terms(mat, slack))
+        if open_.any():
+            yield ii[open_], jj[open_], np.linalg.eigvalsh(mat[open_])
 
 
 def structural_count(cov, num_tx, n, clip=False):
@@ -520,13 +696,19 @@ def xi_metric(codebook, cov, num_rx):
     as a ``WorstPair``.
 
     Pair enumeration is exhaustive. Requires block_len >= rank * num_tx so
-    the structural eigenvalue count is not limited by the block length.
+    the structural eigenvalue count is not limited by the block length. At
+    equality only the pairs that ``_xi_bounds`` cannot rule out are
+    eigensolved (``screened_eigs``); the worst pair is the same.
     """
     _, num_tx, n = codebook.words.shape
     low = n - structural_count(cov, num_tx, n)
     m = min(num_tx, num_rx)
+    if low:
+        sweep = effective_eigs(codebook, cov)
+    else:
+        sweep = screened_eigs(codebook, cov, functools.partial(_xi_bounds, m=m))
     worst = WorstPair()
-    for ii, jj, eig in effective_eigs(codebook, cov):
+    for ii, jj, eig in sweep:
         worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
     return worst
 
@@ -557,10 +739,13 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon, num_rx):
 def verify_rank_r0(codebook, cov):
     """Fixed-rate sufficiency check: every effective difference must reach
     the full structural rank. Reports the number of failing pairs and the
-    first _LISTED_FAILURES of them in sweep order, so memory stays bounded."""
+    first _LISTED_FAILURES of them in sweep order, so memory stays bounded.
+    When the structural rank is the block length, the pairs that
+    ``_rank_certified`` clears are not eigensolved."""
     expected = structural_count(cov, *codebook.words.shape[1:])
+    full = expected == codebook.words.shape[-1]
     failure_count, failures = 0, []
-    for ii, jj, eig in effective_eigs(codebook, cov):
+    for ii, jj, eig in (_uncertified_eigs if full else effective_eigs)(codebook, cov):
         ranks = eig_rank(eig, eig.shape[-1])
         bad = np.flatnonzero(ranks != expected)
         failure_count += bad.size

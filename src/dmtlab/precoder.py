@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import batches, complex_pairs, fft_column
+from ._util import complex_pairs, fft_column
 from .channel import circulant_covariance
 from . import codes
-from .codes import WorstPair, criterion_threshold, distance_strips, pair_eigvals
+from .codes import Survivors, WorstPair, criterion_threshold, distance_strips
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,10 @@ def _composed_sweep(report, words, m):
     the minimum; only the survivors are eigensolved. A rank-deficient Gram
     gives xi = 0 unsolved.
     """
-    n = words.shape[1]
-    shift = n - report.expected_rank
+    shift = words.shape[1] - report.expected_rank
     sigma0, sigma_top = report.sigma0, float(report.gram.eigvals[-1])
     deficient = not report.passed
-    outer, xi = WorstPair(), WorstPair()
-    min_up, cand = np.inf, []
+    outer, xi, survivors = WorstPair(), WorstPair(), Survivors()
     for rows, cols, dist2, below in distance_strips(words):
         small = dist2[:m].prod(axis=0)
         small[below] = np.inf
@@ -218,23 +216,16 @@ def _composed_sweep(report, words, m):
         if not deficient:
             up = dist2[shift:shift + m].prod(axis=0)
             up[below] = np.inf
-            min_up = min(min_up, float(up.min()))
-            # min_up only falls, so this keeps a superset of the final survivors
-            low = (sigma0 ** m) * small
-            sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
-            r, c = np.nonzero(sel)
-            cand.append((rows[r, 0], cols[c], low[sel]))
+            survivors.add(rows, cols, (sigma0 ** m) * small[None],
+                          (sigma_top ** m) * float(up.min()) * (1 + 1e-9))
     if deficient:
         xi.value = 0.0
         return outer, xi, 0
-    cand_i, cand_j, low = (np.concatenate(part) for part in zip(*cand))
-    sel = low <= (sigma_top ** m) * min_up * (1 + 1e-9)
-    cand_i, cand_j = cand_i[sel], cand_j[sel]
-    for batch in batches(cand_i.size, 2 * n * n):
-        ii, jj = cand_i[batch], cand_j[batch]
-        eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii, jj)
+    evaluated = 0
+    for ii, jj, eig in survivors.eigs(words[:, None, :], report.gram.matrix):
         xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
-    return outer, xi, int(cand_i.size)
+        evaluated += ii.size
+    return outer, xi, evaluated
 
 
 def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):

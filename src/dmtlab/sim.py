@@ -3,6 +3,7 @@ error, the least-favorable-rotation trace minimum with brute-force oracles,
 and an exhaustive maximum-likelihood decoding Monte Carlo.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 from .channel import draw_white, mix_white, sample_channel_batch
-from .codes import effective_difference
+from .codes import effective_difference, effective_eigs, screened_eigs, structural_count
 from .precoder import apply_precoder
 
 
@@ -48,6 +49,44 @@ def pep_chernoff(cov, e, snr, num_rx):
     num_tx = e.shape[0]
     eff = effective_difference(cov, e)
     return PepBound(value=float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx)))
+
+
+def _pep_bounds(diag, eps, top, det_lo, lam_lo, c):
+    """Bounds (snrs, pairs) on g = prod(1 + c * lam) over all n eigenvalues,
+    with c = snr / (4 num_tx) of shape (snrs, 1), for the computed
+    ``chernoff_bound``, which is g ** -num_rx. Low: 1 + c tr + c**n det, as
+    every elementary symmetric function of PSD eigenvalues is >= 0 (at n = 1
+    the two terms are one, so the det term is dropped). Up:
+    (1 + c tr / n) ** n by AM-GM. An eigenvalue lam off by eps moves its
+    factor by at most 1 +- r, r = c eps / (1 + c lam_lo) with lam_lo <= lam
+    (zero when unknown), and both are widened for the rounding of the
+    bound's own product."""
+    n = diag.shape[-1]
+    r = c * eps / (1 + c * np.fmax(lam_lo, 0.0))
+    low = ((1 + c * (top - 2 * n * eps) + (n > 1) * c ** n * np.maximum(det_lo, 0.0))
+           * np.maximum(0.0, 1 - r) ** n)
+    up = ((1 + c * top / n) * (1 + r)) ** n
+    return low * (1 - 2.0 ** -48 * n), up * (1 + 2.0 ** -48 * n)
+
+
+def worst_pep(codebook, cov, snrs, num_rx):
+    """Largest ``chernoff_bound`` over the codeword pairs at each SNR of
+    ``snrs``, as a list. When cov.rank * num_tx >= block_len only the pairs
+    that ``_pep_bounds`` cannot rule out at some SNR are eigensolved
+    (``codes.screened_eigs``); the maximum is the same."""
+    _, num_tx, n = codebook.words.shape
+    keep = structural_count(cov, num_tx, n, clip=True)
+    if keep < n:
+        sweep = effective_eigs(codebook, cov)
+    else:
+        c = np.asarray(snrs, dtype=float)[:, None] / (4.0 * num_tx)
+        sweep = screened_eigs(codebook, cov, functools.partial(_pep_bounds, c=c), len(snrs))
+    worst = np.zeros(len(snrs))
+    for _, _, eig in sweep:
+        for k, snr in enumerate(snrs):
+            worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
+                                                    num_rx).max())
+    return worst.tolist()
 
 
 @dataclass(frozen=True)

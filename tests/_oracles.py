@@ -3,10 +3,11 @@
 import numpy as np
 
 from dmtlab import sim
-from dmtlab._util import batches, complex_normal, run_chunks, wilson_interval
+from dmtlab._util import batches, complex_normal, eig_rank, run_chunks, wilson_interval
 from dmtlab.channel import draw_white, mix_white
-from dmtlab.codes import WorstPair, _sort_slots, pair_eigvals
-from dmtlab.sim import ErrorEstimate
+from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _sort_slots, effective_eigs, pair_eigvals,
+                          structural_count)
+from dmtlab.sim import ErrorEstimate, chernoff_bound
 from dmtlab.tradeoff import (OutageEstimate, _jensen_information_batch,
                              _mutual_information_batch)
 
@@ -137,3 +138,41 @@ def gather_composed_sweep(report, words, m):
     eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii[sel], jj[sel])
     xi.update(eig[:, shift:shift + m].prod(axis=-1), ii[sel], jj[sel])
     return outer, xi, int(np.count_nonzero(sel))
+
+
+def dense_rank_r0(codebook, cov):
+    """``codes.verify_rank_r0`` with every pair eigensolved: the dense
+    ``effective_eigs`` sweep, with no determinant screen."""
+    expected = structural_count(cov, *codebook.words.shape[1:])
+    failure_count, failures = 0, []
+    for ii, jj, eig in effective_eigs(codebook, cov):
+        ranks = eig_rank(eig, eig.shape[-1])
+        bad = np.flatnonzero(ranks != expected)
+        failure_count += bad.size
+        failures += [{"pair": [int(ii[k]), int(jj[k])], "rank": int(ranks[k])}
+                     for k in bad[:_LISTED_FAILURES - len(failures)]]
+    return {"passed": failure_count == 0, "expected_rank": expected,
+            "failure_count": failure_count, "failures": failures}
+
+
+def dense_xi(codebook, cov, num_rx):
+    """``codes.xi_metric`` with every pair eigensolved."""
+    _, num_tx, n = codebook.words.shape
+    low = n - structural_count(cov, num_tx, n)
+    m = min(num_tx, num_rx)
+    worst = WorstPair()
+    for ii, jj, eig in effective_eigs(codebook, cov):
+        worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
+    return worst
+
+
+def dense_worst_pep(codebook, cov, snrs, num_rx):
+    """``sim.worst_pep`` with every pair eigensolved."""
+    _, num_tx, n = codebook.words.shape
+    keep = structural_count(cov, num_tx, n, clip=True)
+    worst = np.zeros(len(snrs))
+    for _, _, eig in effective_eigs(codebook, cov):
+        for k, snr in enumerate(snrs):
+            worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
+                                                    num_rx).max())
+    return worst.tolist()

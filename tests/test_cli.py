@@ -652,6 +652,27 @@ def test_misshaped_codebook_rows_exit_2(tmp_path, capsys, mt, n):
         assert "codebook.words" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify-code", "--criterion", "rank"],
+                                  ["verify-code", "--criterion", "dmt"],
+                                  ["pep", "--snr-db", "10"]],
+                         ids=["rank", "dmt", "pep"])
+@pytest.mark.parametrize("book_len", [3, 5])
+def test_codebook_and_covariance_lengths_must_match(tmp_path, capsys, argv, book_len):
+    # a 3-slot code against a 4-slot covariance used to exit with the structural
+    # count's message, and pep named neither input
+    rng = np.random.default_rng(3)
+    book = Codebook(words=0.3 * rng.standard_normal((4, 1, book_len)), snr=10.0,
+                    mux_rate=0.0)
+    (tmp_path / "book.json").write_text(json.dumps(book.to_json()))
+    (tmp_path / "cov.json").write_text(json.dumps(build_covariance(Fast(), 4).to_json()))
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--codebook", str(tmp_path / "book.json"),
+                            "--cov", str(tmp_path / "cov.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"--codebook n = {book_len} does not match --cov n = 4" in err
+
+
 def test_verify_code_dmt_rows_match_xi_metric(tmp_path):
     # the receive count comes from --mr: on a 2-antenna code m = min(2, mr)
     # picks one or two of the smallest nonzero eigenvalues

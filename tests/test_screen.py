@@ -1,0 +1,187 @@
+"""The determinant screen of the pair criteria (``verify_rank_r0``,
+``xi_metric`` / ``verify_dmt_criterion`` and ``worst_pep`` / ``dmtlab pep``)
+against the dense sweep that eigensolves every pair: values, worst pairs,
+failure lists and CSV bytes must be identical."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmtlab import _util, cli, codes
+from dmtlab.channel import (BlockFading, CovarianceMatrix, CyclicIsi, Fast, Flat,
+                            build_covariance)
+from dmtlab.codes import (Codebook, Survivors, qam_family, verify_dmt_criterion,
+                          verify_rank_r0, xi_metric)
+from dmtlab.precoder import apply_precoder, classic_precoder
+from dmtlab.sim import worst_pep
+
+from _oracles import dense_rank_r0, dense_worst_pep, dense_xi
+
+
+def _random_cov(rng, n, rho):
+    # random rank-rho PSD, rescaled to the unit diagonal the type requires
+    mat = rng.standard_normal((n, rho)) + 1j * rng.standard_normal((n, rho))
+    raw = mat @ mat.conj().T
+    scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
+    return CovarianceMatrix.from_entries(raw * np.outer(scale, scale))
+
+
+def _random_code(rng):
+    num, num_tx, n = rng.integers(2, 14), rng.integers(1, 3), rng.integers(1, 6)
+    words = rng.standard_normal((num, num_tx, n)) + 1j * rng.standard_normal((num, num_tx, n))
+    return 0.3 * words, _random_cov(rng, n, rng.integers(1, n + 1))
+
+
+def _cdd_code(rng):
+    # a CDD-precoded QAM permutation code: many pairs tie exactly
+    fam = qam_family(float(rng.choice([4, 9, 16])), 1.0)
+    perms = [np.arange(len(fam))] + [rng.permutation(len(fam)) for _ in range(3)]
+    outer = np.stack([fam.points[p] for p in perms], axis=1)
+    words = apply_precoder(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2), outer)
+    model = [CyclicIsi(2, (1.0, 1.0)), CyclicIsi(2, (1.0, 0.5)), BlockFading(2, 2),
+             Flat(), Fast()][rng.integers(5)]
+    return words, build_covariance(model, 4)
+
+
+def _diagonal_code(rng):
+    # words diag(x) over QAM points under flat fading: M = diag(|x_i - x_j|**2),
+    # the xi bounds are tight at m = n and products of equal multisets tie
+    n = int(rng.integers(2, 4))
+    points = qam_family(16.0, 1.0).points
+    words = np.zeros((int(rng.integers(4, 16)), n, n), complex)
+    words[:, range(n), range(n)] = rng.choice(points, (len(words), n))
+    return words, build_covariance(Flat(), n)
+
+
+def _near_singular_code(rng):
+    # word 0 is zero and word k = diag(sqrt(lam)) V^H for a random unitary V, so
+    # pair (0, k) has eigenvalues lam: a smallest one within a few parts per
+    # million of the rank tolerance, exactly zero or far below it
+    n = int(rng.integers(2, 4))
+    num = int(rng.integers(4, 16))
+    words = np.zeros((num, n, n), complex)
+    for k in range(1, num):
+        lam = np.ones(n)
+        lam[0] = rng.choice([_util.RANK_TOL_FACTOR * n * (1 + rng.uniform(-3e-6, 3e-6)),
+                             0.0, 1e-13, 1e-6])
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        words[k] = 0.5 * np.sqrt(lam)[:, None] * np.linalg.qr(gauss)[0].conj().T
+    return words, build_covariance(Flat(), n)
+
+
+_FAMILIES = {"random": _random_code, "cdd": _cdd_code, "diagonal": _diagonal_code,
+             "near-singular": _near_singular_code}
+
+
+def _both(fn, oracle, *args):
+    """(screened, dense) results, or the messages of the errors both raise."""
+    try:
+        return fn(*args), oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            oracle(*args)
+        return None, None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(_FAMILIES)), seed=st.integers(0, 2 ** 32 - 1),
+       duplicates=st.integers(0, 2), num_rx=st.integers(1, 3), small_batches=st.booleans(),
+       snr_db=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=10))
+def test_screen_matches_dense_sweep(tmp_path_factory, family, seed, duplicates, num_rx,
+                                    small_batches, snr_db):
+    rng = np.random.default_rng(seed)
+    words, cov = _FAMILIES[family](rng)
+    for _ in range(duplicates):  # zero differences: NaN bounds
+        words[rng.integers(len(words))] = words[rng.integers(len(words))]
+    book = Codebook(words=words, snr=100.0, mux_rate=0.5)
+    snr_db = sorted(snr_db)
+    snrs = [10.0 ** (db / 10.0) for db in snr_db]
+    with pytest.MonkeyPatch.context() as mp:
+        if small_batches:  # three pairs a batch
+            mp.setattr(_util, "BATCH_BUDGET", 6 * words.shape[-1] ** 2)
+
+        screened, dense = _both(verify_rank_r0, dense_rank_r0, book, cov)
+        assert screened == dense
+
+        screened, dense = _both(xi_metric, dense_xi, book, cov, num_rx)
+        if screened is not None:
+            assert (screened.value, screened.pair) == (dense.value, dense.pair)
+            args = (lambda snr: book, cov, [1e3, 1e4], 0.5, num_rx)
+            report = verify_dmt_criterion(*args)
+            mp.setattr(codes, "xi_metric", dense_xi)
+            assert report == verify_dmt_criterion(*args)
+
+        screened, dense = _both(worst_pep, dense_worst_pep, book, cov, snrs, num_rx)
+        assert screened == dense
+        path = tmp_path_factory.mktemp("pep")
+        (path / "book.json").write_text(json.dumps(book.to_json()))
+        (path / "cov.json").write_text(json.dumps(cov.to_json()))
+        code = cli.dispatch(["pep", "--codebook", str(path / "book.json"),
+                             "--cov", str(path / "cov.json"), "--mr", str(num_rx),
+                             "--snr-db", *map(repr, snr_db), "--out", str(path / "pep.csv")])
+    if code == 0:
+        dense = dense_worst_pep(Codebook.load(path / "book.json"),
+                                CovarianceMatrix.load(path / "cov.json"), snrs, num_rx)
+        cli.write_report({"columns": ["snr_db", "pep_bound"],
+                          "rows": [list(row) for row in zip(snr_db, dense)]},
+                         "csv", path / "dense.csv")
+        assert (path / "pep.csv").read_bytes() == (path / "dense.csv").read_bytes()
+
+
+def _benchmark_like_code(seed):
+    """A 100-word CDD-precoded QAM permutation code over the rank-2 ISI
+    covariance, like the benchmark's design_verify code."""
+    rng = np.random.default_rng(seed)
+    fam = qam_family(100.0, 1.0)
+    outer = np.stack([fam.points] + [fam.points[rng.permutation(100)] for _ in range(3)],
+                     axis=1)
+    words = apply_precoder(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2), outer)
+    return (Codebook(words=words, snr=100.0, mux_rate=1.0),
+            build_covariance(CyclicIsi(2, (1.0, 1.0)), 4))
+
+
+def test_workload_scale_code_matches_dense_sweep():
+    # the screen leaves a few pairs to solve and must still give the dense
+    # answers bit for bit
+    book, cov = _benchmark_like_code(721)
+    assert verify_rank_r0(book, cov) == dense_rank_r0(book, cov)
+    for num_rx in (1, 2):
+        xi, dense = xi_metric(book, cov, num_rx), dense_xi(book, cov, num_rx)
+        assert (xi.value, xi.pair) == (dense.value, dense.pair)
+    snrs = [10.0 ** (db / 10.0) for db in range(0, 81, 10)]
+    assert worst_pep(book, cov, snrs, 2) == dense_worst_pep(book, cov, snrs, 2)
+
+
+def test_screen_eigensolves_few_pairs(monkeypatch):
+    # the bounds settle nearly every pair of such a code
+    solved, pair_eigvals = [], codes.pair_eigvals
+
+    def counting(words, weight, ii, jj):
+        solved.append(len(ii))
+        return pair_eigvals(words, weight, ii, jj)
+
+    monkeypatch.setattr(codes, "pair_eigvals", counting)
+    book, cov = _benchmark_like_code(5)
+    xi_metric(book, cov, 2)
+    assert 0 < sum(solved) < 4950 // 20
+    solved.clear()
+    worst_pep(book, cov, [10.0 ** (db / 10.0) for db in range(0, 41, 5)], 2)
+    assert 0 < sum(solved) < 4950 // 20
+
+
+def test_survivors_keep_nan_bounds_and_filter_at_the_end():
+    survivors = Survivors()
+    # pair (0, 1): a NaN lower bound; (0, 2) is kept while best is 5 and
+    # dropped once the second batch brings best down to 2
+    survivors.add(np.array([0, 0]), np.array([1, 2]), np.array([[np.nan, 4.0]]),
+                  np.array([5.0]))
+    survivors.add(np.array([1, 1]), np.array([2, 3]), np.array([[1.0, 3.0]]),
+                  np.array([2.0]))
+    words = np.arange(4.0)[:, None, None] * np.ones((1, 1, 2))
+    pairs = [(i, j) for ii, jj, _ in survivors.eigs(words, np.eye(2))
+             for i, j in zip(ii.tolist(), jj.tolist())]
+    assert pairs == [(0, 1), (1, 2)]
