@@ -7,7 +7,6 @@ codes), ``sim`` (pairwise error bounds and ML error simulation), ``cli``.
 """
 
 from .channel import (
-    BlockCirculant,
     BlockFading,
     ChannelDims,
     CovarianceMatrix,
@@ -16,25 +15,20 @@ from .channel import (
     Flat,
     ScatteringSpec,
     TimeFrequency,
-    build_block_circulant,
     build_covariance,
     circulant_covariance,
-    sample_channel,
     sample_channel_batch,
 )
 from .codes import (
     Codebook,
     EffectiveDifference,
     QamFamily,
-    block_fading_check,
     delta_decomposition,
     effective_difference,
-    min_entry_criterion,
     pairwise_min_products,
     permutation_codebook,
     qam_family,
     search_permutations,
-    stacked_isi_difference,
     verify_dmt_criterion,
     verify_rank_r0,
     xi_metric,
@@ -46,15 +40,11 @@ from .precoder import (
     design_tf_shift_precoder,
     verify_composed_design,
     verify_precoder_rank,
-    verify_tf_precoder,
 )
 from .sim import (
-    PepBound,
     TraceBoundInstance,
     error_curve,
     least_favorable_trace,
-    pep_chernoff,
-    pep_monte_carlo,
     simulate_error_prob,
     trace_oracle,
     worst_pep,
@@ -64,15 +54,11 @@ from .tradeoff import (
     FixedRate,
     OutageEstimate,
     ScalingRate,
-    SingularityLevels,
     SnrPoint,
     estimate_outage,
     fit_diversity_slope,
     jensen_dmt_curve,
-    jensen_mutual_information,
-    mutual_information,
     outage_curve,
-    singularity_levels,
 )
 
 __version__ = "0.1.0"

@@ -46,12 +46,6 @@ def fft_column(n, idx):
     return np.exp(-2j * np.pi * idx * np.arange(n) / n) / np.sqrt(n)
 
 
-def cyclic_shift_matrix(n, power=1):
-    """Cyclic delay matrix P with P[i, j] = 1 iff i == (j + power) mod n,
-    so (P @ v)[i] = v[(i - power) mod n]."""
-    return np.eye(n)[:, (np.arange(n) + power) % n]
-
-
 def rank_tolerance(values, n):
     """Threshold below which eigen/singular values count as zero; one
     threshold per row of the last axis."""

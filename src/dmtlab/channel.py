@@ -2,8 +2,8 @@
 
 Covers the slot-covariance constructions (flat, fast, block fading, cyclic
 multipath, time-frequency selective), the two-level circulant surrogate with
-its analytically known eigenstructure, correlated channel sampling, and the
-block-circulant matrix view of cyclic multipath channels.
+its analytically known eigenstructure, and correlated channel sampling from
+the covariance's nonzero eigenpairs.
 """
 
 import json
@@ -16,11 +16,9 @@ from ._util import (
     assert_hermitian,
     complex_normal,
     complex_pairs,
-    cyclic_shift_matrix,
     json_complex,
     json_field,
     json_floats,
-    numerical_rank,
     rank_tolerance,
     unitary_fft,
 )
@@ -300,18 +298,6 @@ class CovarianceMatrix:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class BlockCirculant:
-    """Block-circulant matrix of channel taps plus its rank-determining corner."""
-
-    full: np.ndarray       # (n*num_rx, n*num_tx)
-    corner: np.ndarray     # (min_ant, num_taps*max_ant)
-
-    @property
-    def corner_rank(self):
-        return numerical_rank(self.corner)
-
-
 def build_covariance(model, n):
     """Construct the slot covariance matrix for a fading model, rescaled so
     every diagonal entry is exactly 1 and the average SNR keeps its meaning
@@ -356,12 +342,6 @@ def circulant_covariance(spec):
     return CovarianceMatrix.from_entries(entries)
 
 
-def sample_channel(cov, dims, rng):
-    """Draw one correlated channel realization as an (N, M_R, M_T) array:
-    the one draw of ``sample_channel_batch(cov, dims, 1, rng)``."""
-    return sample_channel_batch(cov, dims, 1, rng)[0]
-
-
 def sample_channel_batch(cov, dims, count, rng):
     """``count`` correlated channel draws as one (count, N, M_R, M_T) array:
     ``mix_white(cov, draw_white(cov, dims, count, rng))``.
@@ -390,36 +370,3 @@ def mix_white(cov, white):
     so mixing ``white[a:b]`` gives rows a:b of the whole batch's mix, bit
     for bit."""
     return np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
-
-
-def build_block_circulant(taps, n):
-    """Assemble the block-circulant channel matrix of a cyclic multipath link.
-
-    Parameters
-    ----------
-    taps : sequence of num_taps matrices, each num_rx x num_tx
-    n : int
-        Block length; must exceed the tap count.
-
-    Returns
-    -------
-    BlockCirculant
-        Includes the corner submatrix whose rank, multiplied by n, gives the
-        rank of the full matrix: the first transmit block-column when
-        num_tx <= num_rx, otherwise the last receive block-row restricted to
-        the trailing num_taps block-columns.
-    """
-    taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 3:
-        raise ValueError("taps must be a sequence of matrices")
-    num_taps, num_rx, num_tx = taps.shape
-    if n <= num_taps:
-        raise ValueError("block length must exceed the tap count")
-    # block (i, j) is taps[(i - j) mod n], zero for lags past the last tap
-    full = sum(np.kron(cyclic_shift_matrix(n, lag), taps[lag]) for lag in range(num_taps))
-    if num_tx <= num_rx:
-        corner = full[:num_taps * num_rx, :num_tx].T
-    else:
-        corner = full[(n - 1) * num_rx:, (n - num_taps) * num_tx:]
-    return BlockCirculant(full=full, corner=corner)
-

@@ -23,7 +23,6 @@ import numpy as np
 from . import _util
 from ._util import (batches, complex_pairs, eig_rank, json_complex, json_field,
                     numerical_rank, spawn_rng)
-from .channel import build_covariance, BlockFading
 
 _EXHAUSTIVE_CAP = 50_000
 _LISTED_FAILURES = 100  # failing pairs a rank report lists
@@ -656,8 +655,10 @@ def screened_eigs(codebook, cov, bounds, points=1):
     of its ``_psd_terms`` (d, eps, top, det_lo, lam_lo) gives lower and
     upper bounds (points, pairs) on each pair's computed statistic, and the
     ``Survivors`` are eigensolved. The bounds assume a PSD matrix with
-    nonzero determinant, so the screen needs cov.rank * num_tx >= block_len;
-    below that det M = 0 structurally and callers take ``effective_eigs``."""
+    nonzero determinant, so when ``_det_screens`` says no this is the dense
+    ``effective_eigs`` sweep."""
+    if not _det_screens(codebook, cov):
+        return effective_eigs(codebook, cov)
     words, weight = codebook.words, cov.entries.T
     slack = _eig_slack(weight, words.shape[-2])
     survivors = Survivors(points)
@@ -670,13 +671,25 @@ def screened_eigs(codebook, cov, bounds, points=1):
 
 def _uncertified_eigs(codebook, cov):
     """``effective_eigs`` of only the pairs that ``_rank_certified`` leaves
-    open, eigensolved in their batch."""
+    open, eigensolved in their batch; of every pair when ``_det_screens``
+    says no."""
+    if not _det_screens(codebook, cov):
+        yield from effective_eigs(codebook, cov)
+        return
     slack = _eig_slack(cov.entries.T, codebook.words.shape[-2])
     for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
         with np.errstate(all="ignore"):
             open_ = ~_rank_certified(*_psd_terms(mat, slack))
         if open_.any():
             yield ii[open_], jj[open_], np.linalg.eigvalsh(mat[open_])
+
+
+def _det_screens(codebook, cov):
+    """Whether the determinant screens apply to the effective differences of
+    ``codebook``: cov.rank * num_tx >= block_len. Below that det M = 0
+    structurally and the screens can bound nothing."""
+    _, num_tx, n = codebook.words.shape
+    return structural_count(cov, num_tx, n, clip=True) == n
 
 
 def structural_count(cov, num_tx, n, clip=False):
@@ -703,12 +716,8 @@ def xi_metric(codebook, cov, num_rx):
     _, num_tx, n = codebook.words.shape
     low = n - structural_count(cov, num_tx, n)
     m = min(num_tx, num_rx)
-    if low:
-        sweep = effective_eigs(codebook, cov)
-    else:
-        sweep = screened_eigs(codebook, cov, functools.partial(_xi_bounds, m=m))
     worst = WorstPair()
-    for ii, jj, eig in sweep:
+    for ii, jj, eig in screened_eigs(codebook, cov, functools.partial(_xi_bounds, m=m)):
         worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
     return worst
 
@@ -743,9 +752,8 @@ def verify_rank_r0(codebook, cov):
     When the structural rank is the block length, the pairs that
     ``_rank_certified`` clears are not eigensolved."""
     expected = structural_count(cov, *codebook.words.shape[1:])
-    full = expected == codebook.words.shape[-1]
     failure_count, failures = 0, []
-    for ii, jj, eig in (_uncertified_eigs if full else effective_eigs)(codebook, cov):
+    for ii, jj, eig in _uncertified_eigs(codebook, cov):
         ranks = eig_rank(eig, eig.shape[-1])
         bad = np.flatnonzero(ranks != expected)
         failure_count += bad.size
@@ -766,78 +774,3 @@ def delta_decomposition(cov, e):
         blocks.append(np.sqrt(lam) * (vec.conj()[:, None] * e.conj().T))
     delta = np.concatenate(blocks, axis=1).conj().T
     return delta, numerical_rank(delta)
-
-
-def stacked_isi_difference(e_time, num_taps, mode="cyclic"):
-    """Tap-shifted stack of a time-domain difference matrix.
-
-    ``cyclic`` applies cyclic delays (multicarrier model); ``linear``
-    applies forward shifts (single-carrier model) and requires the trailing
-    num_taps - 1 columns of the difference to be zero (entries up to 1e-12
-    count as zero and are cleared) so nothing falls off the block.
-    """
-    e_time = np.array(e_time, dtype=complex)
-    num_tx, n = e_time.shape
-    if n <= num_taps:
-        raise ValueError("block length must exceed the tap count")
-    if mode == "linear":
-        tail = e_time[:, n - num_taps + 1:]
-        if num_taps > 1 and np.max(np.abs(tail)) > 1e-12:
-            raise ValueError("linear mode requires zero guard columns at the block end")
-        tail[:] = 0  # with a zero guard, forward shifts are the cyclic ones
-    elif mode != "cyclic":
-        raise ValueError(f"unknown mode: {mode!r}")
-    stacked = np.concatenate([np.roll(e_time, lag, axis=1) for lag in range(num_taps)])
-    return stacked, numerical_rank(stacked)
-
-
-def block_fading_check(codebook, num_blocks, num_rx):
-    """Block-fading diagnostics: eigen-multiset identity, global metric, and
-    the per-block worst products that per-block designs would certify.
-
-    The effective difference of a block-fading channel is block diagonal in
-    the per-block difference Grams, so its eigenvalues are the union of the
-    per-block ones. Per-block products passing a threshold do not imply the
-    global product does; this check reports both sides.
-    """
-    words = codebook.words
-    num, num_tx, n = words.shape
-    if n % num_blocks:
-        raise ValueError("block count must divide the block length")
-    sub_len = n // num_blocks
-    cov = build_covariance(BlockFading(num_blocks, sub_len), n)
-    low = n - structural_count(cov, num_tx, n)
-    m = min(num_tx, num_rx)
-    blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
-    max_err = 0.0
-    per_block_min = np.full(num_blocks, np.inf)
-    worst = WorstPair()  # the sweep of xi_metric(codebook, cov, num_rx)
-    for ii, jj, eff in effective_eigs(codebook, cov):
-        eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
-        kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)
-        per_block_min = np.minimum(per_block_min, kept.min(axis=0))
-        union = np.sort(eig.reshape(len(ii), n), axis=-1)
-        max_err = max(max_err, float(np.max(np.abs(union - eff))))
-        worst.update(eff[:, low:low + m].prod(axis=-1), ii, jj)
-    scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
-    multiset_ok = max_err <= 1e-10 * scale
-    return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,
-            "global_xi": worst,
-            "per_block_min_products": per_block_min.tolist()}
-
-
-def min_entry_criterion(codebook_gen, snr_grid, epsilon):
-    """Single-transmit-antenna criterion: the smallest per-slot difference
-    power over all pairs must clear the rate threshold at every grid SNR."""
-    results = []
-    for snr in snr_grid:
-        book = codebook_gen(snr)
-        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
-        words = book.scalar_words
-        worst = pairwise_min_products(words, 1)
-        i, j = worst.pair
-        results.append({"snr": float(snr), "min_entry": worst.value,
-                        "threshold": threshold, "worst_pair": list(worst.pair),
-                        "worst_slot": int(np.argmin(np.abs(words[i] - words[j]) ** 2)),
-                        "passed": bool(worst.value >= threshold)})
-    return {"passed": all(row["passed"] for row in results), "per_snr": results}

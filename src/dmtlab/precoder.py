@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import complex_pairs, fft_column
-from .channel import circulant_covariance
 from . import codes
 from .codes import Survivors, WorstPair, criterion_threshold, distance_strips
 
@@ -42,17 +41,6 @@ class Precoder:
     @property
     def block_len(self):
         return self.matrix.shape[1]
-
-    def shift_index_sets(self):
-        """Eigenvalue index boxes occupied per antenna after shifting."""
-        if self.shifts is None:
-            raise ValueError("custom precoders carry no shift assignment")
-        v, t = self.doppler_stride, self.delay_stride
-        boxes = []
-        for p, q in self.shifts:
-            boxes.append({(a, b) for a in range(p * v, (p + 1) * v)
-                          for b in range(q * t, (q + 1) * t)})
-        return boxes
 
     def to_json(self):
         return {"mt": self.num_tx, "n": self.block_len, "rows": complex_pairs(self.matrix),
@@ -170,26 +158,6 @@ def verify_precoder_rank(cov, precoder):
     sigma0 = float(gram.eigvals[-gram.rank]) if gram.rank else 0.0
     return PrecoderRankReport(rank=gram.rank, expected_rank=expected, sigma0=sigma0,
                               passed=gram.rank == expected, gram=gram)
-
-
-def verify_tf_precoder(spec, precoder, cov=None):
-    """Rank verification against the circulant surrogate (exact guarantee)
-    and, when given, the true covariance (reported empirically).
-
-    The true two-level Toeplitz covariance has no exact zero eigenvalues at
-    finite block length, so the second report carries the full eigenvalue
-    profile and the eigenvalue at the surrogate's structural count rather
-    than a hard pass/fail verdict.
-    """
-    out = {"circulant": verify_precoder_rank(circulant_covariance(spec), precoder)}
-    if cov is not None:
-        eff = codes.effective_difference(cov, precoder.matrix)
-        out["toeplitz"] = {
-            "eigvals": eff.eigvals,
-            "rank": eff.rank,
-            "sigma_at_structural": float(eff.eigvals[-out["circulant"].expected_rank]),
-        }
-    return out
 
 
 def _composed_sweep(report, words, m):

@@ -10,45 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
-from .channel import draw_white, mix_white, sample_channel_batch
-from .codes import effective_difference, effective_eigs, screened_eigs, structural_count
+from .channel import draw_white, mix_white
+from .codes import screened_eigs, structural_count
 from .precoder import apply_precoder
 
 
-@dataclass(frozen=True)
-class PepBound:
-    """Closed-form average pairwise error bound."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0 + 1e-12:
-            raise ValueError("bound must lie in [0, 1]")
-
-
 def chernoff_bound(eigs, snr, num_tx, num_rx):
-    """Chernoff bound of ``pep_chernoff`` from structurally nonzero
-    effective-difference eigenvalues along the last axis; round-off
-    negatives count as zero."""
+    """Average Chernoff bound on mistaking one codeword for another, from the
+    structurally nonzero eigenvalues lam_k of their effective difference
+    along the last axis: the product of (1 + snr * lam_k / (4 * num_tx)) **
+    -num_rx, the expectation over the fading of the Gaussian-tail exponent
+    exp(-snr/(4 num_tx) * sum_n ||H_n e_n||^2). Round-off negatives count as
+    zero."""
     eigs = np.clip(eigs, 0.0, None)
     return np.prod((1.0 + snr * eigs / (4.0 * num_tx)) ** (-num_rx), axis=-1)
-
-
-def pep_chernoff(cov, e, snr, num_rx):
-    """Average Chernoff bound on mistaking one codeword for another.
-
-    Closed form: the product over the structurally nonzero eigenvalues lam_k
-    of the effective difference of (1 + snr * lam_k / (4 * num_tx)) ** -num_rx.
-    This is the exact expectation of the Gaussian-tail exponent over the
-    fading distribution, so a Monte-Carlo average of
-    exp(-snr/(4 num_tx) * sum_n ||H_n e_n||^2) converges to it.
-    """
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    e = np.asarray(e, dtype=complex)
-    num_tx = e.shape[0]
-    eff = effective_difference(cov, e)
-    return PepBound(value=float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx)))
 
 
 def _pep_bounds(diag, eps, top, det_lo, lam_lo, c):
@@ -76,13 +51,10 @@ def worst_pep(codebook, cov, snrs, num_rx):
     (``codes.screened_eigs``); the maximum is the same."""
     _, num_tx, n = codebook.words.shape
     keep = structural_count(cov, num_tx, n, clip=True)
-    if keep < n:
-        sweep = effective_eigs(codebook, cov)
-    else:
-        c = np.asarray(snrs, dtype=float)[:, None] / (4.0 * num_tx)
-        sweep = screened_eigs(codebook, cov, functools.partial(_pep_bounds, c=c), len(snrs))
+    c = np.asarray(snrs, dtype=float)[:, None] / (4.0 * num_tx)
     worst = np.zeros(len(snrs))
-    for _, _, eig in sweep:
+    for _, _, eig in screened_eigs(codebook, cov, functools.partial(_pep_bounds, c=c),
+                                   len(snrs)):
         for k, snr in enumerate(snrs):
             worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
                                                     num_rx).max())
@@ -278,18 +250,3 @@ def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
     """``error_curve`` on the grid of the one SNR ``snr``."""
     return error_curve(cov, dims, transmit, (snr,), trials, master_seed, noise_scale,
                        workers)[0]
-
-
-def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
-    """Monte-Carlo average of the Gaussian-tail exponent the closed-form
-    bound integrates; an independent oracle for ``pep_chernoff``."""
-    _check_nonnegative(snr, "snr")
-    e = np.asarray(e, dtype=complex)
-    coef = snr / (4.0 * dims.num_tx)
-
-    def run_chunk(rng, size, live):
-        faded = np.einsum("cnij,jn->cni", sample_channel_batch(cov, dims, size, rng), e)
-        return [float(np.sum(np.exp(-coef * np.sum(np.abs(faded) ** 2, axis=(1, 2)))))]
-
-    (total,), (trials,) = run_chunks(run_chunk, trials, master_seed)
-    return total / trials

@@ -71,49 +71,6 @@ class OutageEstimate:
     ci_high: float
 
 
-@dataclass(frozen=True)
-class SingularityLevels:
-    """Eigenvalue decay rates relative to the SNR, per slot and for the stack."""
-
-    per_slot: np.ndarray  # (block_len, min_ant), ascending eigenvalues
-    jensen: np.ndarray    # (min_ant,), sorted descending
-
-
-def mutual_information(blocks, snr):
-    """Average log-det mutual information of the per-slot channels of one
-    (N, M_R, M_T) draw, in nats."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    return float(_mutual_information_batch(blocks[None], snr)[0])
-
-
-def jensen_mutual_information(blocks, snr):
-    """Log-det capacity of the stacked wide channel of one (N, M_R, M_T)
-    draw; upper-bounds the per-slot average by concavity of log det."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    return float(_jensen_information_batch(blocks[None], snr)[0])
-
-
-def singularity_levels(blocks, snr):
-    """Per-slot and stacked eigenvalue decay exponents of one (N, M_R, M_T)
-    draw at the given SNR.
-
-    Level a maps eigenvalue lam through lam = snr**(-a); zero eigenvalues
-    produce +inf so that clipped terms drop out of rate sums naturally.
-    """
-    if snr <= 1:
-        raise ValueError("snr must exceed 1 so that log(snr) is positive")
-    log_snr = np.log(snr)
-    # ascending, exactly min_ant values per slot
-    per_slot_eig = np.sort(np.linalg.svd(blocks, compute_uv=False) ** 2, axis=-1)
-    eig = np.sort(np.linalg.svd(_jensen_stack(blocks[None])[0], compute_uv=False) ** 2)
-    with np.errstate(divide="ignore"):
-        per_slot = -np.log(per_slot_eig) / log_snr
-        jensen = -np.log(eig) / log_snr  # ascending eigenvalues give descending levels
-    return SingularityLevels(per_slot=per_slot, jensen=jensen)
-
-
 def jensen_dmt_curve(rho, dims, variant="jensen"):
     """Closed-form diversity-multiplexing curve of the stacked channel.
 
@@ -200,16 +157,6 @@ def _information(blocks, bound, snr):
     channel ("jensen")."""
     scale = blocks.shape[-1] * (1 if bound == "full" else blocks.shape[1])
     return _snr_step(_snr_free(blocks, bound), bound, snr / scale)
-
-
-def _mutual_information_batch(blocks, snr):
-    """Per-draw average log-det over a (count, N, M_R, M_T) batch."""
-    return _information(blocks, "full", snr)
-
-
-def _jensen_information_batch(blocks, snr):
-    """Per-draw log-det of the Jensen channels of a (count, N, M_R, M_T) batch."""
-    return _information(blocks, "jensen", snr)
 
 
 def _chains(points, rates, live):

@@ -1,15 +1,21 @@
-"""Test-side oracles that the library does not carry."""
+"""Test-side oracles that the library does not carry: dense and brute-force
+references for the fast paths, and single-draw or single-pair helpers that
+no command reads."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from dmtlab import sim
-from dmtlab._util import batches, complex_normal, eig_rank, run_chunks, wilson_interval
-from dmtlab.channel import draw_white, mix_white
-from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _sort_slots, effective_eigs, pair_eigvals,
-                          structural_count)
-from dmtlab.sim import ErrorEstimate, chernoff_bound
-from dmtlab.tradeoff import (OutageEstimate, _jensen_information_batch,
-                             _mutual_information_batch)
+from dmtlab._util import (batches, complex_normal, eig_rank, numerical_rank, run_chunks,
+                          wilson_interval)
+from dmtlab.channel import (BlockFading, build_covariance, draw_white, mix_white,
+                            sample_channel_batch)
+from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _sort_slots, criterion_threshold,
+                          effective_difference, effective_eigs, pair_eigvals,
+                          pairwise_min_products, structural_count)
+from dmtlab.sim import ErrorEstimate, _check_nonnegative, chernoff_bound
+from dmtlab.tradeoff import OutageEstimate, _information, _jensen_stack
 
 
 def psd_root(cov):
@@ -43,14 +49,13 @@ def single_point_outage(cov, dims, point, bound, trials, master_seed, min_events
     ran once per grid SNR before the grid became the unit of work: each chunk
     is drawn, mixed and evaluated for this point alone."""
     rate = point.rate_nats()
-    info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
     per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
 
     def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
         events = 0
         for block in batches(size, per_trial):
-            info = info_batch(mix_white(cov, white[block]), point.snr)
+            info = _information(mix_white(cov, white[block]), bound, point.snr)
             events += int(np.count_nonzero(info < rate))
         return [events]
 
@@ -176,3 +181,237 @@ def dense_worst_pep(codebook, cov, snrs, num_rx):
             worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
                                                     num_rx).max())
     return worst.tolist()
+
+
+def cyclic_shift_matrix(n, power=1):
+    """Cyclic delay matrix P with P[i, j] = 1 iff i == (j + power) mod n,
+    so (P @ v)[i] = v[(i - power) mod n]."""
+    return np.eye(n)[:, (np.arange(n) + power) % n]
+
+
+@dataclass(frozen=True)
+class BlockCirculant:
+    """Block-circulant matrix of channel taps plus its rank-determining corner."""
+
+    full: np.ndarray       # (n*num_rx, n*num_tx)
+    corner: np.ndarray     # (min_ant, num_taps*max_ant)
+
+    @property
+    def corner_rank(self):
+        return numerical_rank(self.corner)
+
+
+def sample_channel(cov, dims, rng):
+    """Draw one correlated channel realization as an (N, M_R, M_T) array:
+    the one draw of ``sample_channel_batch(cov, dims, 1, rng)``."""
+    return sample_channel_batch(cov, dims, 1, rng)[0]
+
+
+def build_block_circulant(taps, n):
+    """Assemble the block-circulant channel matrix of a cyclic multipath link.
+
+    Parameters
+    ----------
+    taps : sequence of num_taps matrices, each num_rx x num_tx
+    n : int
+        Block length; must exceed the tap count.
+
+    Returns
+    -------
+    BlockCirculant
+        Includes the corner submatrix whose rank, multiplied by n, gives the
+        rank of the full matrix: the first transmit block-column when
+        num_tx <= num_rx, otherwise the last receive block-row restricted to
+        the trailing num_taps block-columns.
+    """
+    taps = np.asarray(taps, dtype=complex)
+    if taps.ndim != 3:
+        raise ValueError("taps must be a sequence of matrices")
+    num_taps, num_rx, num_tx = taps.shape
+    if n <= num_taps:
+        raise ValueError("block length must exceed the tap count")
+    # block (i, j) is taps[(i - j) mod n], zero for lags past the last tap
+    full = sum(np.kron(cyclic_shift_matrix(n, lag), taps[lag]) for lag in range(num_taps))
+    if num_tx <= num_rx:
+        corner = full[:num_taps * num_rx, :num_tx].T
+    else:
+        corner = full[(n - 1) * num_rx:, (n - num_taps) * num_tx:]
+    return BlockCirculant(full=full, corner=corner)
+
+
+@dataclass(frozen=True)
+class SingularityLevels:
+    """Eigenvalue decay rates relative to the SNR, per slot and for the stack."""
+
+    per_slot: np.ndarray  # (block_len, min_ant), ascending eigenvalues
+    jensen: np.ndarray    # (min_ant,), sorted descending
+
+
+def mutual_information(blocks, snr):
+    """Average log-det mutual information of the per-slot channels of one
+    (N, M_R, M_T) draw, in nats."""
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
+    return float(_information(blocks[None], "full", snr)[0])
+
+
+def jensen_mutual_information(blocks, snr):
+    """Log-det capacity of the stacked wide channel of one (N, M_R, M_T)
+    draw; upper-bounds the per-slot average by concavity of log det."""
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
+    return float(_information(blocks[None], "jensen", snr)[0])
+
+
+def singularity_levels(blocks, snr):
+    """Per-slot and stacked eigenvalue decay exponents of one (N, M_R, M_T)
+    draw at the given SNR.
+
+    Level a maps eigenvalue lam through lam = snr**(-a); zero eigenvalues
+    produce +inf so that clipped terms drop out of rate sums naturally.
+    """
+    if snr <= 1:
+        raise ValueError("snr must exceed 1 so that log(snr) is positive")
+    log_snr = np.log(snr)
+    # ascending, exactly min_ant values per slot
+    per_slot_eig = np.sort(np.linalg.svd(blocks, compute_uv=False) ** 2, axis=-1)
+    eig = np.sort(np.linalg.svd(_jensen_stack(blocks[None])[0], compute_uv=False) ** 2)
+    with np.errstate(divide="ignore"):
+        per_slot = -np.log(per_slot_eig) / log_snr
+        jensen = -np.log(eig) / log_snr  # ascending eigenvalues give descending levels
+    return SingularityLevels(per_slot=per_slot, jensen=jensen)
+
+
+def stacked_isi_difference(e_time, num_taps, mode="cyclic"):
+    """Tap-shifted stack of a time-domain difference matrix.
+
+    ``cyclic`` applies cyclic delays (multicarrier model); ``linear``
+    applies forward shifts (single-carrier model) and requires the trailing
+    num_taps - 1 columns of the difference to be zero (entries up to 1e-12
+    count as zero and are cleared) so nothing falls off the block.
+    """
+    e_time = np.array(e_time, dtype=complex)
+    num_tx, n = e_time.shape
+    if n <= num_taps:
+        raise ValueError("block length must exceed the tap count")
+    if mode == "linear":
+        tail = e_time[:, n - num_taps + 1:]
+        if num_taps > 1 and np.max(np.abs(tail)) > 1e-12:
+            raise ValueError("linear mode requires zero guard columns at the block end")
+        tail[:] = 0  # with a zero guard, forward shifts are the cyclic ones
+    elif mode != "cyclic":
+        raise ValueError(f"unknown mode: {mode!r}")
+    stacked = np.concatenate([np.roll(e_time, lag, axis=1) for lag in range(num_taps)])
+    return stacked, numerical_rank(stacked)
+
+
+def block_fading_check(codebook, num_blocks, num_rx):
+    """Block-fading diagnostics: eigen-multiset identity, global metric, and
+    the per-block worst products that per-block designs would certify.
+
+    The effective difference of a block-fading channel is block diagonal in
+    the per-block difference Grams, so its eigenvalues are the union of the
+    per-block ones. Per-block products passing a threshold do not imply the
+    global product does; this check reports both sides.
+    """
+    words = codebook.words
+    num, num_tx, n = words.shape
+    if n % num_blocks:
+        raise ValueError("block count must divide the block length")
+    sub_len = n // num_blocks
+    cov = build_covariance(BlockFading(num_blocks, sub_len), n)
+    low = n - structural_count(cov, num_tx, n)
+    m = min(num_tx, num_rx)
+    blocks = words.reshape(num, num_tx, num_blocks, sub_len).transpose(0, 2, 1, 3)
+    max_err = 0.0
+    per_block_min = np.full(num_blocks, np.inf)
+    worst = WorstPair()  # the sweep of xi_metric(codebook, cov, num_rx)
+    for ii, jj, eff in effective_eigs(codebook, cov):
+        eig = pair_eigvals(blocks, np.ones((sub_len, sub_len)), ii, jj)  # per block
+        kept = eig[..., max(0, sub_len - num_tx):][..., :m].prod(axis=-1)
+        per_block_min = np.minimum(per_block_min, kept.min(axis=0))
+        union = np.sort(eig.reshape(len(ii), n), axis=-1)
+        max_err = max(max_err, float(np.max(np.abs(union - eff))))
+        worst.update(eff[:, low:low + m].prod(axis=-1), ii, jj)
+    scale = max(np.max(np.abs(words)) ** 2 * n, 1e-30)
+    multiset_ok = max_err <= 1e-10 * scale
+    return {"multiset_ok": bool(multiset_ok), "max_multiset_err": max_err,
+            "global_xi": worst,
+            "per_block_min_products": per_block_min.tolist()}
+
+
+def min_entry_criterion(codebook_gen, snr_grid, epsilon):
+    """Single-transmit-antenna criterion: the smallest per-slot difference
+    power over all pairs must clear the rate threshold at every grid SNR.
+
+    Zero-entry caveat: the criterion reads codeword pairs literally, so a
+    block codebook whose pairs agree in some slot fails even if each slot is
+    a fine standalone constellation; treat per-slot constellations as
+    independent codes if that reading is intended."""
+    results = []
+    for snr in snr_grid:
+        book = codebook_gen(snr)
+        threshold = criterion_threshold(snr, book.mux_rate, epsilon)
+        words = book.scalar_words
+        worst = pairwise_min_products(words, 1)
+        i, j = worst.pair
+        results.append({"snr": float(snr), "min_entry": worst.value,
+                        "threshold": threshold, "worst_pair": list(worst.pair),
+                        "worst_slot": int(np.argmin(np.abs(words[i] - words[j]) ** 2)),
+                        "passed": bool(worst.value >= threshold)})
+    return {"passed": all(row["passed"] for row in results), "per_snr": results}
+
+
+@dataclass(frozen=True)
+class PepBound:
+    """Closed-form average pairwise error bound."""
+
+    value: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.value <= 1.0 + 1e-12:
+            raise ValueError("bound must lie in [0, 1]")
+
+
+def pep_chernoff(cov, e, snr, num_rx):
+    """Average Chernoff bound on mistaking one codeword for another.
+
+    Closed form: the product over the structurally nonzero eigenvalues lam_k
+    of the effective difference of (1 + snr * lam_k / (4 * num_tx)) ** -num_rx.
+    This is the exact expectation of the Gaussian-tail exponent over the
+    fading distribution, so a Monte-Carlo average of
+    exp(-snr/(4 num_tx) * sum_n ||H_n e_n||^2) converges to it.
+    """
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
+    e = np.asarray(e, dtype=complex)
+    num_tx = e.shape[0]
+    eff = effective_difference(cov, e)
+    return PepBound(value=float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx)))
+
+
+def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
+    """Monte-Carlo average of the Gaussian-tail exponent the closed-form
+    bound integrates; an independent oracle for ``pep_chernoff``."""
+    _check_nonnegative(snr, "snr")
+    e = np.asarray(e, dtype=complex)
+    coef = snr / (4.0 * dims.num_tx)
+
+    def run_chunk(rng, size, live):
+        faded = np.einsum("cnij,jn->cni", sample_channel_batch(cov, dims, size, rng), e)
+        return [float(np.sum(np.exp(-coef * np.sum(np.abs(faded) ** 2, axis=(1, 2)))))]
+
+    (total,), (trials,) = run_chunks(run_chunk, trials, master_seed)
+    return total / trials
+
+
+def shift_index_sets(precoder):
+    """Eigenvalue index boxes occupied per antenna after shifting."""
+    if precoder.shifts is None:
+        raise ValueError("custom precoders carry no shift assignment")
+    v, t = precoder.doppler_stride, precoder.delay_stride
+    boxes = []
+    for p, q in precoder.shifts:
+        boxes.append({(a, b) for a in range(p * v, (p + 1) * v)
+                      for b in range(q * t, (q + 1) * t)})
+    return boxes

@@ -14,9 +14,7 @@ from dmtlab.channel import (
     Flat,
     ScatteringSpec,
     TimeFrequency,
-    build_block_circulant,
     build_covariance,
-    sample_channel,
 )
 from dmtlab.codes import (
     delta_decomposition,
@@ -34,8 +32,6 @@ from dmtlab.precoder import (
 from dmtlab.sim import (
     TraceBoundInstance,
     least_favorable_trace,
-    pep_chernoff,
-    pep_monte_carlo,
     simulate_error_prob,
     trace_oracle,
 )
@@ -46,12 +42,11 @@ from dmtlab.tradeoff import (
     estimate_outage,
     fit_diversity_slope,
     jensen_dmt_curve,
-    jensen_mutual_information,
-    mutual_information,
 )
 from dmtlab._util import db_to_linear, numerical_rank, spawn_rng
 
-from _oracles import psd_root
+from _oracles import (build_block_circulant, jensen_mutual_information, mutual_information,
+                      pep_chernoff, pep_monte_carlo, psd_root, sample_channel)
 
 
 def _verdict(name, ok, detail=""):

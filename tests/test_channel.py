@@ -16,18 +16,16 @@ from dmtlab.channel import (
     Flat,
     ScatteringSpec,
     TimeFrequency,
-    build_block_circulant,
     build_covariance,
     circulant_covariance,
     draw_white,
     mix_white,
-    sample_channel,
     sample_channel_batch,
 )
 from dmtlab._util import complex_normal, numerical_rank, spawn_rng, unitary_fft
 from dmtlab.tradeoff import _jensen_stack
 
-from _oracles import psd_root
+from _oracles import build_block_circulant, psd_root, sample_channel
 
 
 def test_dims_invariants():

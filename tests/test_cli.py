@@ -20,8 +20,9 @@ from dmtlab.channel import (
 from dmtlab.cli import ConfigError, ExperimentConfig, dispatch, load_config, write_report
 from dmtlab.codes import Codebook, xi_metric
 from dmtlab.precoder import classic_precoder
-from dmtlab.sim import pep_chernoff
 from dmtlab.tradeoff import FixedRate, ScalingRate
+
+from _oracles import pep_chernoff
 
 
 def _write_config(path, **overrides):
@@ -671,6 +672,23 @@ def test_codebook_and_covariance_lengths_must_match(tmp_path, capsys, argv, book
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"--codebook n = {book_len} does not match --cov n = 4" in err
+
+
+@pytest.mark.parametrize("with_outage", [False, True], ids=["plain", "with-outage"])
+@pytest.mark.parametrize("mt,n", [(1, 4), (2, 2)])
+def test_error_sim_codebook_must_fit_config_dims(tmp_path, capsys, mt, n, with_outage):
+    # a codebook that does not fit the config used to exit with "codeword
+    # shape does not match the channel dimensions", naming neither input
+    words = 0.5 * np.stack([np.ones((mt, n)), -np.ones((mt, n))])
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps(Codebook(words=words, snr=10.0, mux_rate=0.0).to_json()))
+    cfg = _write_config(tmp_path / "c.json", dims={"num_tx": 2, "num_rx": 1, "block_len": 4})
+    out = tmp_path / "out"
+    argv = ["error-sim", "--config", str(cfg), "--codebook", str(book), "--out", str(out)]
+    assert dispatch(argv + ["--with-outage"] * with_outage) == 2
+    assert not out.exists()
+    assert (f"--codebook mt = {mt}, n = {n} does not match config dims "
+            "num_tx = 2, block_len = 4") in capsys.readouterr().err
 
 
 def test_verify_code_dmt_rows_match_xi_metric(tmp_path):

@@ -19,25 +19,24 @@ from dmtlab.channel import (
 from dmtlab.codes import (
     Codebook,
     criterion_threshold,
-    block_fading_check,
     delta_decomposition,
     distance_strips,
     effective_difference,
-    min_entry_criterion,
     pair_chunks,
     pair_eigvals,
     pairwise_min_products,
     permutation_codebook,
     qam_family,
     search_permutations,
-    stacked_isi_difference,
     verify_dmt_criterion,
     verify_rank_r0,
     xi_metric,
 )
-from dmtlab._util import cyclic_shift_matrix, spawn_rng, unitary_fft
+from dmtlab._util import spawn_rng, unitary_fft
 
-from _oracles import gather_min_products, psd_root, sorted_pair_distances
+from _oracles import (block_fading_check, cyclic_shift_matrix, gather_min_products,
+                      min_entry_criterion, psd_root, sorted_pair_distances,
+                      stacked_isi_difference)
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0):

@@ -20,15 +20,13 @@ from dmtlab.sim import (
     TraceBoundInstance,
     error_curve,
     least_favorable_trace,
-    pep_chernoff,
-    pep_monte_carlo,
     simulate_error_prob,
     trace_oracle,
 )
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
 from dmtlab._util import MC_CHUNK, spawn_rng
 
-from _oracles import single_snr_errors
+from _oracles import pep_chernoff, pep_monte_carlo, single_snr_errors
 
 
 def test_pep_zero_difference_is_one():

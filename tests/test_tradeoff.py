@@ -17,7 +17,6 @@ from dmtlab.channel import (
     ScatteringSpec,
     TimeFrequency,
     build_covariance,
-    sample_channel,
     sample_channel_batch,
 )
 from dmtlab.tradeoff import (
@@ -28,16 +27,13 @@ from dmtlab.tradeoff import (
     estimate_outage,
     fit_diversity_slope,
     jensen_dmt_curve,
-    jensen_mutual_information,
-    mutual_information,
     outage_curve,
-    singularity_levels,
-    _jensen_information_batch,
-    _mutual_information_batch,
+    _information,
 )
 from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
 
-from _oracles import logdet_identity_plus, single_point_outage
+from _oracles import (jensen_mutual_information, logdet_identity_plus, mutual_information,
+                      sample_channel, single_point_outage, singularity_levels)
 
 
 def _realization(blocks):
@@ -102,7 +98,7 @@ def test_jensen_dominates_full_information(model, n):
 
 KERNEL_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4)]  # (M_R, M_T)
 KERNEL_SNR_DB = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
-KERNELS = ((_mutual_information_batch, "full"), (_jensen_information_batch, "jensen"))
+BOUNDS = ("full", "jensen")
 
 
 def _dense_information(blocks, snr, num_tx, bound):
@@ -123,10 +119,10 @@ def _dense_information(blocks, snr, num_tx, bound):
 def test_closed_form_matches_dense_slogdet(num_rx, num_tx, n):
     blocks = complex_normal(spawn_rng(14, num_rx, num_tx, n), (400, n, num_rx, num_tx))
     for snr in db_to_linear(KERNEL_SNR_DB):
-        for kernel, bound in KERNELS:
+        for bound in BOUNDS:
             # slogdet takes the log of a determinant near 1, so the oracle itself
             # is only accurate to ~1e-16 absolute where the information is tiny
-            np.testing.assert_allclose(kernel(blocks, snr),
+            np.testing.assert_allclose(_information(blocks, bound, snr),
                                        _dense_information(blocks, snr, num_tx, bound),
                                        rtol=1e-12, atol=1e-15)
 
@@ -168,9 +164,9 @@ def test_closed_form_matches_mpmath_on_near_singular_draws(num_rx, num_tx, n):
             "jensen": np.array([_mp_logdet(np.concatenate(list(draw), axis=1), a_stack, mpmath)
                                 for draw in wide]),
         }
-        for kernel, bound in KERNELS:
+        for bound in BOUNDS:
             ref = refs[bound]
-            np.testing.assert_allclose(kernel(blocks, snr), ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(_information(blocks, bound, snr), ref, rtol=1e-14, atol=0)
             dense = _dense_information(blocks, snr, num_tx, bound)
             dense_worst = max(dense_worst, np.max(np.abs(dense / ref - 1)))
     # the draws are hard: the Gram + slogdet path misses the bound held above
@@ -180,7 +176,7 @@ def test_closed_form_matches_mpmath_on_near_singular_draws(num_rx, num_tx, n):
 def test_three_antenna_case_takes_slogdet_path(monkeypatch):
     blocks = complex_normal(spawn_rng(16), (200, 4, 3, 3))
     snr = 100.0
-    refs = {bound: _dense_information(blocks, snr, 3, bound) for _, bound in KERNELS}
+    refs = {bound: _dense_information(blocks, snr, 3, bound) for bound in BOUNDS}
     calls = []
     slogdet = np.linalg.slogdet
 
@@ -189,13 +185,13 @@ def test_three_antenna_case_takes_slogdet_path(monkeypatch):
         return slogdet(mat)
 
     monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
-    for kernel, bound in KERNELS:
+    for bound in BOUNDS:
         calls.clear()
-        np.testing.assert_allclose(kernel(blocks, snr), refs[bound], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_information(blocks, bound, snr), refs[bound], rtol=1e-12, atol=0)
         assert calls and calls[0][-2:] == (3, 3)
     calls.clear()
-    for kernel, _ in KERNELS:
-        kernel(blocks[..., :2, :], snr)
+    for bound in BOUNDS:
+        _information(blocks[..., :2, :], bound, snr)
     assert not calls  # two rows take the closed form
 
 
@@ -228,8 +224,8 @@ def test_information_of_no_draws_is_empty(num_rx, num_tx):
     # an empty kept set can reach the SNR step, and the Jensen stack of no
     # draws keeps its (0, min_ant, N * max_ant) shape
     blocks = np.zeros((0, 4, num_rx, num_tx), dtype=complex)
-    for kernel, bound in KERNELS:
-        assert kernel(blocks, 10.0).shape == (0,)
+    for bound in BOUNDS:
+        assert _information(blocks, bound, 10.0).shape == (0,)
         assert tradeoff._snr_step(tradeoff._snr_free(blocks, bound), bound, 2.5).shape == (0,)
     assert tradeoff._jensen_stack(blocks).shape == (0, min(num_rx, num_tx), 4 * max(num_rx, num_tx))
 
@@ -238,8 +234,8 @@ def _assert_information_nondecreasing_in_snr(blocks, snr_grid):
     # the premise of the kept-set slack: along a draw's information curve
     # every computed value is at least the one at any lower SNR, up to 1e-12
     # relative
-    for kernel, _ in KERNELS:
-        info = np.array([kernel(blocks, snr) for snr in snr_grid])
+    for bound in BOUNDS:
+        info = np.array([_information(blocks, bound, snr) for snr in snr_grid])
         assert np.all(info[1:] >= info[:-1] - 1e-12 * np.abs(info[:-1]))
 
 
@@ -514,12 +510,11 @@ def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trial
     trials = 3000 if block_trials == 1 else MC_CHUNK + 700
     points = (SnrPoint(3.0, FixedRate(1.0)), SnrPoint(10.0, ScalingRate(0.9)))
     for bound, point in itertools.product(("full", "jensen"), points):
-        info_batch = _mutual_information_batch if bound == "full" else _jensen_information_batch
         events = 0
         for chunk in range(2 if trials > MC_CHUNK else 1):
             size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
-            info = info_batch(sample_channel_batch(cov, dims, size, spawn_rng(68, chunk)),
-                              point.snr)
+            info = _information(sample_channel_batch(cov, dims, size, spawn_rng(68, chunk)),
+                                bound, point.snr)
             events += int(np.count_nonzero(info < point.rate_nats()))
         if block_trials is not None:
             monkeypatch.setattr(_util, "BATCH_BUDGET", per_trial * block_trials)

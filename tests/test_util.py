@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,36 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     simulate_error_prob(flat, ChannelDims(1, 1, 2), sim_book, snr=10.0, trials=MC_CHUNK + 1)
     assert steps.pop("sim") == [131072 // 100, 131072 // 100]  # one a chunk
     assert steps == {}
+
+
+# library entry points that no command reads, each kept for a caller outside
+# the package
+_ENTRY_POINTS = {
+    "sample_channel_batch",  # perfbench's channel-draw probe
+    "estimate_outage",  # the single-point library API of outage_curve
+    "simulate_error_prob",  # the single-point library API of error_curve
+    "search_permutations",  # perfbench's design chain (design_verify)
+    "classic_precoder",  # perfbench's design chain (design_verify)
+    "verify_composed_design",  # perfbench's design chain (design_verify)
+    "fit_diversity_slope",  # diversity slopes of outage curves, for library users
+}
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # the package is what a command reads: a name dmtlab exports must be read
+    # (as a name or an attribute) by some module of the package other than
+    # __init__, unless it is a listed entry point; test-only helpers live in
+    # tests/_oracles.py
+    package = Path(_util.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    exported = {alias.asname or alias.name for node in ast.walk(trees.pop("__init__"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert _ENTRY_POINTS <= exported
+    assert sorted(exported - read - _ENTRY_POINTS) == []
