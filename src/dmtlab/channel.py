@@ -366,7 +366,15 @@ def draw_white(cov, dims, count, rng):
 
 def mix_white(cov, white):
     """The (count, N, M_R, M_T) channels H_n = sum_k sqrt(lambda_k) v_k[n] W_k
-    of a (count, rho, M_R, M_T) white batch. Each draw is mixed on its own,
-    so mixing ``white[a:b]`` gives rows a:b of the whole batch's mix, bit
-    for bit."""
-    return np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
+    of a (count, rho, M_R, M_T) white batch: one GEMM of the N x rho factor
+    with the rank-first white batch, returned as a view of the slot-major
+    (N, count, M_R, M_T) product, so that a reduction over the slots runs
+    over the outer memory axis. The GEMM rounds differently from a per-draw
+    sum (entries move by about 3e-16 of the largest entry), and its rounding
+    can depend on the batch size, so mixing ``white[a:b]`` need not give rows
+    a:b of the whole batch's mix bit for bit; the Monte Carlos mix on the
+    fixed ``_util.batches`` boundaries of a chunk."""
+    count, rank, num_rx, num_tx = white.shape
+    rank_first = white.reshape(count, rank, num_rx * num_tx).swapaxes(0, 1)
+    slots = (cov.eigvecs * np.sqrt(cov.eigvals)) @ rank_first.reshape(rank, -1)
+    return slots.reshape(cov.block_len, count, num_rx, num_tx).swapaxes(0, 1)

@@ -227,7 +227,8 @@ def error_curve(cov, dims, transmit, snrs, trials=10_000, master_seed=0, noise_s
         wrong = [0] * len(snrs)
         # the (trials, words) decode product is the sub-block's largest temporary
         for block in batches(size, num_words):
-            blocks = mix_white(cov, white[block])
+            # the decode einsums read the slot-major mix 1.6x slower than a copy
+            blocks = np.ascontiguousarray(mix_white(cov, white[block]))
             faded = np.einsum("cnij,cnj->cni", blocks, slot_words[sent[block]])
             gram = _gram_features(blocks)
             for j in live:

@@ -108,7 +108,9 @@ def _wide(blocks):
 
 def _jensen_stack(blocks):
     """The (count, min_ant, N * max_ant) Jensen channels of a (count, N, M_R,
-    M_T) batch: each draw's wide slot matrices side by side."""
+    M_T) batch: each draw's wide slot matrices side by side. A (count, rho,
+    M_R, M_T) batch of scaled white matrices sqrt(lambda_k) W_k gives the
+    (count, min_ant, rho * max_ant) stack of the same Gram."""
     wide = _wide(blocks)
     count, n, k, m = wide.shape
     return wide.transpose(0, 2, 1, 3).reshape(count, k, n * m)
@@ -196,13 +198,16 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
         fixed seed gives byte-identical results for any ``workers``.
 
     Every point of the grid sees the same draws (common random numbers):
-    each chunk is drawn and mixed once, and the SNR-free statistics of its
-    draws are computed once. Information never falls as the SNR rises, so the
-    points still running are cut into chains (``_chains``): sorted by SNR,
-    then by falling rate, a point whose rate is no larger than the previous
-    point's joins that point's chain, and its outage draws are among that
-    point's. Each chain's first point is evaluated on every draw, each later
-    point on the draws kept at the point before it: those whose information
+    each chunk is drawn once and mixed once per sub-block, and the SNR-free
+    statistics of its draws are computed once. "jensen" never mixes: the
+    eigenvectors are orthonormal, so the Jensen Gram sum_n H_n H_n^H is
+    sum_k lambda_k W_k W_k^H, and its statistics come from the white matrices
+    sqrt(lambda_k) W_k side by side. Information never falls as the SNR rises,
+    so the points still running are cut into chains (``_chains``): sorted by
+    SNR, then by falling rate, a point whose rate is no larger than the
+    previous point's joins that point's chain, and its outage draws are among
+    that point's. Each chain's first point is evaluated on every draw, each
+    later point on the draws kept at the point before it: those whose information
     there lies below its rate plus a slack of 1e-9 * max(1, |rate|). The slack
     keeps a superset, so a log-det whose rounding falls below its value at a
     lower SNR drops no draw. The kept draws are evaluated at the end of the
@@ -249,10 +254,13 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
 
     def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
+        if bound == "jensen":  # the white Jensen stack, which is never mixed
+            white *= np.sqrt(cov.eigvals)[:, None, None]
         events = [0] * len(points)
         chains = [(chain, []) for chain in _chains(points, rates, live)]
         for block in batches(size, per_trial):
-            stats = _snr_free(mix_white(cov, white[block]), bound)
+            channels = white[block] if bound == "jensen" else mix_white(cov, white[block])
+            stats = _snr_free(channels, bound)
             for chain, rows in chains:
                 rows.append(evaluate(stats, chain[0], events, len(chain) > 1))
                 # the later points run on the rows kept so far at the end of

@@ -25,6 +25,15 @@ def psd_root(cov):
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def einsum_mix(cov, white):
+    """``channel.mix_white`` as the per-draw sum it replaced: the (count, N,
+    M_R, M_T) channels H_n = sum_k sqrt(lambda_k) v_k[n] W_k of a (count, rho,
+    M_R, M_T) white batch, one ``einsum`` in C order. Its rounding does not
+    depend on the batch, so any slice of the white batch mixes to the same
+    rows bit for bit."""
+    return np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
+
+
 def logdet_identity_plus(h, a):
     """log det(I + a h h^H) over a (..., k, m) batch of wide matrices in one
     pass: the closed form of ``tradeoff._snr_free`` followed by

@@ -25,7 +25,7 @@ from dmtlab.channel import (
 from dmtlab._util import complex_normal, numerical_rank, spawn_rng, unitary_fft
 from dmtlab.tradeoff import _jensen_stack
 
-from _oracles import build_block_circulant, psd_root, sample_channel
+from _oracles import build_block_circulant, einsum_mix, psd_root, sample_channel
 
 
 def test_dims_invariants():
@@ -275,14 +275,15 @@ def test_jensen_stack_shapes():
 ])
 def test_sample_channel_matches_single_draw_formula(model, dims):
     # the single-realization draw sample_channel used before it went through
-    # sample_channel_batch: same stream, bit for bit
+    # sample_channel_batch: the same white stream, bit for bit, mixed to the
+    # per-draw formula up to the GEMM's rounding
     cov = build_covariance(model, dims.block_len)
     rng, ref_rng = spawn_rng(13, dims.block_len), spawn_rng(13, dims.block_len)
     for _ in range(200):
         one = sample_channel(cov, dims, rng)
         white = complex_normal(ref_rng, (cov.rank, dims.num_rx, dims.num_tx))
-        ref = np.einsum("nk,kij->nij", cov.eigvecs * np.sqrt(cov.eigvals), white)
-        assert np.array_equal(one.view(float), ref.view(float))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_allclose(one, einsum_mix(cov, white[None])[0], rtol=1e-12, atol=1e-15)
 
 
 # one model per kind of channel.MODELS; flat with n > 1 has rank 1 < n
@@ -325,13 +326,28 @@ def test_draw_then_mix_is_sample_channel_batch(kind):
     rng, ref_rng = spawn_rng(18, n), spawn_rng(18, n)
     white = draw_white(cov, dims, 300, rng)
     assert white.shape == (300, cov.rank, 2, 3)
+    assert np.array_equal(white, complex_normal(spawn_rng(18, n), (300, cov.rank, 2, 3)))
     mixed = mix_white(cov, white)
-    assert np.array_equal(mixed.view(float),
-                          sample_channel_batch(cov, dims, 300, ref_rng).view(float))
+    assert np.array_equal(mixed, sample_channel_batch(cov, dims, 300, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # any slice of the white batch mixes to the same rows of the whole mix
+    # any slice of the white batch mixes to the per-draw formula's rows, and
+    # the same slice mixes to the same channels bit for bit; the GEMM's
+    # rounding may depend on the slice's size, so rows of the whole mix are
+    # only close
     for a, b in ((0, 1), (0, 7), (5, 12), (17, 300), (299, 300), (0, 300)):
-        assert np.array_equal(mix_white(cov, white[a:b]).view(float), mixed[a:b].view(float))
+        part = mix_white(cov, white[a:b])
+        np.testing.assert_allclose(part, einsum_mix(cov, white[a:b]), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(part, mixed[a:b], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(mix_white(cov, white[a:b].copy()), part)
+
+
+def test_mix_is_slot_major():
+    # the slot axis is the outer memory axis of the mix
+    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
+    mixed = mix_white(cov, draw_white(cov, ChannelDims(3, 2, 4), 50, spawn_rng(20)))
+    assert mixed.shape == (50, 4, 2, 3)
+    assert mixed.swapaxes(0, 1).flags.c_contiguous
+    assert mix_white(cov, np.zeros((0, cov.rank, 2, 3), dtype=complex)).shape == (0, 4, 2, 3)
 
 
 def test_draw_white_rejects_size_mismatch():

@@ -17,6 +17,8 @@ from dmtlab.channel import (
     ScatteringSpec,
     TimeFrequency,
     build_covariance,
+    draw_white,
+    mix_white,
     sample_channel_batch,
 )
 from dmtlab.tradeoff import (
@@ -669,3 +671,42 @@ def test_nested_outage_curve_of_a_random_grid_equals_single_point_oracle(grid, t
     expected = [single_point_outage(cov, dims, point, bound, trials, 75, None, 1)
                 for point in points]
     assert outage_curve(cov, dims, points, bound, trials, 75, None) == expected
+
+
+_KERNEL_MODELS = (Flat(), Fast(), BlockFading(2, 2), CyclicIsi(2, (1.0, 1.0)),
+                  CyclicIsi(3, (1.0, 0.5, 0.25)),
+                  TimeFrequency(ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model=st.sampled_from(_KERNEL_MODELS), num_rx=st.integers(1, 4),
+       num_tx=st.integers(1, 4), count=st.integers(0, 40), seed=st.integers(0, 2 ** 16),
+       snr_db=st.lists(st.floats(-20.0, 50.0), min_size=1, max_size=3))
+def test_staged_kernel_of_mixed_and_white_batches_matches_dense(model, num_rx, num_tx, count,
+                                                                seed, snr_db):
+    # the staged kernel on the slot-major mix, on a C-order copy of it and,
+    # for "jensen", on the white matrices sqrt(lambda_k) W_k, which outage_curve
+    # reads instead of the mix: all within 1e-12 of the dense Gram + slogdet
+    n = 1 if isinstance(model, Flat) and seed % 2 else 4
+    cov = build_covariance(model, n)
+    dims = ChannelDims(num_tx, num_rx, n)
+    white = draw_white(cov, dims, count, spawn_rng(80, seed))
+    mixed = mix_white(cov, white)
+    scaled = white * np.sqrt(cov.eigvals)[:, None, None]
+    # the dense Grams are of the wide slot matrices: a tall one's rank-M_T
+    # M_R x M_R Gram would cost the slogdet oracle its own 1e-12
+    wide = mixed if num_rx <= num_tx else mixed.conj().swapaxes(-1, -2)
+    for snr in db_to_linear(snr_db):
+        for bound in BOUNDS:
+            a = snr / (num_tx * (1 if bound == "full" else n))
+            ref = _dense_information(wide, snr, num_tx, bound)
+            inputs = [mixed, np.ascontiguousarray(mixed)] + [scaled] * (bound == "jensen")
+            for blocks in inputs:
+                got = tradeoff._snr_step(tradeoff._snr_free(blocks, bound), bound, a)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+    # the two Jensen stacks have the same Gram
+    stacks = [tradeoff._jensen_stack(blocks) for blocks in (scaled, mixed)]
+    assert stacks[0].shape == (count, dims.min_ant, cov.rank * dims.max_ant)
+    grams = [np.einsum("cij,ckj->cik", h, h.conj()) for h in stacks]
+    np.testing.assert_allclose(grams[0], grams[1], rtol=0,
+                               atol=1e-12 * max(1.0, np.max(np.abs(grams[1]), initial=0.0)))
