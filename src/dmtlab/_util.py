@@ -151,14 +151,18 @@ def complex_normal(rng, shape):
 
 
 def wilson_interval(events, trials, z=_Z95):
-    """Wilson score interval for a binomial proportion at 95% confidence."""
+    """Wilson score interval for a binomial proportion at 95% confidence. Its
+    ends are exactly 0 at no events and 1 at all events: there center and
+    half-width are equal in exact arithmetic, and their rounded difference
+    (about 1e-18) could leave the estimate outside the interval."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p_hat = events / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (max(0.0, center - half) if events > 0 else 0.0,
+            min(1.0, center + half) if events < trials else 1.0)
 
 
 def db_to_linear(snr_db):

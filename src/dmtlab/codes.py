@@ -179,8 +179,12 @@ def pair_chunks(num, per_pair):
 
 def _sort_slots(values):
     """Sort along the first (slot) axis in place: an odd-even transposition
-    network of elementwise min/max. Its passes grow as slots**2: it beats a
-    row-wise ``np.sort`` at 4 slots, but was measured slower from 8 slots."""
+    network of elementwise min/max, whose passes grow as slots**2. Per
+    32 768 columns on one core it took, on int16 distances (the search's
+    integer kernel), 0.06-0.09, 0.30-0.45 and 1.3-2.0 ms at 4, 8 and 16
+    slots, against 1.8-3.3 ms for ``np.sort``; on float64 it took 0.26-0.38
+    ms at 4 slots but 6.5-8.6 ms at 16, where a row-wise ``np.sort`` of
+    contiguous rows took 1.5 ms."""
     count = len(values)
     for phase in range(count):
         for s in range(phase % 2, count - 1, 2):
@@ -367,10 +371,10 @@ def pairwise_min_products(words, m, floor=-np.inf):
 
 
 def _affine_perm(coeffs, per_dim):
-    """Permutation of the per_dim x per_dim grid from an invertible affine map."""
-    a, b, c, d, s, u = coeffs
-    idx = np.arange(per_dim * per_dim)
-    x, y = np.divmod(idx, per_dim)
+    """Permutations (..., per_dim**2) of the per_dim x per_dim grid from
+    invertible affine maps (..., 6)."""
+    a, b, c, d, s, u = np.moveaxis(np.asarray(coeffs), -1, 0)[..., None]
+    x, y = np.divmod(np.arange(per_dim * per_dim), per_dim)
     nx = (a * x + b * y + s) % per_dim
     ny = (c * x + d * y + u) % per_dim
     return nx * per_dim + ny
@@ -403,6 +407,13 @@ def _random_affines(per_dim, count, rng):
     return values[np.add.outer(starts, np.arange(6))]
 
 
+def _lattice_dtype(per_dim):
+    """Integer type of the lattice kernels on a per_dim x per_dim grid: int16
+    while it holds 2 (per_dim - 1)**2, the largest squared distance and the
+    largest a * x + b * y of an affine map, else int32."""
+    return np.int16 if 2 * (per_dim - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
+
+
 def _torus_bound_score(maps, per_dim):
     """Conservative per-difference distance bounds on the coordinate torus.
 
@@ -416,22 +427,188 @@ def _torus_bound_score(maps, per_dim):
     scored.
     """
     q = per_dim
-    maps = np.asarray(maps, dtype=np.int32).transpose(1, 0, 2)  # slot axis first
+    dtype = _lattice_dtype(q)
+    maps = np.asarray(maps).astype(dtype).transpose(1, 0, 2)  # slot axis first
     slots, count, _ = maps.shape
-    idx = np.arange(1, q * q, dtype=np.int32)
+    idx = np.arange(1, q * q)
     da, db = np.divmod(idx, q)
     half = idx <= (-da % q) * q + (-db % q)
-    da, db = da[half], db[half]
+    da, db = da[half].astype(dtype), db[half].astype(dtype)
     two_small, full = np.empty(count), np.empty(count)
     for batch in batches(count, 2 * slots * q * q):
         a, b, c, d = (maps[:, batch, k, None] for k in range(4))
-        va = (a * da + b * db) % q
-        vb = (c * da + d * db) % q
-        dist = _sort_slots((np.minimum(va, q - va) ** 2
-                            + np.minimum(vb, q - vb) ** 2).astype(float))
+        va, vb = a * da + b * db, c * da + d * db
+        va -= va // q * q  # mod q: numpy vectorizes a floor division by a scalar, not %
+        vb -= vb // q * q
+        dist = _sort_slots(np.minimum(va, q - va) ** 2
+                           + np.minimum(vb, q - vb) ** 2).astype(float)
         two_small[batch] = (dist[0] * dist[1]).min(axis=-1)
         full[batch] = dist.prod(axis=0).min(axis=-1)
     return two_small, full
+
+
+def _lattice_margin(per_dim, m):
+    """Factor w for the integer kernel of ``_lattice_products``: if fl(a * w)
+    < b for kernel products a and b of two pairs of the same family, the
+    float product of ``pairwise_min_products`` is strictly smaller for a.
+
+    A point of ``qam_family`` has coordinates fl(s * c) for the half-integer
+    c = x - (q - 1) / 2, |c| <= (q - 1) / 2, and s = ``scale``; u = 2**-53.
+    For the integer coordinate difference t = x_i - x_j != 0 the float
+    difference is fl(fl(s c_i) - fl(s c_j)), and fl(s c_i) - fl(s c_j) =
+    s t (1 + e) with |e| <= u (|c_i| + |c_j|) / |t| <= (q - 1) u; the
+    difference, its square and the sum of the two squares round once each.
+    So a float squared slot distance is s**2 D (1 + f) for the integer D =
+    tx**2 + ty**2, with 1 - 2 (q + 1) u <= 1 + f <= exp(2 (q + 1) u), and is
+    exactly 0 when D = 0. Distinct integers stay in order (2 (q + 1) u D is
+    far below 1/2), so the m smallest float distances are those of the m
+    smallest D. Their float product rounds m - 1 times, and the kernel's
+    float64 product of the exact D another m - 1 times. So the float product
+    is s**(2m) a (1 + g) with |g| <= eps = N u (1 + N u), N = m (2q + 4),
+    and a (1 + eps) < b (1 - eps) proves the claim; w = 1 + 8 eps covers
+    (1 + eps) / (1 - eps) with the rounding of w and of a * w. The bounds
+    assume normal floats, s**(2m) >= (2 / (q + 1)**2)**m > 2**-1000 and
+    (2 (q - 1)**2)**m < 2**1000: up to m = 60 on the int16 grids (q <= 128)
+    and up to m = 30 for q <= 1000."""
+    n = m * (2 * per_dim + 4) * 2.0 ** -53
+    return 1 + 8 * n * (1 + n)
+
+
+def _lattice_strips(num, per_pair):
+    """The strips of the integer sweep: ``pair_strips``, except that a code
+    whose whole square of (num - 1)**2 cells fits in an eighth of the batch
+    budget takes its triangle as one strip, where ``pair_strips``' height
+    cap would cut it into strips of a few rows."""
+    if (num - 1) ** 2 * per_pair <= _util.BATCH_BUDGET // 8:
+        return [(0, num - 1)]
+    return list(pair_strips(num, per_pair))
+
+
+def _lattice_products(coords, m, i0, i1, bufs):
+    """Integer kernel of the search: for candidate codes of integer lattice
+    coordinates ``coords`` (2, slots, count, num), the float64 product of
+    the m smallest squared slot distances of the pairs of the strip rows
+    i0..i1-1 against columns i0+1..num-1, as (count, h, width) with the
+    cells j <= i set to +inf. The distances are exact integers in the
+    coordinates' dtype; the full product (m >= slots) needs no sort. Works
+    in the buffers ``bufs`` (integer, float); returns a view of the second."""
+    _, slots, count, num = coords.shape
+    h, width = i1 - i0, num - 1 - i0
+    diff = bufs[0][:2 * slots * count * h * width].reshape(2, slots, count, h, width)
+    np.subtract(coords[..., i0:i1, None], coords[..., None, i0 + 1:], out=diff)
+    diff *= diff
+    dist = np.add(diff[0], diff[1], out=diff[0])
+    if m < slots:
+        _sort_slots(dist)
+    prod = bufs[1][:count * h * width].reshape(count, h, width)
+    np.copyto(prod, dist[0])
+    for row in dist[1:m]:
+        prod *= row
+    below = _below(h)
+    prod[:, below[0], below[1]] = np.inf
+    return prod
+
+
+def _lattice_sweep(coords, m, strips, bufs, w, stop, kept):
+    """Continue one candidate's sweep (``coords`` of count 1) over
+    ``strips``, from the cells (ii, jj, values) ``kept`` so far, which hold
+    the smallest kernel product of the pairs before. Returns its kernel
+    minimum and its pairs (ii, jj), in ``np.triu_indices`` order, whose
+    kernel product is at most fl(low * w): by ``_lattice_margin`` every
+    other pair's float product exceeds the candidate's float minimum.
+    Returns None once fl(low * w) < ``stop``."""
+    low = min(values.min() for *_, values in kept)
+    for i0, i1 in strips:
+        prod = _lattice_products(coords, m, i0, i1, bufs)[0]
+        top = prod.min()
+        low = min(low, top)
+        if low * w < stop:
+            return None
+        if top <= low * w:
+            rows, cols = np.nonzero(prod <= low * w)
+            kept.append((rows + i0, cols + i0 + 1, prod[rows, cols]))
+    ii, jj, values = (np.concatenate(part) for part in zip(*kept))
+    near = values <= low * w
+    return low, ii[near], jj[near]
+
+
+def _screen(coords, m, strip, bufs, w):
+    """Each candidate's kernel minimum over the pairs of ``strip``, an upper
+    bound on its kernel minimum, and the cells of the strip within w of it
+    as (kk, ii, jj, values) in candidate, then ``np.triu_indices`` order;
+    in candidate batches of one ``_lattice_products`` call each."""
+    _, slots, count, num = coords.shape
+    i0, i1 = strip
+    bound, cells = np.empty(count), []
+    for batch in batches(count, 2 * slots * (i1 - i0) * (num - 1 - i0)):
+        prod = _lattice_products(coords[:, :, batch], m, i0, i1, bufs)
+        low = bound[batch] = prod.reshape(len(prod), -1).min(axis=1)
+        kk, rows, cols = np.nonzero(prod <= (low * w)[:, None, None])
+        cells.append((kk + batch.start, rows + i0, cols + i0 + 1, prod[kk, rows, cols]))
+    return bound, [np.concatenate(part) for part in zip(*cells)]
+
+
+def _float_winner(points, perms, kk, ii, jj, m):
+    """The candidate of the largest float minimum, the first in list order
+    of equal ones, as (index, ``WorstPair``), from cells (kk, ii, jj)
+    grouped by ascending candidate, each group in ``np.triu_indices`` order
+    and holding every pair that can reach its candidate's float minimum.
+    The values are the float formula of ``distance_strips`` in its
+    operation order, so each is bitwise the full sweep's."""
+    one, two = points[perms[kk, :, ii]].T, points[perms[kk, :, jj]].T
+    dx, dy = one.real - two.real, one.imag - two.imag
+    dx *= dx
+    dy *= dy
+    dx += dy
+    values = _sort_slots(dx)[:m].prod(axis=0)
+    starts = np.flatnonzero(np.diff(kk, prepend=-1))
+    group = int(np.argmax(np.minimum.reduceat(values, starts)))
+    ends = np.append(starts[1:], len(kk))
+    cut = slice(starts[group], ends[group])
+    worst = WorstPair()
+    worst.update(values[cut], ii[cut], jj[cut])
+    return int(kk[cut.start]), worst
+
+
+def _best_candidate(family, perms, m):
+    """The first candidate in list order with the largest float minimum of
+    ``pairwise_min_products(words, m)``, over candidate slot maps ``perms``
+    (count, slots, size) of ``family``, as (index, ``WorstPair``).
+
+    The float minimum is s**(2m) times a candidate's integer kernel minimum
+    within ``_lattice_margin``. ``_screen`` bounds every candidate by its
+    first strip, which for a tiny code is the whole triangle. Candidates
+    are then swept best-first, in order of falling bound with ties in list
+    order. A candidate is skipped, or its sweep stopped, once its bound or
+    running minimum proves it below a candidate swept before. Only the near
+    minimum pairs of the candidates that can still win are evaluated in
+    float (``_float_winner``)."""
+    count, slots, num = perms.shape
+    q = family.per_dim
+    dtype = _lattice_dtype(q)
+    coords = np.stack(np.divmod(perms.astype(dtype).transpose(1, 0, 2), q))
+    w = _lattice_margin(q, m)
+    strips = _lattice_strips(num, 2 * slots)
+    size = max(_util.BATCH_BUDGET, 2 * slots * max((i1 - i0) * (num - 1 - i0)
+                                                   for i0, i1 in strips))
+    bufs = np.empty(size, dtype), np.empty(size // (2 * slots))
+    bound, (kk, ii, jj, values) = _screen(coords, m, strips[0], bufs, w)
+    low = bound  # a screen of the whole triangle gives the kernel minima
+    if len(strips) > 1:
+        low, cells = np.full(count, -np.inf), []
+        for k in np.argsort(-bound, kind="stable"):
+            if bound[k] * w < low.max():
+                break  # this and every later candidate is proven to lose
+            cut = slice(*np.searchsorted(kk, (k, k + 1)))
+            found = _lattice_sweep(coords[:, :, k:k + 1], m, strips[1:], bufs, w, low.max(),
+                                   [(ii[cut], jj[cut], values[cut])])
+            if found is not None:
+                low[k] = found[0]
+                cells.append((np.full(len(found[1]), k),) + found[1:])
+        kk, ii, jj = (np.concatenate(part)
+                      for part in zip(*sorted(cells, key=lambda cell: cell[0][0])))
+    keep = low[kk] * w >= low.max()
+    return _float_winner(family.points, perms, kk[keep], ii[keep], jj[keep], m)
 
 
 @dataclass(frozen=True)
@@ -467,6 +644,9 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
     tiny, otherwise from randomized invertible affine maps of the QAM grid
     (screened on a conservative toroidal distance bound, with the finalists
     evaluated exactly) plus plain random permutations for small families.
+    The candidates are compared on their lattice coordinates
+    (``_best_candidate``), and the winner is the one a float sweep of every
+    candidate picks.
 
     Returns a PermutationSearch whose entries record the exact minimum
     worst-pair product at each SNR and whether it clears
@@ -495,42 +675,35 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
                 passes=bool(score >= threshold), method=method))
             continue
 
-        candidates = []
         if math.factorial(size) ** n_slots <= _EXHAUSTIVE_CAP:
-            perms_pool = list(itertools.permutations(range(size)))
-            for combo in itertools.product(perms_pool, repeat=n_slots):
-                candidates.append((combo, "exhaustive"))
+            pool = np.array(list(itertools.permutations(range(size))))
+            perms = pool[np.array(list(itertools.product(range(len(pool)), repeat=n_slots)))]
+            methods = ["exhaustive"] * len(perms)
         else:
             maps = np.empty((budget, n_slots, 6), dtype=np.int64)
             maps[:, 0] = (1, 0, 0, 1, 0, 0)  # identity map on slot 0
             maps[:, 1:] = _random_affines(fam.per_dim, budget * (n_slots - 1),
                                           rng).reshape(budget, n_slots - 1, 6)
             two_small, full = _torus_bound_score(maps, fam.per_dim)
-            order = sorted(range(budget), key=lambda k: (two_small[k], full[k]),
-                           reverse=True)
             finalists = 1 if size > 2048 else 3  # exact sweeps dominate at scale
-            for k in order[:finalists]:
-                combo = tuple(tuple(_affine_perm(mp, fam.per_dim)) for mp in maps[k])
-                candidates.append((combo, "structured"))
+            order = np.lexsort((-full, -two_small))[:finalists]  # stable: ties in map order
+            perms = _affine_perm(maps[order], fam.per_dim)
+            methods = ["structured"] * len(perms)
             if size <= 256:
-                for _ in range(max(1, budget // 8)):
-                    combo = (identity,) + tuple(
-                        tuple(rng.permutation(size)) for _ in range(n_slots - 1))
-                    candidates.append((combo, "random"))
+                count = max(1, budget // 8)
+                drawn = np.array([rng.permutation(size) for _ in range(count * (n_slots - 1))])
+                random = np.empty((count, n_slots, size), dtype=perms.dtype)
+                random[:, 0] = identity
+                random[:, 1:] = drawn.reshape(count, n_slots - 1, size)
+                perms = np.concatenate([perms, random])
+                methods += ["random"] * count
 
-        best = None
-        for combo, method in candidates:
-            # every candidate map is a bijection by construction; a sweep
-            # that reaches the best value so far cannot win and stops early
-            worst = pairwise_min_products(_slot_words(fam.points, combo), n_slots,
-                                          -np.inf if best is None else best[0].value)
-            if best is None or worst.value > best[0].value:
-                best = (worst, combo, method)
-        worst, combo, method = best
+        # every candidate map is a bijection by construction
+        k, worst = _best_candidate(fam, perms, n_slots)
         entries.append(PermutationSearchEntry(
-            snr=float(snr), perms=combo, min_product=worst.value,
-            worst_pair=worst.pair, threshold=threshold,
-            passes=bool(worst.value >= threshold), method=method))
+            snr=float(snr), perms=tuple(map(tuple, perms[k].tolist())),
+            min_product=worst.value, worst_pair=worst.pair, threshold=threshold,
+            passes=bool(worst.value >= threshold), method=methods[k]))
     return PermutationSearch(entries=tuple(entries), mux_rate=float(r))
 
 

@@ -11,9 +11,9 @@ from dmtlab._util import (batches, complex_normal, eig_rank, numerical_rank, run
                           wilson_interval)
 from dmtlab.channel import (BlockFading, build_covariance, draw_white, mix_white,
                             sample_channel_batch)
-from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _sort_slots, criterion_threshold,
-                          effective_difference, effective_eigs, pair_eigvals,
-                          pairwise_min_products, structural_count)
+from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _slot_words, _sort_slots,
+                          criterion_threshold, effective_difference, effective_eigs,
+                          pair_eigvals, pairwise_min_products, structural_count)
 from dmtlab.sim import ErrorEstimate, _check_nonnegative, chernoff_bound
 from dmtlab.tradeoff import OutageEstimate, _information, _jensen_stack
 
@@ -131,6 +131,20 @@ def gather_min_products(words, m):
     worst = WorstPair()
     worst.update(sorted_pair_distances(words, ii, jj)[:m].prod(axis=0), ii, jj)
     return worst
+
+
+def float_best_candidate(family, perms, m):
+    """``codes._best_candidate`` by the per-candidate float loop it replaced:
+    ``pairwise_min_products`` of each candidate's words in list order, every
+    sweep stopped once it reaches the best value so far; a candidate
+    replaces the best only when its minimum is strictly greater."""
+    best_k, best = -1, None
+    for k, combo in enumerate(perms):
+        worst = pairwise_min_products(_slot_words(family.points, combo), m,
+                                      -np.inf if best is None else best.value)
+        if best is None or worst.value > best.value:
+            best_k, best = k, worst
+    return best_k, best
 
 
 def gather_composed_sweep(report, words, m):

@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmtlab import _util, codes
@@ -34,9 +35,9 @@ from dmtlab.codes import (
 )
 from dmtlab._util import spawn_rng, unitary_fft
 
-from _oracles import (block_fading_check, cyclic_shift_matrix, gather_min_products,
-                      min_entry_criterion, psd_root, sorted_pair_distances,
-                      stacked_isi_difference)
+from _oracles import (block_fading_check, cyclic_shift_matrix, float_best_candidate,
+                      gather_min_products, min_entry_criterion, psd_root,
+                      sorted_pair_distances, stacked_isi_difference)
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0):
@@ -328,26 +329,131 @@ def test_search_is_chunk_invariant(monkeypatch, r, grid_db):
     assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("r, grid_db", [(0.5, (10.0, 20.0, 30.0)), (1.0, (10.0, 20.0))])
-def test_search_early_exit_keeps_entries(monkeypatch, r, grid_db):
-    # a candidate sweep stops once it reaches the best value so far; with
-    # the floor forced to -inf every candidate is swept in full
-    grid = [10.0 ** (db / 10.0) for db in grid_db]
-    sweep, exits = codes.pairwise_min_products, []
+def _oracle_search(grid, r, n_slots, **kwargs):
+    """``search_permutations`` with the per-candidate float loop it replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_best_candidate", float_best_candidate)
+        return search_permutations(grid, r, n_slots, **kwargs).entries
 
-    def search(full):
-        def pairwise(words, m, floor=-np.inf):
-            if full:
-                return sweep(words, m)
-            worst = sweep(words, m, floor)
-            exits.append(worst.value <= floor)
-            return worst
-        monkeypatch.setattr(codes, "pairwise_min_products", pairwise)
-        found = search_permutations(grid, r, 4, budget=800, master_seed=1008, epsilon=0.5)
-        return found.entries
 
-    assert search(full=False) == search(full=True)
-    assert any(exits)
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_search_equals_float_oracle_on_criterion_8_grids(r):
+    # criterion 8's search, up to the 10 000-word code of 40 dB at r = 1
+    grid = [10.0 ** (db / 10.0) for db in (10.0, 20.0, 30.0, 40.0)]
+    kwargs = dict(budget=800, master_seed=1008, epsilon=0.5)
+    assert search_permutations(grid, r, 4, **kwargs).entries == _oracle_search(grid, r, 4, **kwargs)
+
+
+def test_search_equals_float_oracle_on_the_largest_exhaustive_family():
+    # 4 words over 3 slots: all 13 824 slot maps, each tied with the
+    # relabelings of its own code
+    kwargs = dict(budget=5, master_seed=3, epsilon=0.5)
+    entries = search_permutations([4.0], 1.0, 3, **kwargs).entries
+    assert entries[0].method == "exhaustive"
+    assert entries == _oracle_search([4.0], 1.0, 3, **kwargs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(snr_r=st.sampled_from([(4.0, 1.0), (10.0, 1.0), (16.0, 1.0), (30.0, 1.0),
+                              (100.0, 0.5), (1000.0, 0.5), (100.0, 1.0)]),
+       n_slots=st.integers(2, 5), budget=st.integers(1, 64), seed=st.integers(0, 2 ** 16),
+       batch_budget=st.sampled_from([None, 64]))
+def test_search_entries_equal_float_oracle(snr_r, n_slots, budget, seed, batch_budget):
+    # families of 4 to 100 words, exhaustive (4 words, 2 slots) or affine
+    # and random candidates, with one-row strips and one-candidate screen
+    # batches at a tiny budget
+    snr, r = snr_r
+    assume((snr, n_slots) != (4.0, 3))  # 13 824 exhaustive candidates: a test of its own
+    with pytest.MonkeyPatch.context() as patch:
+        if batch_budget is not None:
+            patch.setattr(_util, "BATCH_BUDGET", batch_budget)
+        kwargs = dict(budget=budget, master_seed=seed, epsilon=0.5)
+        assert (search_permutations([snr], r, n_slots, **kwargs).entries
+                == _oracle_search([snr], r, n_slots, **kwargs))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(q=st.integers(2, 7), slots=st.integers(2, 5), count=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 16), data=st.data(),
+       batch_budget=st.sampled_from([None, 64, 2000]), wide=st.booleans())
+def test_best_candidate_equals_float_oracle_on_exact_ties(q, slots, count, seed, data,
+                                                          batch_budget, wide):
+    # candidates that repeat an earlier one, relabel its words (the same
+    # code, so the same float minimum at other pairs) or repeat the grid in
+    # every slot: the winner is the first of the equal float minima; in
+    # int16 or in the int32 of grids above q = 128
+    fam = qam_family(float(q * q), 1.0)
+    rng = spawn_rng(83, seed)
+    size = len(fam)
+    perms = np.stack([np.stack([rng.permutation(size) for _ in range(slots)])
+                      for _ in range(count)])
+    for k in range(count):
+        kind = data.draw(st.sampled_from(["fresh", "repeat", "relabel", "grid"]))
+        if kind == "grid":
+            perms[k] = np.arange(size)
+        elif k and kind != "fresh":
+            earlier = perms[data.draw(st.integers(0, k - 1))]
+            perms[k] = earlier[:, rng.permutation(size)] if kind == "relabel" else earlier
+    m = data.draw(st.integers(1, slots))
+    with pytest.MonkeyPatch.context() as patch:
+        if batch_budget is not None:
+            patch.setattr(_util, "BATCH_BUDGET", batch_budget)
+        if wide:
+            patch.setattr(codes, "_lattice_dtype", lambda per_dim: np.int32)
+        assert codes._best_candidate(fam, perms, m) == float_best_candidate(fam, perms, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(snr=st.floats(4.0, 1e4), r=st.sampled_from([0.5, 1.0]), slots=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_lattice_margin_bounds_the_float_products(snr, r, slots, seed, data):
+    # the float product of the m smallest squared slot distances of a pair
+    # is s**(2m) times the kernel product within eps = (w - 1) / 8, exactly
+    fam = qam_family(snr, r)
+    q = fam.per_dim
+    x = np.arange(q) - (q - 1) / 2.0
+    assert np.array_equal(fam.points.reshape(q, q).real,
+                          np.broadcast_to(fam.scale * x[:, None], (q, q)))
+    rng = spawn_rng(89, seed)
+    perms = rng.integers(0, len(fam), (1, slots, 2))  # one pair of words
+    if data.draw(st.booleans()):  # neighbors at the edge of the grid
+        perms[0, :, 0] = rng.integers(0, q, slots) * q + q - 1
+        perms[0, :, 1] = np.maximum(perms[0, :, 0] - 1, 0)
+    m = data.draw(st.integers(1, slots))
+    coords = np.stack(np.divmod(perms.astype(np.int16).transpose(1, 0, 2), q))
+    bufs = np.empty(4 * slots, np.int16), np.empty(4)
+    kernel = codes._lattice_products(coords, m, 0, 1, bufs)[0, 0, 0]
+    value = pairwise_min_products(codes._slot_words(fam.points, perms[0]), m).value
+    assert kernel == int(kernel) and (value == 0) == (kernel == 0)
+    exact = Fraction(fam.scale) ** (2 * m) * int(kernel)
+    eps = (codes._lattice_margin(q, m) - 1) / 8
+    assert abs(Fraction(value) - exact) <= Fraction(eps) * exact
+
+
+def test_search_screen_and_best_first_order_keep_entries(monkeypatch):
+    # with every screen bound forced to +inf the candidates are swept in
+    # list order and none is skipped: the entries are the same, and with
+    # the screen on fewer candidates are swept
+    grid = [10.0 ** (db / 10.0) for db in (10.0, 20.0, 30.0)]
+    screen, sweep, swept = codes._screen, codes._lattice_sweep, []
+
+    def counting(*args):
+        swept.append(1)
+        return sweep(*args)
+
+    def search(on):
+        def forced(*args):
+            bound, cells = screen(*args)
+            return (bound if on else np.full_like(bound, np.inf)), cells
+        monkeypatch.setattr(codes, "_screen", forced)
+        swept.clear()
+        found = search_permutations(grid, 1.0, 4, budget=800, master_seed=1008, epsilon=0.5)
+        return found.entries, len(swept)
+
+    monkeypatch.setattr(codes, "_lattice_sweep", counting)
+    (on, swept_on), (off, swept_off) = search(True), search(False)
+    assert on == off
+    assert swept_on < swept_off
 
 
 @pytest.mark.parametrize("n_slots", [0, -1, 1.5, 2.0])

@@ -65,7 +65,7 @@ def test_csv_bytes_do_not_depend_on_workers_or_blas_threads(tmp_path):
             "words": np.stack((words.real, words.imag), axis=-1).tolist()}
     (tmp_path / "book.json").write_text(json.dumps(book))
     ref = _run(tmp_path, 1, 1)
-    for workers, blas_threads in ((2, 1), (1, 2), (2, 2)):
+    for workers, blas_threads in ((2, 1), (1, 2), (2, 2), (4, 1)):
         assert _run(tmp_path, workers, blas_threads) == ref
     # every row ran the full trial count and saw events at the lowest SNR
     for name, text in ref.items():

@@ -99,21 +99,23 @@ def test_jensen_dominates_full_information(model, n):
 
 
 KERNEL_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4)]  # (M_R, M_T)
-KERNEL_SNR_DB = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+KERNEL_SNR_DB = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 BOUNDS = ("full", "jensen")
 
 
 def _dense_information(blocks, snr, num_tx, bound):
-    """Gram + slogdet reference for either bound over a (count, N, M_R, M_T) batch."""
+    """Gram + slogdet reference for either bound over a (count, N, M_R, M_T)
+    batch. Both take the min-antenna Gram, H H^H or H^H H: a tall channel's
+    M_R x M_R Gram has rank M_T, and its slogdet misses by about 1e-12."""
     n, num_rx = blocks.shape[1:3]
-    if bound == "full":
-        gram = np.einsum("cnij,cnkj->cnik", blocks, blocks.conj())
-        return np.linalg.slogdet(np.eye(num_rx) + snr / num_tx * gram)[1].mean(axis=1)
     if num_rx <= num_tx:
-        gram = np.einsum("cnij,cnkj->cik", blocks, blocks.conj())
+        gram = np.einsum("cnij,cnkj->cnik", blocks, blocks.conj())
     else:
-        gram = np.einsum("cnji,cnjk->cik", blocks.conj(), blocks)
-    return np.linalg.slogdet(np.eye(gram.shape[-1]) + snr / (num_tx * n) * gram)[1]
+        gram = np.einsum("cnji,cnjk->cnik", blocks.conj(), blocks)
+    eye = np.eye(gram.shape[-1])
+    if bound == "full":
+        return np.linalg.slogdet(eye + snr / num_tx * gram)[1].mean(axis=1)
+    return np.linalg.slogdet(eye + snr / (num_tx * n) * gram.sum(axis=1))[1]
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -467,6 +469,22 @@ def test_slope_fit_exact_power_laws():
     assert err == pytest.approx(0.0, abs=1e-9)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(snr_db=st.lists(st.integers(-10, 60), min_size=3, max_size=8, unique=True),
+       log_c=st.floats(-20.0, 20.0), d=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 16))
+def test_slope_fit_recovers_power_laws_in_any_point_order(snr_db, log_c, d, seed):
+    # -log(c snr**-d) is a line of slope d in log snr for any c; the fit
+    # reads it back to 1e-12 and does not depend on the order of the points
+    snrs = db_to_linear(np.array(snr_db, dtype=float))
+    curve = [(s, np.exp(log_c) * s ** -d) for s in snrs]
+    window = (min(snr_db), max(snr_db))
+    slope, _ = fit_diversity_slope(curve, window)
+    assert slope == pytest.approx(d, abs=1e-12)
+    order = spawn_rng(19, seed).permutation(len(curve))
+    shuffled, _ = fit_diversity_slope([curve[k] for k in order], window)
+    assert shuffled == pytest.approx(slope, abs=1e-12)
+
+
 def test_slope_fit_log_shift_invariance():
     snrs = 10 ** np.linspace(1.0, 2.5, 5)
     probs = np.array([0.3, 0.1, 0.02, 0.004, 0.001])
@@ -693,13 +711,10 @@ def test_staged_kernel_of_mixed_and_white_batches_matches_dense(model, num_rx, n
     white = draw_white(cov, dims, count, spawn_rng(80, seed))
     mixed = mix_white(cov, white)
     scaled = white * np.sqrt(cov.eigvals)[:, None, None]
-    # the dense Grams are of the wide slot matrices: a tall one's rank-M_T
-    # M_R x M_R Gram would cost the slogdet oracle its own 1e-12
-    wide = mixed if num_rx <= num_tx else mixed.conj().swapaxes(-1, -2)
     for snr in db_to_linear(snr_db):
         for bound in BOUNDS:
             a = snr / (num_tx * (1 if bound == "full" else n))
-            ref = _dense_information(wide, snr, num_tx, bound)
+            ref = _dense_information(mixed, snr, num_tx, bound)
             inputs = [mixed, np.ascontiguousarray(mixed)] + [scaled] * (bound == "jensen")
             for blocks in inputs:
                 got = tradeoff._snr_step(tradeoff._snr_free(blocks, bound), bound, a)

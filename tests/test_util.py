@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmtlab import _util, codes, sim, tradeoff
 from dmtlab.channel import ChannelDims, CyclicIsi, Flat, build_covariance
@@ -11,7 +13,7 @@ from dmtlab.codes import (Codebook, pair_strips, pairwise_min_products, permutat
 from dmtlab.precoder import classic_precoder, verify_composed_design
 from dmtlab.sim import simulate_error_prob
 from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
-from dmtlab._util import MC_CHUNK, batches, complex_normal, spawn_rng
+from dmtlab._util import MC_CHUNK, batches, complex_normal, spawn_rng, wilson_interval
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (5, 3, 2)])
@@ -25,6 +27,20 @@ def test_complex_normal_is_bitwise_the_two_draws_combined(shape):
     assert z.dtype == ref.dtype == np.complex128 and z.shape == shape
     assert z.tobytes() == ref.tobytes()
     assert rng.standard_normal() == ref_rng.standard_normal()  # same draws consumed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(trials=st.integers(1, 10 ** 12), data=st.data())
+def test_wilson_interval_brackets_the_estimate_and_mirrors(trials, data):
+    # 0 <= low <= events/trials <= high <= 1, and the interval of the
+    # complementary count is the mirror image 1 - (high, low)
+    events = data.draw(st.one_of(st.sampled_from([0, 1, trials - 1, trials]),
+                                 st.integers(0, trials)))
+    low, high = wilson_interval(events, trials)
+    assert 0.0 <= low <= events / trials <= high <= 1.0
+    mirror_low, mirror_high = wilson_interval(trials - events, trials)
+    assert mirror_low == pytest.approx(1.0 - high, abs=1e-14)
+    assert mirror_high == pytest.approx(1.0 - low, abs=1e-14)
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 17, 64])
