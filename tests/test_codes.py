@@ -430,30 +430,37 @@ def test_lattice_margin_bounds_the_float_products(snr, r, slots, seed, data):
     assert abs(Fraction(value) - exact) <= Fraction(eps) * exact
 
 
-def test_search_screen_and_best_first_order_keep_entries(monkeypatch):
-    # with every screen bound forced to +inf the candidates are swept in
-    # list order and none is skipped: the entries are the same, and with
-    # the screen on fewer candidates are swept
-    grid = [10.0 ** (db / 10.0) for db in (10.0, 20.0, 30.0)]
-    screen, sweep, swept = codes._screen, codes._lattice_sweep, []
+@pytest.mark.parametrize("r, grid_db", [(0.5, (10.0, 20.0, 30.0)), (1.0, (10.0, 20.0))])
+def test_search_early_exit_keeps_entries(monkeypatch, r, grid_db):
+    # the screen drops candidates proven to lose and the best-first sweep
+    # skips or stops them; with every screen bound forced to +inf none is
+    # dropped, skipped or stopped: the entries are the same, and with the
+    # screen on fewer candidates are swept or evaluated in float
+    grid = [10.0 ** (db / 10.0) for db in grid_db]
+    screen, sweep, winner, work = codes._screen, codes._lattice_sweep, codes._float_winner, []
 
-    def counting(*args):
-        swept.append(1)
+    def counting_sweep(*args):
+        work.append(1)
         return sweep(*args)
+
+    def counting_winner(points, perms, kk, *args):
+        work.append(len(np.unique(kk)))
+        return winner(points, perms, kk, *args)
 
     def search(on):
         def forced(*args):
             bound, cells = screen(*args)
             return (bound if on else np.full_like(bound, np.inf)), cells
         monkeypatch.setattr(codes, "_screen", forced)
-        swept.clear()
-        found = search_permutations(grid, 1.0, 4, budget=800, master_seed=1008, epsilon=0.5)
-        return found.entries, len(swept)
+        work.clear()
+        found = search_permutations(grid, r, 4, budget=800, master_seed=1008, epsilon=0.5)
+        return found.entries, sum(work)
 
-    monkeypatch.setattr(codes, "_lattice_sweep", counting)
-    (on, swept_on), (off, swept_off) = search(True), search(False)
+    monkeypatch.setattr(codes, "_lattice_sweep", counting_sweep)
+    monkeypatch.setattr(codes, "_float_winner", counting_winner)
+    (on, work_on), (off, work_off) = search(True), search(False)
     assert on == off
-    assert swept_on < swept_off
+    assert work_on < work_off
 
 
 @pytest.mark.parametrize("n_slots", [0, -1, 1.5, 2.0])
