@@ -24,8 +24,6 @@ MC_WAVE = 8
 # large enough to amortize the numpy calls.
 BATCH_BUDGET = 131072
 
-_Z95 = 1.959963984540054
-
 _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 _REQUIRED = object()
 
@@ -69,9 +67,9 @@ def eig_rank(eigvals, n):
     return ranks if w.ndim > 1 else int(ranks)
 
 
-def assert_hermitian(mat, what="matrix", rtol=1e-10):
+def assert_hermitian(mat, what="matrix"):
     scale = max(np.max(np.abs(mat)), 1.0)
-    if np.max(np.abs(mat - mat.conj().T)) > rtol * scale:
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * scale:
         raise ValueError(f"{what} is not Hermitian within tolerance")
 
 
@@ -150,13 +148,14 @@ def complex_normal(rng, shape):
     return z
 
 
-def wilson_interval(events, trials, z=_Z95):
+def wilson_interval(events, trials):
     """Wilson score interval for a binomial proportion at 95% confidence. Its
     ends are exactly 0 at no events and 1 at all events: there center and
     half-width are equal in exact arithmetic, and their rounded difference
     (about 1e-18) could leave the estimate outside the interval."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the two-sided 95% standard normal quantile
     p_hat = events / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

@@ -81,6 +81,11 @@ def _config_from_doc(doc):
         raise ConfigError("config.snr_db: grid must not be empty")
     if list(snr_db) != sorted(snr_db):
         raise ConfigError("config.snr_db: grid must be ascending")
+    with np.errstate(over="ignore"):
+        snrs = db_to_linear(snr_db)
+    if not np.all(np.isfinite(snrs) & (snrs > 0)):
+        raise ConfigError("config.snr_db: every entry must be finite and positive "
+                          "in linear units")
     rate_doc = json_field(doc, "rate", "config")
     mode = json_field(rate_doc, "mode", "rate")
     if mode == "fixed":
@@ -400,6 +405,9 @@ def dispatch(argv):
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

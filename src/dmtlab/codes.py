@@ -51,10 +51,6 @@ class QamFamily:
     def __post_init__(self):
         self.points.setflags(write=False)
 
-    @property
-    def min_dist_sq(self):
-        return self.scale ** 2
-
     def __len__(self):
         return self.points.size
 
@@ -342,14 +338,11 @@ class Survivors:
             yield ii[batch], jj[batch], pair_eigvals(words, weight, ii[batch], jj[batch])
 
 
-def pairwise_min_products(words, m, floor=-np.inf):
+def pairwise_min_products(words, m):
     """Exhaustive worst pair of a (cardinality, num_slots) array of scalar
     codewords: the minimum over unordered pairs of the product of the m
     smallest squared slot distances. m >= num_slots gives the full product
-    and m = 1 the smallest entry. The sweep stops after the strip in which
-    the running minimum reaches ``floor`` or less; the value returned is
-    then at most ``floor`` but need not be the minimum, which suffices for
-    a caller that only asks whether the minimum exceeds ``floor``."""
+    and m = 1 the smallest entry."""
     words = np.asarray(words, dtype=complex)
     num, _ = words.shape
     if num < 2:
@@ -361,8 +354,6 @@ def pairwise_min_products(words, m, floor=-np.inf):
         small = dist2[:m].prod(axis=0)
         small[below] = np.inf
         worst.update(small, rows, cols)
-        if worst.value <= floor:
-            break
     return worst
 
 
@@ -713,11 +704,10 @@ def search_permutations(snr_grid, r, n_slots, budget=2000, master_seed=0, epsilo
 
 @dataclass(frozen=True, eq=False)
 class EffectiveDifference:
-    """Covariance-weighted difference Gram with its eigenvalue split."""
+    """Covariance-weighted difference Gram with its eigenvalues and rank."""
 
     matrix: np.ndarray
-    eigvals: np.ndarray       # all block_len eigenvalues, ascending
-    nonzero_eigs: np.ndarray  # the rank-bound many largest, ascending
+    eigvals: np.ndarray  # all block_len eigenvalues, ascending
     rank: int
 
     def __eq__(self, other):
@@ -726,29 +716,25 @@ class EffectiveDifference:
             return NotImplemented
         return self.rank == other.rank and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("matrix", "eigvals", "nonzero_eigs"))
+            for name in ("matrix", "eigvals"))
 
 
 def effective_difference(cov, e):
     """Hadamard product of the transposed covariance with the difference Gram.
 
-    The matrix has at most cov.rank * num_tx nonzero eigenvalues; the
-    remaining ones are structural zeros and are discarded from
-    ``nonzero_eigs`` by magnitude.
+    The matrix has at most cov.rank * num_tx nonzero eigenvalues
+    (``structural_count``); the remaining ones are structural zeros.
     """
     e = np.asarray(e, dtype=complex)
     if e.ndim != 2:
         raise ValueError("difference must be a num_tx x block_len matrix")
-    num_tx, n = e.shape
+    n = e.shape[1]
     if cov.block_len != n:
         raise ValueError("difference length does not match the covariance size")
     gram = e.conj().T @ e
     matrix = cov.entries.T * gram
     eigvals = np.linalg.eigvalsh(matrix)
-    keep = structural_count(cov, num_tx, n, clip=True)
-    return EffectiveDifference(matrix=matrix, eigvals=eigvals,
-                               nonzero_eigs=eigvals[n - keep:],
-                               rank=eig_rank(eigvals, n))
+    return EffectiveDifference(matrix=matrix, eigvals=eigvals, rank=eig_rank(eigvals, n))
 
 
 def effective_eigs(codebook, cov):

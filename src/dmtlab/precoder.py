@@ -60,17 +60,17 @@ def tf_shift_row(num_time, num_freq, time_shift, freq_shift):
     return col * np.sqrt(n)
 
 
-def design_tf_shift_precoder(spec, num_tx, assignment=None):
+def design_tf_shift_precoder(spec, num_tx):
     """Shift-based precoder matched to a time-frequency selective channel.
 
-    Each antenna gets a distinct (time, frequency) shift pair drawn from the
-    admissible box {0..floor(1/(nu0*T))-1} x {0..floor(1/(tau0*F))-1}; the
-    default assignment enumerates pairs in row-major order. The construction
-    guarantees full structural rank of the covariance-weighted row Gram for
-    the circulant surrogate of the channel covariance. The block always has
-    room for that rank: v = floor(nu0*T*num_time) gives v * max_p <= num_time,
-    likewise t * max_q <= num_freq, so v * t * num_tx <= n for every antenna
-    count the box admits.
+    Antenna i gets the i-th (time, frequency) shift pair, in row-major
+    order, of the admissible box {0..floor(1/(nu0*T))-1} x
+    {0..floor(1/(tau0*F))-1}, so the pairs are distinct and in the box. The
+    construction guarantees full structural rank of the covariance-weighted
+    row Gram for the circulant surrogate of the channel covariance. The
+    block always has room for that rank: v = floor(nu0*T*num_time) gives
+    v * max_p <= num_time, likewise t * max_q <= num_freq, so
+    v * t * num_tx <= n for every antenna count the box admits.
     """
     if num_tx < 1:
         raise ValueError("antenna count must be positive")
@@ -81,19 +81,10 @@ def design_tf_shift_precoder(spec, num_tx, assignment=None):
     if capacity < num_tx:
         raise ValueError(f"only {capacity} distinct shift pairs exist for this "
                          f"channel; cannot support {num_tx} transmit antennas")
-    if assignment is None:
-        assignment = [(i // max_q, i % max_q) for i in range(num_tx)]
-    assignment = [tuple(int(x) for x in pair) for pair in assignment]
-    if len(assignment) != num_tx:
-        raise ValueError("assignment length must equal the antenna count")
-    if len(set(assignment)) != num_tx:
-        raise ValueError("shift pairs must be pairwise distinct")
-    for p, q in assignment:
-        if not (0 <= p < max_p and 0 <= q < max_q):
-            raise ValueError(f"shift pair ({p}, {q}) outside the admissible box")
+    assignment = tuple(divmod(i, max_q) for i in range(num_tx))
     rows = np.stack([tf_shift_row(spec.num_time, spec.num_freq, p * v, q * t)
                      for p, q in assignment])
-    return Precoder(matrix=rows, shifts=tuple(assignment), doppler_stride=v,
+    return Precoder(matrix=rows, shifts=assignment, doppler_stride=v,
                     delay_stride=t, num_time=spec.num_time, num_freq=spec.num_freq)
 
 

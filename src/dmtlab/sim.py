@@ -12,7 +12,6 @@ import numpy as np
 from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 from .channel import draw_white, mix_white
 from .codes import screened_eigs, structural_count
-from .precoder import apply_precoder
 
 
 def chernoff_bound(eigs, snr, num_tx, num_rx):
@@ -140,14 +139,6 @@ class ErrorEstimate:
     ci_high: float
 
 
-def _resolve_words(transmit):
-    """Accept a Codebook or a (precoder, single-antenna outer Codebook) pair."""
-    if isinstance(transmit, tuple):
-        precoder, outer = transmit
-        return apply_precoder(precoder, outer.scalar_words)
-    return transmit.words
-
-
 def _check_nonnegative(value, name):
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -185,10 +176,11 @@ def _trial_features(gram, blocks, received):
     return np.concatenate((gram, matched.real, matched.imag), axis=-1).reshape(len(blocks), -1)
 
 
-def error_curve(cov, dims, transmit, snrs, trials=10_000, master_seed=0, noise_scale=1.0,
+def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_scale=1.0,
                 workers=1):
-    """Exhaustive-ML decoding error rates over a grid of SNRs, one
-    ``ErrorEstimate`` with a Wilson 95% interval per SNR, in grid order.
+    """Exhaustive-ML decoding error rates of a ``Codebook`` over a grid of
+    SNRs, one ``ErrorEstimate`` with a Wilson 95% interval per SNR, in grid
+    order.
 
     Per trial: draw a correlated channel, pick a codeword uniformly, add
     white complex Gaussian noise (scaled by ``noise_scale``; zero gives a
@@ -210,7 +202,7 @@ def error_curve(cov, dims, transmit, snrs, trials=10_000, master_seed=0, noise_s
     for snr in snrs:
         _check_nonnegative(snr, "snr")
     _check_nonnegative(noise_scale, "noise_scale")
-    words = _resolve_words(transmit)
+    words = codebook.words
     num_words, num_tx, n = words.shape
     if num_words < 1:
         raise ValueError("codebook must be nonempty")
@@ -246,8 +238,8 @@ def error_curve(cov, dims, transmit, snrs, trials=10_000, master_seed=0, noise_s
     return estimates
 
 
-def simulate_error_prob(cov, dims, transmit, snr, trials=10_000, master_seed=0,
+def simulate_error_prob(cov, dims, codebook, snr, trials=10_000, master_seed=0,
                         noise_scale=1.0, workers=1):
     """``error_curve`` on the grid of the one SNR ``snr``."""
-    return error_curve(cov, dims, transmit, (snr,), trials, master_seed, noise_scale,
+    return error_curve(cov, dims, codebook, (snr,), trials, master_seed, noise_scale,
                        workers)[0]

@@ -153,14 +153,6 @@ def _snr_step(stats, bound, a):
     return logdet.mean(axis=1) if bound == "full" else logdet
 
 
-def _information(blocks, bound, snr):
-    """Per-draw information of a (count, N, M_R, M_T) batch at ``snr`` under
-    ``bound``: the average slot log-det ("full") or the log-det of the Jensen
-    channel ("jensen")."""
-    scale = blocks.shape[-1] * (1 if bound == "full" else blocks.shape[1])
-    return _snr_step(_snr_free(blocks, bound), bound, snr / scale)
-
-
 def _chains(points, rates, live):
     """The points of ``live`` sorted by (SNR ascending, rate descending) and
     cut into chains: a point whose rate is no larger than its predecessor's

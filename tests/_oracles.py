@@ -15,7 +15,7 @@ from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _slot_words, _sort_slots,
                           criterion_threshold, effective_difference, effective_eigs,
                           pair_eigvals, pairwise_min_products, structural_count)
 from dmtlab.sim import ErrorEstimate, _check_nonnegative, chernoff_bound
-from dmtlab.tradeoff import OutageEstimate, _information, _jensen_stack
+from dmtlab.tradeoff import OutageEstimate, _jensen_stack, _snr_free, _snr_step
 
 
 def psd_root(cov):
@@ -53,6 +53,14 @@ def logdet_identity_plus(h, a):
     return np.log1p(a * power + a * a * det)
 
 
+def _information(blocks, bound, snr):
+    """Per-draw information of a (count, N, M_R, M_T) batch at ``snr`` under
+    ``bound``: the average slot log-det ("full") or the log-det of the Jensen
+    channel ("jensen")."""
+    scale = blocks.shape[-1] * (1 if bound == "full" else blocks.shape[1])
+    return _snr_step(_snr_free(blocks, bound), bound, snr / scale)
+
+
 def single_point_outage(cov, dims, point, bound, trials, master_seed, min_events, workers):
     """The outage estimate of one SNR point by the per-point chunk loop that
     ran once per grid SNR before the grid became the unit of work: each chunk
@@ -86,11 +94,11 @@ def _one_pass_features(blocks, received):
     return np.concatenate(cols, axis=-1).reshape(len(blocks), -1)
 
 
-def single_snr_errors(cov, dims, transmit, snr, trials, master_seed, noise_scale, workers):
+def single_snr_errors(cov, dims, codebook, snr, trials, master_seed, noise_scale, workers):
     """The ML error estimate at one SNR by the per-SNR chunk loop that ran
     once per grid SNR before the grid became the unit of work: each chunk is
     drawn, mixed and decoded at this SNR alone."""
-    words = sim._resolve_words(transmit)
+    words = codebook.words
     num_words, num_tx, n = words.shape
     amp = np.sqrt(snr / num_tx)
     slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
@@ -135,13 +143,11 @@ def gather_min_products(words, m):
 
 def float_best_candidate(family, perms, m):
     """``codes._best_candidate`` by the per-candidate float loop it replaced:
-    ``pairwise_min_products`` of each candidate's words in list order, every
-    sweep stopped once it reaches the best value so far; a candidate
-    replaces the best only when its minimum is strictly greater."""
+    ``pairwise_min_products`` of each candidate's words in list order; a
+    candidate replaces the best only when its minimum is strictly greater."""
     best_k, best = -1, None
     for k, combo in enumerate(perms):
-        worst = pairwise_min_products(_slot_words(family.points, combo), m,
-                                      -np.inf if best is None else best.value)
+        worst = pairwise_min_products(_slot_words(family.points, combo), m)
         if best is None or worst.value > best.value:
             best_k, best = k, worst
     return best_k, best
@@ -408,9 +414,10 @@ def pep_chernoff(cov, e, snr, num_rx):
     if snr < 0:
         raise ValueError("snr must be nonnegative")
     e = np.asarray(e, dtype=complex)
-    num_tx = e.shape[0]
-    eff = effective_difference(cov, e)
-    return PepBound(value=float(chernoff_bound(eff.nonzero_eigs, snr, num_tx, num_rx)))
+    num_tx, n = e.shape
+    keep = structural_count(cov, num_tx, n, clip=True)
+    eigvals = effective_difference(cov, e).eigvals
+    return PepBound(value=float(chernoff_bound(eigvals[n - keep:], snr, num_tx, num_rx)))
 
 
 def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):

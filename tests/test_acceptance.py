@@ -17,6 +17,7 @@ from dmtlab.channel import (
     build_covariance,
 )
 from dmtlab.codes import (
+    Codebook,
     delta_decomposition,
     effective_difference,
     permutation_codebook,
@@ -334,10 +335,10 @@ def test_criterion_9_determinism_across_workers():
     point = SnrPoint(float(db_to_linear(10.0)), ScalingRate(1.0))
     outage = [estimate_outage(cov, dims, point, trials=80_000, master_seed=1009,
                               min_events=None, workers=w) for w in (1, 4)]
-    fam = qam_family(16.0, 0.5)
-    errors = [simulate_error_prob(cov, dims, (classic_precoder("cdd", 2, 4, 2),
-                                              permutation_codebook(fam, [range(4)] * 4)),
-                                  snr=16.0, trials=40_000, master_seed=1010,
+    outer = permutation_codebook(qam_family(16.0, 0.5), [range(4)] * 4)
+    book = Codebook(apply_precoder(classic_precoder("cdd", 2, 4, 2), outer.scalar_words),
+                    outer.snr, outer.mux_rate)
+    errors = [simulate_error_prob(cov, dims, book, snr=16.0, trials=40_000, master_seed=1010,
                                   workers=w) for w in (1, 4)]
     ok = outage[0] == outage[1] and errors[0] == errors[1]
     _verdict("criterion-9 determinism", ok,

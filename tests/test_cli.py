@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,37 @@ def test_load_config_rejects_non_finite_snr(tmp_path, grid):
     out = tmp_path / "outage.csv"
     assert dispatch(["outage", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["outage", "error-sim"])
+@pytest.mark.parametrize("snr_db", [1e308, -1e308])
+def test_snr_db_must_be_finite_and_positive_in_linear_units(tmp_path, capsys, command, snr_db):
+    # 10 ** (snr_db / 10) overflows to inf or underflows to 0: outage used to
+    # warn of the overflow and exit naming no field, and error-sim wrote a
+    # row at linear SNR 0
+    cfg = _write_config(tmp_path / "c.json", snr_db=[snr_db])
+    extra = ["--codebook", str(_antipodal_book(tmp_path))] if command == "error-sim" else []
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
+    assert not out.exists()
+    assert "config.snr_db: every entry must be finite and positive" in capsys.readouterr().err
+    # -400 dB is 1e-40 in linear units, finite and positive
+    assert load_config(_write_config(tmp_path / "low.json", snr_db=[-400.0])).snr_db == (-400.0,)
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # an oversize grid (design-precoder at 100000 x 100000 slots, or a large
+    # tf config) makes numpy raise MemoryError; the command is replaced so
+    # that nothing is allocated
+    def oversize(args):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(cli, "_cmd_design_precoder", oversize)
+    assert dispatch(["design-precoder", "--nu0-t", "0.5", "--tau0-f", "0.5", "--num-time",
+                     "100000", "--num-freq", "100000", "--mt", "1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 149. GiB\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

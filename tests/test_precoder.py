@@ -60,12 +60,6 @@ def test_tf_shift_infeasible_antenna_count():
         design_tf_shift_precoder(spec, num_tx=5)
 
 
-def test_tf_shift_rejects_duplicate_assignment():
-    spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
-    with pytest.raises(ValueError):
-        design_tf_shift_precoder(spec, num_tx=2, assignment=[(0, 0), (0, 0)])
-
-
 def test_tf_verification_reports_both_covariances():
     spec = ScatteringSpec.from_normalized(0.5, 0.5, 4, 4)
     pre = design_tf_shift_precoder(spec, num_tx=2)
@@ -169,12 +163,17 @@ def test_tf_design_block_always_holds_the_structural_rank():
                     v, t = spec.doppler_slots, spec.delay_slots
                     if v < 1 or t < 1:
                         continue
-                    capacity = (int(np.floor(1 / nu0_t + 1e-12))
-                                * int(np.floor(1 / tau0_f + 1e-12)))
+                    max_p = int(np.floor(1 / nu0_t + 1e-12))
+                    max_q = int(np.floor(1 / tau0_f + 1e-12))
+                    capacity = max_p * max_q
                     assert circulant_covariance(spec).rank == v * t
                     assert v * t * capacity <= spec.block_len
                     pre = design_tf_shift_precoder(spec, num_tx=capacity)
                     assert (pre.doppler_stride, pre.delay_stride) == (v, t)
+                    # the shift pairs are the whole box in row-major order:
+                    # distinct and admissible by construction
+                    assert pre.shifts == tuple((p, q) for p in range(max_p)
+                                               for q in range(max_q))
                     checked += 1
     assert checked > 300
 

@@ -161,19 +161,9 @@ def test_precoded_pair_input():
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     fam = qam_family(9.0, 0.5)
     outer = permutation_codebook(fam, [range(len(fam))] * 4)
-    est = simulate_error_prob(cov, dims, (pre, outer), snr=9.0, trials=4000,
-                              master_seed=57)
+    book = Codebook(apply_precoder(pre, outer.scalar_words), outer.snr, outer.mux_rate)
+    est = simulate_error_prob(cov, dims, book, snr=9.0, trials=4000, master_seed=57)
     assert 0.0 <= est.error_rate <= 1.0
-
-
-def test_precoded_pair_rejects_multi_antenna_outer():
-    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
-    dims = ChannelDims(2, 2, 4)
-    pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
-    outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
-    book = Codebook(words=apply_precoder(pre, outer.scalar_words), snr=9.0, mux_rate=0.5)
-    with pytest.raises(ValueError, match="single transmit antenna"):
-        simulate_error_prob(cov, dims, (pre, book), snr=9.0, trials=100, master_seed=57)
 
 
 def test_simulate_deterministic_across_workers():
@@ -313,11 +303,11 @@ def test_simulate_precoded_pair_matches_dense_decode():
     pre = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2)
     outer = permutation_codebook(qam_family(9.0, 0.5), [range(4)] * 4)
     words = apply_precoder(pre, outer.scalar_words)
+    book = Codebook(words, outer.snr, outer.mux_rate)
     # at SNR 9 about one trial in 6000 errs, so that match may count none; at
     # SNR 1 the two decoders must agree on hundreds of errors
     for snr, least in ((9.0, 0), (1.0, 100)):
-        est = simulate_error_prob(cov, dims, (pre, outer), snr=snr, trials=3000,
-                                  master_seed=63)
+        est = simulate_error_prob(cov, dims, book, snr=snr, trials=3000, master_seed=63)
         assert est.errors >= least
         assert est.errors == _dense_errors(cov, dims, words, snr, 3000, 63, 1.0)
 

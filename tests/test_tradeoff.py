@@ -30,12 +30,12 @@ from dmtlab.tradeoff import (
     fit_diversity_slope,
     jensen_dmt_curve,
     outage_curve,
-    _information,
 )
 from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
 
-from _oracles import (jensen_mutual_information, logdet_identity_plus, mutual_information,
-                      sample_channel, single_point_outage, singularity_levels)
+from _oracles import (_information, jensen_mutual_information, logdet_identity_plus,
+                      mutual_information, sample_channel, single_point_outage,
+                      singularity_levels)
 
 
 def _realization(blocks):
@@ -220,7 +220,7 @@ def test_staged_information_equals_one_pass_kernel_bitwise(num_rx, num_tx):
                 expected = logdet_identity_plus(stack, a)
             assert np.array_equal(tradeoff._snr_step(stats, bound, a), expected)
             assert np.array_equal(tradeoff._snr_step(stats[subset], bound, a), expected[subset])
-            assert np.array_equal(tradeoff._information(blocks, bound, snr), expected)
+            assert np.array_equal(_information(blocks, bound, snr), expected)
 
 
 @pytest.mark.parametrize("num_rx,num_tx", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])

@@ -122,6 +122,7 @@ _ENTRY_POINTS = {
     "classic_precoder",  # perfbench's design chain (design_verify)
     "verify_composed_design",  # perfbench's design chain (design_verify)
     "fit_diversity_slope",  # diversity slopes of outage curves, for library users
+    "apply_precoder",  # builds the precoded Codebook that error-sim reads
 }
 
 
@@ -143,3 +144,50 @@ def test_every_export_has_a_reader_outside_the_tests():
                 read.add(node.attr)
     assert _ENTRY_POINTS <= exported
     assert sorted(exported - read - _ENTRY_POINTS) == []
+
+
+def _defaulted_parameters(func, method):
+    """(position, name) of each defaulted parameter of a def, position None
+    for keyword-only ones; a method's positions do not count self or cls."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in func.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return ([(k, arg.arg) for k, arg in enumerate(positional) if k >= first]
+            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def test_every_option_is_set_by_the_package():
+    # an option is for a caller: every defaulted parameter of a function or
+    # method of the package is passed (by keyword, by position or through
+    # * or **) by some call in the package, where a class call counts for
+    # its __init__, unless the function is a listed entry point
+    package = Path(_util.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    options, calls = [], {}
+    for tree in trees:
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods.update({id(item): node.name for item in node.body})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name not in _ENTRY_POINTS:
+                owner = methods.get(id(node))
+                name = owner if node.name == "__init__" else node.name
+                options += [(name, position, param) for position, param
+                            in _defaulted_parameters(node, owner is not None)]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(callee, []).append(
+                    (float("inf") if starred or None in keywords else len(node.args),
+                     keywords))
+    unset = [f"{name}({param})" for name, position, param in options
+             if not any(param in keywords or (position is not None and position < passed)
+                        for passed, keywords in calls.get(name, ()))]
+    assert unset == []
