@@ -8,6 +8,7 @@ line; everything is converted to linear SNR and nats internally.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -315,8 +316,19 @@ def _snr_grid(snr_db):
     return snrs.tolist()
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every token starting like a negative number
+    as a value, "-1e3" and "-.5e1" too: argparse's own test takes only plain
+    decimals and reads "-1e3" as an unknown option. The subcommand parsers
+    are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmtlab",
         description="Diversity-multiplexing tradeoff toolkit for "
                     "selective-fading MIMO channels")

@@ -499,6 +499,25 @@ def test_bad_snr_grid_or_epsilon_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pep", "verify-code"])
+@pytest.mark.parametrize("snr_db", ["-1e3", "-1E3", "-.5e1", "-1e-3", "-1e308"])
+def test_negative_snr_db_in_scientific_notation_is_a_value(tmp_path, capsys, command, snr_db):
+    # argparse read these as unknown options: "expected at least one argument"
+    common = ["--codebook", str(_antipodal_book(tmp_path)), "--cov", str(_flat_cov(tmp_path))]
+    outs = []
+    for k, argv in enumerate((["--snr-db", snr_db], [f"--snr-db={snr_db}"])):
+        outs.append(tmp_path / f"out{k}")
+        assert dispatch([command, *argv, *common, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    if command == "pep":
+        assert float(outs[0].read_text().splitlines()[1].split(",")[0]) == float(snr_db)
+    # the dmt criterion's own grid check, not the parser, refuses it
+    assert dispatch(["verify-code", "--criterion", "dmt", "--snr-db", snr_db, *common]) == 2
+    assert "exceed 1" in capsys.readouterr().err
+    assert dispatch([command, "--snr-db", snr_db, "--bogus", *common]) == 2
+    assert "--bogus" in capsys.readouterr().err
+
+
 def _set(path, value):
     """A document edit that puts ``value`` at the index/key ``path``."""
     def edit(doc):

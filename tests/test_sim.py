@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmtlab import _util, sim
@@ -15,7 +15,7 @@ from dmtlab.channel import (
     build_covariance,
 )
 from dmtlab.codes import Codebook, permutation_codebook, qam_family
-from dmtlab.precoder import apply_precoder, classic_precoder
+from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
 from dmtlab.sim import (
     TraceBoundInstance,
     error_curve,
@@ -24,7 +24,7 @@ from dmtlab.sim import (
     trace_oracle,
 )
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
-from dmtlab._util import MC_CHUNK, spawn_rng
+from dmtlab._util import MC_CHUNK, complex_normal, spawn_rng
 
 from _oracles import pep_chernoff, pep_monte_carlo, single_snr_errors
 
@@ -279,6 +279,94 @@ def test_expanded_metric_matches_dense(cov_name, num_tx, num_rx, noise_scale):
     scale = power[:, None] + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
     assert np.max(np.abs(expanded + power[:, None] - dense) / scale) < 1e-12
     assert np.array_equal(np.argmin(expanded, axis=1), np.argmin(dense, axis=1))
+
+
+def _precoded_words(kind, num_tx, outer):
+    """(words, num_tx, 4) precoded words of scalar outer words (words, 4)."""
+    if kind == "tf":
+        pre = design_tf_shift_precoder(ScatteringSpec.from_normalized(0.5, 0.5, 2, 2), num_tx)
+    else:
+        pre = classic_precoder(kind, num_tx=num_tx, n_slots=4, stride=1)
+    return apply_precoder(pre, outer)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_tx=st.integers(1, 3), num_rx=st.integers(1, 2), num_words=st.integers(1, 9),
+       kind=st.sampled_from(["cdd", "phase-rolling", "tf", "spans"]),
+       spans=st.lists(st.integers(0, 3), min_size=4, max_size=4), seed=st.integers(0, 2 ** 16))
+@example(num_tx=3, num_rx=2, num_words=6, kind="spans", spans=[0, 1, 2, 3], seed=0)
+@example(num_tx=2, num_rx=1, num_words=1, kind="spans", spans=[2, 0, 1, 0], seed=1)
+@example(num_tx=2, num_rx=2, num_words=4, kind="spans", spans=[0, 0, 0, 0], seed=2)
+def test_effective_channel_metric_matches_dense(num_tx, num_rx, num_words, kind, spans, seed):
+    # slot n of a "spans" book holds random words of a random span of
+    # dimension spans[n] (clipped to T); a precoded slot's words are
+    # multiples of one precoder column, so that every slot is one-dimensional
+    rng = spawn_rng(74, seed)
+    if kind == "spans":
+        dims_n = [min(d, num_tx) for d in spans]
+        words = np.stack([complex_normal(rng, (num_words, d)) @ complex_normal(rng, (d, num_tx))
+                          for d in dims_n], axis=2)
+    else:
+        dims_n = [1] * 4
+        words = _precoded_words(kind, num_tx, complex_normal(rng, (num_words, 4)))
+    expect = max(min(d, num_words) for d in dims_n)
+    slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
+    basis, coords = sim._slot_spans(slot_words)
+    assert (basis is None) == (expect == num_tx)
+    assert coords.shape == (num_words, 4, expect)
+    dims, amp = ChannelDims(num_tx, num_rx, 4), np.sqrt(20.0 / num_tx)
+    blocks, sent, noise = _dense_draws(_DECODE_COVS["isi"], dims, num_words, 40, rng, 1.0)
+    received = amp * np.einsum("cnij,cjn->cni", blocks, words[sent]) + noise
+    faded = _faded(blocks, words)
+    dense = _dense_metric(faded, received, amp)
+    eff = blocks if basis is None else np.einsum("cnrt,ntd->cnrd", blocks, basis)
+    table = sim._word_table(coords, amp)
+    expanded = sim._trial_features(sim._gram_features(eff), eff, received) @ table.T
+    power = np.sum(np.abs(received) ** 2, axis=(1, 2))
+    scale = power[:, None] + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
+    assert np.max(np.abs(expanded + power[:, None] - dense) / scale) < 1e-12
+    assert np.array_equal(np.argmin(expanded, axis=1), np.argmin(dense, axis=1))
+
+
+def _rank_one_book(rng, num_words, tilt):
+    """Unit-modulus scalar words on the column (1, 1) in every slot, but with
+    word 0 moved off it by ``tilt`` of its norm in slot 0, along (1, -1)."""
+    words = np.exp(2j * np.pi * rng.uniform(size=(num_words, 1, 4))) * np.ones((2, 1))
+    words[0, :, 0] += tilt * np.array([1.0, -1.0]) * words[0, 0, 0]
+    return Codebook(words=words * np.sqrt(0.9), snr=10.0, mux_rate=0.0)
+
+
+@pytest.mark.parametrize("tilt,dims_kept", [(2.0 ** -43, 2), (2.0 ** -47, 1)])
+def test_span_tolerance_decides_the_decode(tilt, dims_kept):
+    # above the 2**-44 span tolerance the code is decoded as it is, bit for
+    # bit the single-SNR oracle; below it, on one-dimensional effective
+    # channels, as the dense decode
+    cov, dims = _DECODE_COVS["tf"], ChannelDims(2, 2, 4)
+    book = _rank_one_book(spawn_rng(75), 16, tilt)
+    basis, coords = sim._slot_spans(np.ascontiguousarray(np.swapaxes(book.words, 1, 2)))
+    assert coords.shape[-1] == dims_kept and (basis is None) == (dims_kept == 2)
+    snrs, trials = (1.0, 10.0), MC_CHUNK + 700
+    curve = error_curve(cov, dims, book, snrs, trials, 76)
+    if basis is None:
+        assert curve == [single_snr_errors(cov, dims, book, snr, trials, 76, 1.0, 1)
+                         for snr in snrs]
+    assert [est.errors for est in curve] == [
+        _dense_errors(cov, dims, book.words, snr, trials, 76, 1.0) for snr in snrs]
+    assert curve[0].errors > 0
+
+
+@pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_precoded_decode_matches_dense_for_any_sub_blocks(monkeypatch, block_trials, workers):
+    cov, dims = _DECODE_COVS["isi"], ChannelDims(2, 2, 4)
+    outer = permutation_codebook(qam_family(16.0, 0.5), [range(4)] * 4)
+    words = _precoded_words("cdd", 2, outer.scalar_words)
+    book = Codebook(words, outer.snr, outer.mux_rate)
+    trials = 3000 if block_trials == 1 else MC_CHUNK + 700
+    if block_trials is not None:
+        monkeypatch.setattr(_util, "BATCH_BUDGET", len(words) * block_trials)
+    est = simulate_error_prob(cov, dims, book, 2.0, trials, 77, workers=workers)
+    assert est.errors == _dense_errors(cov, dims, words, 2.0, trials, 77, 1.0) > 0
 
 
 @pytest.mark.parametrize("cov_name", sorted(_DECODE_COVS))
