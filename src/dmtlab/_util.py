@@ -53,12 +53,6 @@ def rank_tolerance(values, n):
     return RANK_TOL_FACTOR * np.max(np.abs(values), axis=-1) * n
 
 
-def numerical_rank(mat):
-    """Rank from singular values with the common scaled tolerance."""
-    sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
-    return int(np.count_nonzero(sv > rank_tolerance(sv, max(mat.shape))))
-
-
 def eig_rank(eigvals, n):
     """Rank from the eigenvalues of an n x n Hermitian PSD matrix; a stack
     of eigenvalue rows (last axis) gives an array of ranks."""

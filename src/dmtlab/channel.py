@@ -274,6 +274,8 @@ class CovarianceMatrix:
         diag = np.real(np.diag(entries))
         if np.max(diag) - np.min(diag) > 1e-9 * max(np.max(diag), 1.0):
             raise ValueError("covariance diagonal is not constant across slots")
+        if not np.min(diag) > 0:
+            raise ValueError("covariance diagonal must be positive")
         return cls(entries=entries, rank=rank, eigvals=w[keep], eigvecs=v[:, keep])
 
     def to_json(self):
@@ -283,6 +285,8 @@ class CovarianceMatrix:
     @classmethod
     def from_json(cls, payload):
         n = json_field(payload, "n", "covariance", int)
+        if n < 1:
+            raise ValueError(f"covariance.n: must be at least 1, got {n}")
         flat = json_complex(payload, "entries", "covariance", 1)
         if flat.size != n * n:
             raise ValueError("entry list does not match the declared size")

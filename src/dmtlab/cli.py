@@ -282,7 +282,7 @@ def _cmd_oracle_check(args):
         scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
         cov = CovarianceMatrix.from_entries(raw * np.outer(scale, scale))
         e = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        delta, _ = delta_decomposition(cov, e)
+        delta = delta_decomposition(cov, e)
         lhs = np.linalg.eigvalsh(delta.conj().T @ delta)
         rhs = np.linalg.eigvalsh(effective_difference(cov, e).matrix)
         if not np.allclose(lhs, rhs, atol=1e-10 * max(1.0, rhs[-1])):

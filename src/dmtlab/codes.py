@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import (batches, complex_pairs, eig_rank, json_complex, json_field,
-                    numerical_rank, spawn_rng)
+from ._util import batches, complex_pairs, eig_rank, json_complex, json_field, spawn_rng
 
 _EXHAUSTIVE_CAP = 50_000
 _LISTED_FAILURES = 100  # failing pairs a rank report lists
@@ -301,41 +300,6 @@ class WorstPair:
         if values[k] < self.value:
             ii, jj = np.broadcast_arrays(ii, jj)
             self.value, self.pair = float(values[k]), (int(ii[k]), int(jj[k]))
-
-
-class Survivors:
-    """Pairs that a bound screen cannot rule out of a running minimum at any
-    of ``points`` points. At a point a pair survives unless its lower bound
-    exceeds ``best``, the smallest upper bound of any pair seen so far; a
-    NaN lower bound always survives. ``best`` only falls, so the pairs kept
-    while sweeping are a superset of the final survivors, which ``eigs``
-    filters once more against the final ``best``. So every pair whose value
-    could tie or beat the minimum is eigensolved, and folding in the
-    survivors gives the minimum and first pair that every pair gives."""
-
-    def __init__(self, points=1):
-        self.best = np.full(points, np.inf)
-        self._kept = []
-
-    def add(self, ii, jj, low, up):
-        """Fold in the pairs (ii, jj), index arrays that broadcast to the pair
-        shape, with lower bounds ``low`` (points, *pair shape) and ``up``, the
-        smallest upper bound of these pairs at each point. The cells of the
-        pair shape are taken in C order."""
-        self.best = np.minimum(self.best, up)
-        keep = ~np.all(low > self.best.reshape((-1,) + (1,) * (low.ndim - 1)), axis=0)
-        ii, jj = np.broadcast_arrays(ii, jj)
-        self._kept.append((ii[keep], jj[keep], low[:, keep]))
-
-    def eigs(self, words, weight):
-        """``pair_eigvals`` of the survivors in the order they were added, as
-        ``(ii, jj, eig)`` in ``_util.batches``."""
-        ii, jj, low = (np.concatenate(part, axis=-1) for part in zip(*self._kept))
-        keep = ~np.all(low > self.best[:, None], axis=0)
-        ii, jj = ii[keep], jj[keep]
-        n = words.shape[-1]
-        for batch in batches(ii.size, 2 * n * n):
-            yield ii[batch], jj[batch], pair_eigvals(words, weight, ii[batch], jj[batch])
 
 
 def pairwise_min_products(words, m):
@@ -737,15 +701,6 @@ def effective_difference(cov, e):
     return EffectiveDifference(matrix=matrix, eigvals=eigvals, rank=eig_rank(eigvals, n))
 
 
-def effective_eigs(codebook, cov):
-    """Ascending effective-difference eigenvalues of every codeword pair:
-    yields ``(ii, jj, eig)`` in ``pair_chunks`` order, with eig of shape
-    (pairs, block_len). The dense sweep: the screened criteria take it when
-    the screen does not apply, and the tests take it as their oracle."""
-    for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
-        yield ii, jj, np.linalg.eigvalsh(mat)
-
-
 def _eig_slack(weight, num_tx):
     """Per unit of trace, a bound on how far an effective difference M (as
     computed) lies from a PSD matrix M* and on how far each ``eigvalsh``
@@ -783,12 +738,14 @@ def _psd_terms(mat, slack):
     return diag, eps, top, det_lo, det_lo * ((n - 1) / top) ** (n - 1)
 
 
-def _rank_certified(diag, eps, top, det_lo, lam_lo):
-    """Pairs whose every ``eigvalsh`` eigenvalue is sure to clear
-    ``eig_rank``'s tolerance RANK_TOL_FACTOR * max|eig| * n, with the largest
-    eigenvalue at most top + eps. A NaN bound certifies nothing."""
+def _rank_bounds(diag, eps, top, det_lo, lam_lo):
+    """Bounds (1, pairs) for ``verify_rank_r0``'s screen against 0. Low: the
+    margin by which every ``eigvalsh`` eigenvalue clears ``eig_rank``'s
+    tolerance RANK_TOL_FACTOR * max|eig| * n, with the largest eigenvalue
+    at most top + eps, so a positive margin certifies full rank; up: +inf."""
     n = diag.shape[-1]
-    return lam_lo - eps > _util.RANK_TOL_FACTOR * n * (top + eps) * (1 + 2.0 ** -50)
+    low = lam_lo - eps - _util.RANK_TOL_FACTOR * n * (top + eps) * (1 + 2.0 ** -50)
+    return low[None], np.full((1, len(low)), np.inf)
 
 
 def _xi_bounds(diag, eps, top, det_lo, lam_lo, m):
@@ -806,49 +763,34 @@ def _xi_bounds(diag, eps, top, det_lo, lam_lo, m):
     return (low * (1 - 2.0 ** -48 * n))[None], (up * (1 + 2.0 ** -48 * n))[None]
 
 
-def screened_eigs(codebook, cov, bounds, points=1):
+def screened_eigs(codebook, cov, bounds, best):
     """Eigenvalues of the codeword pairs that a bound screen keeps for a
     running minimum, as ``(ii, jj, eig)`` in ``np.triu_indices`` order.
 
-    Each ``effective_matrices`` batch gets one batched ``det``; ``bounds``
-    of its ``_psd_terms`` (d, eps, top, det_lo, lam_lo) gives lower and
-    upper bounds (points, pairs) on each pair's computed statistic, and the
-    ``Survivors`` are eigensolved. The bounds assume a PSD matrix with
-    nonzero determinant, so when ``_det_screens`` says no this is the dense
-    ``effective_eigs`` sweep."""
-    if not _det_screens(codebook, cov):
-        return effective_eigs(codebook, cov)
+    The minimum starts at ``best`` (points,). Each ``effective_matrices``
+    batch gets one batched ``det``; ``bounds`` of its ``_psd_terms`` (d,
+    eps, top, det_lo, lam_lo) gives lower and upper bounds (points, pairs)
+    on each pair's computed statistic. The minimum falls to the smallest
+    upper bound, and a pair is dropped when its lower bound exceeds the
+    minimum at every point (a NaN bound never does); the batch's other
+    pairs are eigensolved. The minimum only falls, so every pair that could
+    tie or beat the final one is solved. The bounds assume a PSD matrix
+    with nonzero determinant, so when cov.rank * num_tx < block_len, where
+    det M = 0 structurally, every pair is kept: the dense sweep."""
     words, weight = codebook.words, cov.entries.T
-    slack = _eig_slack(weight, words.shape[-2])
-    survivors = Survivors(points)
-    with np.errstate(all="ignore"):  # a zero difference gives NaN bounds
-        for ii, jj, mat in effective_matrices(words, weight):
-            low, up = bounds(*_psd_terms(mat, slack))
-            survivors.add(ii, jj, low, up.min(axis=-1))
-    return survivors.eigs(words, weight)
-
-
-def _uncertified_eigs(codebook, cov):
-    """``effective_eigs`` of only the pairs that ``_rank_certified`` leaves
-    open, eigensolved in their batch; of every pair when ``_det_screens``
-    says no."""
-    if not _det_screens(codebook, cov):
-        yield from effective_eigs(codebook, cov)
-        return
-    slack = _eig_slack(cov.entries.T, codebook.words.shape[-2])
-    for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
-        with np.errstate(all="ignore"):
-            open_ = ~_rank_certified(*_psd_terms(mat, slack))
-        if open_.any():
-            yield ii[open_], jj[open_], np.linalg.eigvalsh(mat[open_])
-
-
-def _det_screens(codebook, cov):
-    """Whether the determinant screens apply to the effective differences of
-    ``codebook``: cov.rank * num_tx >= block_len. Below that det M = 0
-    structurally and the screens can bound nothing."""
-    _, num_tx, n = codebook.words.shape
-    return structural_count(cov, num_tx, n, clip=True) == n
+    _, num_tx, n = words.shape
+    screens = structural_count(cov, num_tx, n, clip=True) == n
+    slack = _eig_slack(weight, num_tx) if screens else None
+    best = np.array(best, dtype=float)
+    for ii, jj, mat in effective_matrices(words, weight):
+        if screens:
+            with np.errstate(all="ignore"):  # a zero difference gives NaN bounds
+                low, up = bounds(*_psd_terms(mat, slack))
+                best = np.minimum(best, up.min(axis=-1))
+                keep = ~np.all(low > best[:, None], axis=0)
+            ii, jj, mat = ii[keep], jj[keep], mat[keep]
+        if ii.size:
+            yield ii, jj, np.linalg.eigvalsh(mat)
 
 
 def structural_count(cov, num_tx, n, clip=False):
@@ -876,7 +818,8 @@ def xi_metric(codebook, cov, num_rx):
     low = n - structural_count(cov, num_tx, n)
     m = min(num_tx, num_rx)
     worst = WorstPair()
-    for ii, jj, eig in screened_eigs(codebook, cov, functools.partial(_xi_bounds, m=m)):
+    for ii, jj, eig in screened_eigs(codebook, cov, functools.partial(_xi_bounds, m=m),
+                                     [np.inf]):
         worst.update(eig[:, low:low + m].prod(axis=-1), ii, jj)
     return worst
 
@@ -908,11 +851,11 @@ def verify_rank_r0(codebook, cov):
     """Fixed-rate sufficiency check: every effective difference must reach
     the full structural rank. Reports the number of failing pairs and the
     first _LISTED_FAILURES of them in sweep order, so memory stays bounded.
-    When the structural rank is the block length, the pairs that
-    ``_rank_certified`` clears are not eigensolved."""
+    When the structural rank is the block length, the pairs whose
+    ``_rank_bounds`` margin is positive are not eigensolved."""
     expected = structural_count(cov, *codebook.words.shape[1:])
     failure_count, failures = 0, []
-    for ii, jj, eig in _uncertified_eigs(codebook, cov):
+    for ii, jj, eig in screened_eigs(codebook, cov, _rank_bounds, [0.0]):
         ranks = eig_rank(eig, eig.shape[-1])
         bad = np.flatnonzero(ranks != expected)
         failure_count += bad.size
@@ -931,5 +874,4 @@ def delta_decomposition(cov, e):
     blocks = []
     for lam, vec in zip(cov.eigvals, cov.eigvecs.T):
         blocks.append(np.sqrt(lam) * (vec.conj()[:, None] * e.conj().T))
-    delta = np.concatenate(blocks, axis=1).conj().T
-    return delta, numerical_rank(delta)
+    return np.concatenate(blocks, axis=1).conj().T

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import complex_pairs, fft_column
+from ._util import batches, complex_pairs, fft_column
 from . import codes
-from .codes import Survivors, WorstPair, criterion_threshold, distance_strips
+from .codes import WorstPair, criterion_threshold, distance_strips, pair_eigvals
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,15 @@ def _composed_sweep(report, words, m):
     row Gram (``report.gram``) conjugated by the diagonal of the outer
     difference, so its eigenvalues are sandwiched between sigma0 and
     sigma_top (the smallest nonzero and the largest Gram eigenvalue) times
-    the sorted entry powers. The sandwich prunes pairs that cannot achieve
-    the minimum; only the survivors are eigensolved. A rank-deficient Gram
-    gives xi = 0 unsolved.
+    the sorted entry powers. A strip keeps the pairs whose lower bound does
+    not exceed the smallest upper bound so far (the bound only falls), and
+    the kept pairs that the final bound still keeps are eigensolved. A
+    rank-deficient Gram gives xi = 0 unsolved.
     """
     shift = words.shape[1] - report.expected_rank
     sigma0, sigma_top = report.sigma0, float(report.gram.eigvals[-1])
     deficient = not report.passed
-    outer, xi, survivors = WorstPair(), WorstPair(), Survivors()
+    outer, xi, best, kept = WorstPair(), WorstPair(), np.inf, []
     for rows, cols, dist2, below in distance_strips(words):
         small = dist2[:m].prod(axis=0)
         small[below] = np.inf
@@ -175,16 +176,20 @@ def _composed_sweep(report, words, m):
         if not deficient:
             up = dist2[shift:shift + m].prod(axis=0)
             up[below] = np.inf
-            survivors.add(rows, cols, (sigma0 ** m) * small[None],
-                          (sigma_top ** m) * float(up.min()) * (1 + 1e-9))
+            best = min(best, (sigma_top ** m) * float(up.min()) * (1 + 1e-9))
+            low = (sigma0 ** m) * small
+            r, c = np.nonzero(~(low > best))
+            kept.append((rows[r, 0], cols[c], low[r, c]))
     if deficient:
         xi.value = 0.0
         return outer, xi, 0
-    evaluated = 0
-    for ii, jj, eig in survivors.eigs(words[:, None, :], report.gram.matrix):
-        xi.update(eig[:, shift:shift + m].prod(axis=-1), ii, jj)
-        evaluated += ii.size
-    return outer, xi, evaluated
+    ii, jj, low = (np.concatenate(part) for part in zip(*kept))
+    keep = ~(low > best)
+    ii, jj = ii[keep], jj[keep]
+    for batch in batches(ii.size, 2 * words.shape[1] ** 2):
+        eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii[batch], jj[batch])
+        xi.update(eig[:, shift:shift + m].prod(axis=-1), ii[batch], jj[batch])
+    return outer, xi, ii.size
 
 
 def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
@@ -199,9 +204,10 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
        dominates sigma0**m times the outer product of (b) and clears the
        rate threshold itself.
 
-    ``outer_gen`` maps an SNR to a single-antenna ``Codebook``. Failures are
-    itemized per SNR in the returned report; a codebook with fewer than two
-    words is flagged as a vacuous pass.
+    ``outer_gen`` maps an SNR to a single-antenna ``Codebook`` of the
+    precoder's block length; another length raises. Failures are itemized
+    per SNR in the returned report; a codebook with fewer than two words is
+    flagged as a vacuous pass.
     """
     rank_report = verify_precoder_rank(cov, precoder)
     m = min(precoder.num_tx, num_rx)
@@ -209,6 +215,9 @@ def verify_composed_design(precoder, outer_gen, cov, snr_grid, epsilon, num_rx):
     for snr in snr_grid:
         book = outer_gen(snr)
         words = book.scalar_words
+        if words.shape[1] != precoder.block_len:
+            raise ValueError(f"outer code block length {words.shape[1]} does not match "
+                             f"the precoder block length {precoder.block_len}")
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         row = {"snr": float(snr), "mux_rate": float(book.mux_rate), "threshold": threshold}
         if words.shape[0] < 2:

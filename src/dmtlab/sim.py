@@ -53,7 +53,7 @@ def worst_pep(codebook, cov, snrs, num_rx):
     c = np.asarray(snrs, dtype=float)[:, None] / (4.0 * num_tx)
     worst = np.zeros(len(snrs))
     for _, _, eig in screened_eigs(codebook, cov, functools.partial(_pep_bounds, c=c),
-                                   len(snrs)):
+                                   np.full(len(snrs), np.inf)):
         for k, snr in enumerate(snrs):
             worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
                                                     num_rx).max())

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from dmtlab import sim
-from dmtlab._util import (batches, complex_normal, eig_rank, numerical_rank, run_chunks,
+from dmtlab._util import (batches, complex_normal, eig_rank, rank_tolerance, run_chunks,
                           wilson_interval)
 from dmtlab.channel import (BlockFading, build_covariance, draw_white, mix_white,
                             sample_channel_batch)
 from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _slot_words, _sort_slots,
-                          criterion_threshold, effective_difference, effective_eigs,
+                          criterion_threshold, effective_difference, effective_matrices,
                           pair_eigvals, pairwise_min_products, structural_count)
 from dmtlab.sim import ErrorEstimate, _check_nonnegative, chernoff_bound
 from dmtlab.tradeoff import OutageEstimate, _jensen_stack, _snr_free, _snr_step
@@ -172,6 +172,21 @@ def gather_composed_sweep(report, words, m):
     eig = pair_eigvals(words[:, None, :], report.gram.matrix, ii[sel], jj[sel])
     xi.update(eig[:, shift:shift + m].prod(axis=-1), ii[sel], jj[sel])
     return outer, xi, int(np.count_nonzero(sel))
+
+
+def numerical_rank(mat):
+    """Rank from singular values with the common scaled tolerance."""
+    sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
+    return int(np.count_nonzero(sv > rank_tolerance(sv, max(mat.shape))))
+
+
+def effective_eigs(codebook, cov):
+    """Ascending effective-difference eigenvalues of every codeword pair:
+    yields ``(ii, jj, eig)`` in ``pair_chunks`` order, with eig of shape
+    (pairs, block_len). The dense sweep, the oracle of the screened
+    criteria."""
+    for ii, jj, mat in effective_matrices(codebook.words, cov.entries.T):
+        yield ii, jj, np.linalg.eigvalsh(mat)
 
 
 def dense_rank_r0(codebook, cov):

@@ -44,10 +44,10 @@ from dmtlab.tradeoff import (
     fit_diversity_slope,
     jensen_dmt_curve,
 )
-from dmtlab._util import db_to_linear, numerical_rank, spawn_rng
+from dmtlab._util import db_to_linear, spawn_rng
 
 from _oracles import (build_block_circulant, jensen_mutual_information, mutual_information,
-                      pep_chernoff, pep_monte_carlo, psd_root, sample_channel)
+                      numerical_rank, pep_chernoff, pep_monte_carlo, psd_root, sample_channel)
 
 
 def _verdict(name, ok, detail=""):
@@ -120,7 +120,7 @@ def test_criterion_4_identity_suite():
     for trial in range(100):  # eigen-weighted stack vs Hadamard product
         cov = _unit_diag_cov(spawn_rng(1004, trial), n, int(1 + trial % 3))
         e = rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n))
-        delta, _ = delta_decomposition(cov, e)
+        delta = delta_decomposition(cov, e)
         lhs = np.linalg.eigvalsh(delta.conj().T @ delta)
         rhs = np.linalg.eigvalsh(effective_difference(cov, e).matrix)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * max(1.0, rhs[-1]))

@@ -22,10 +22,11 @@ from dmtlab.channel import (
     mix_white,
     sample_channel_batch,
 )
-from dmtlab._util import complex_normal, numerical_rank, spawn_rng, unitary_fft
+from dmtlab._util import complex_normal, spawn_rng, unitary_fft
 from dmtlab.tradeoff import _jensen_stack
 
-from _oracles import build_block_circulant, einsum_mix, psd_root, sample_channel
+from _oracles import (build_block_circulant, einsum_mix, numerical_rank, psd_root,
+                      sample_channel)
 
 
 def test_dims_invariants():

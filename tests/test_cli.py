@@ -551,6 +551,26 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, which, edit, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"n": -1, "entries": [[1.0, 0.0]]}, "covariance.n: must be at least 1"),
+    ({"n": 1, "entries": [[0.0, 0.0]]}, "covariance diagonal must be positive"),
+], ids=["negative-n", "zero-matrix"])
+def test_degenerate_covariance_exits_2(tmp_path, capsys, doc, message):
+    # n = -1 exited with numpy's reshape message, which names no field; the
+    # zero matrix (rank 0) passed the dmt criterion at every SNR with xi = 1,
+    # the empty product
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(doc))
+    common = ["--codebook", str(_antipodal_book(tmp_path)), "--cov", str(cov)]
+    out = tmp_path / "out"
+    for argv in (["verify-code", "--criterion", "rank"],
+                 ["verify-code", "--criterion", "dmt", "--snr-db", "10", "20", "30"],
+                 ["pep", "--snr-db", "10"]):
+        assert dispatch(argv + common + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+
 def _pairs(values):
     return [[float(z.real), float(z.imag)] for z in values]
 

@@ -336,6 +336,21 @@ def test_composed_design_rejects_multi_antenna_outer():
         verify_composed_design(pre, lambda snr: book, cov, [9.0], epsilon=0.5, num_rx=2)
 
 
+@pytest.mark.parametrize("shifts,size", [([0, 0], 5), (None, 5), (None, 1)],
+                         ids=["rank-deficient", "full-rank", "one-word"])
+def test_composed_design_rejects_outer_of_another_length(shifts, size):
+    # a 3-slot outer code against a 4-slot precoder: with duplicate shifts it
+    # came back with outer metrics, with distinct shifts it raised the
+    # covariance-size message, and a one-word code was a vacuous pass
+    cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
+    pre = classic_precoder("cdd", 2, 4, 2, shifts=shifts)
+    book = Codebook(words=0.05 * np.arange(3.0 * size).reshape(size, 1, 3), snr=10.0,
+                    mux_rate=0.5)
+    with pytest.raises(ValueError, match="outer code block length 3 does not match "
+                                         "the precoder block length 4"):
+        verify_composed_design(pre, lambda snr: book, cov, [10.0], epsilon=0.5, num_rx=2)
+
+
 def test_precoded_pairs_pass_rank_criterion():
     # delay-diversity precoded repetition pairs reach the full structural
     # rank on the two-tap multicarrier channel

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from dmtlab import _util, cli, codes
 from dmtlab.channel import (BlockFading, CovarianceMatrix, CyclicIsi, Fast, Flat,
                             build_covariance)
-from dmtlab.codes import (Codebook, Survivors, qam_family, verify_dmt_criterion,
-                          verify_rank_r0, xi_metric)
+from dmtlab.codes import Codebook, qam_family, verify_dmt_criterion, verify_rank_r0, xi_metric
 from dmtlab.precoder import apply_precoder, classic_precoder
 from dmtlab.sim import worst_pep
 
@@ -157,15 +156,16 @@ def test_workload_scale_code_matches_dense_sweep():
 
 
 def test_screen_eigensolves_few_pairs(monkeypatch):
-    # the bounds settle nearly every pair of such a code
-    solved, pair_eigvals = [], codes.pair_eigvals
-
-    def counting(words, weight, ii, jj):
-        solved.append(len(ii))
-        return pair_eigvals(words, weight, ii, jj)
-
-    monkeypatch.setattr(codes, "pair_eigvals", counting)
+    # the bounds settle nearly every pair of such a code; each eigvalsh call
+    # counts its matrices, so _eig_slack's covariance counts one
     book, cov = _benchmark_like_code(5)
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     xi_metric(book, cov, 2)
     assert 0 < sum(solved) < 4950 // 20
     solved.clear()
@@ -173,15 +173,33 @@ def test_screen_eigensolves_few_pairs(monkeypatch):
     assert 0 < sum(solved) < 4950 // 20
 
 
-def test_survivors_keep_nan_bounds_and_filter_at_the_end():
-    survivors = Survivors()
-    # pair (0, 1): a NaN lower bound; (0, 2) is kept while best is 5 and
-    # dropped once the second batch brings best down to 2
-    survivors.add(np.array([0, 0]), np.array([1, 2]), np.array([[np.nan, 4.0]]),
-                  np.array([5.0]))
-    survivors.add(np.array([1, 1]), np.array([2, 3]), np.array([[1.0, 3.0]]),
-                  np.array([2.0]))
-    words = np.arange(4.0)[:, None, None] * np.ones((1, 1, 2))
-    pairs = [(i, j) for ii, jj, _ in survivors.eigs(words, np.eye(2))
-             for i, j in zip(ii.tolist(), jj.tolist())]
-    assert pairs == [(0, 1), (1, 2)]
+def test_screened_eigs_keeps_open_pairs_in_order(monkeypatch):
+    # scalar words under flat fading (rho * M_T = n = 1, so the screen
+    # applies), two pairs a batch: (0, 1) (0, 2) | (0, 3) (1, 2) | (1, 3) (2, 3);
+    # hand-written bounds (points, pairs) at two points
+    monkeypatch.setattr(_util, "BATCH_BUDGET", 4)
+    words = np.array([0.0, 0.1, 0.3, 0.6])[:, None, None]
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    nan, inf = np.nan, np.inf
+    lows = iter([[[nan, 4.0], [9.0, 4.0]],  # (0, 1) NaN: solved; (0, 2) above the start, 3
+                 [[1.0, 2.5], [1.0, 4.0]],  # (1, 2) above the 2 of (0, 3)'s upper bound
+                 [[5.0, 2.5], [1.5, 2.5]]])  # (1, 3) below it at the second point only
+    ups = iter([[[5.0, 5.0], [5.0, 5.0]], [[2.0, 3.0], [2.0, 5.0]], [[inf, inf]] * 2])
+
+    def bounds(diag, eps, top, det_lo, lam_lo):
+        assert diag.shape == (2, 1)
+        return np.array(next(lows)), np.array(next(ups))
+
+    out = list(codes.screened_eigs(book, build_covariance(Flat(), 1), bounds, [3.0, 3.0]))
+    ii, jj, eig = (np.concatenate(part) for part in zip(*out))
+    assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 3), (1, 3)]
+    assert np.array_equal(eig, codes.pair_eigvals(words, np.ones((1, 1)), ii, jj))
+    assert next(lows, None) is None
+
+    # rho * M_T < n: the dense sweep, every pair in np.triu_indices order
+    words = 0.15 * np.arange(8.0).reshape(4, 1, 2)
+    book = Codebook(words=words, snr=10.0, mux_rate=0.0)
+    out = list(codes.screened_eigs(book, build_covariance(Flat(), 2), None, [3.0]))
+    ii, jj, eig = (np.concatenate(part) for part in zip(*out))
+    assert [ii.tolist(), jj.tolist()] == [k.tolist() for k in np.triu_indices(4, 1)]
+    assert np.array_equal(eig, codes.pair_eigvals(words, np.ones((2, 2)), ii, jj))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmtlab import _util, codes, sim, tradeoff
+from dmtlab import _util, codes, precoder, sim, tradeoff
 from dmtlab.channel import ChannelDims, CyclicIsi, Flat, build_covariance
 from dmtlab.codes import (Codebook, pair_strips, pairwise_min_products, permutation_codebook,
                           qam_family)
@@ -79,7 +79,7 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
         steps.setdefault("strips", []).append((num, per_pair, strip_heights(num, per_pair)))
         return pair_strips(num, per_pair)
 
-    for module in (codes, sim, tradeoff):
+    for module in (codes, precoder, sim, tradeoff):
         spy(module)
     monkeypatch.setattr(codes, "pair_strips", recording_strips)
     rng = spawn_rng(71)
@@ -93,11 +93,12 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     outer = permutation_codebook(fam, [rng.permutation(len(fam)) for _ in range(4)])
     verify_composed_design(classic_precoder("cdd", num_tx=2, n_slots=4, stride=2),
                            lambda snr: outer, cov, [25.0], epsilon=0.5, num_rx=2)
-    # the composed design's outer sweep walks the strips, its survivor
-    # eigensolve goes through codes.Survivors
+    # the composed design's outer sweep walks the strips, and precoder
+    # batches the eigensolve of the pairs it keeps
     assert steps.pop("strips") == [(5, 8, [1, 1, 1, 1]),
                                    (25, 8, [3, 3, 3, 2, 2, 2, 2] + [1] * 7)]
-    assert steps.pop("codes") == [65536 // 100, 65536 // 16, 65536 // 16]
+    assert steps.pop("codes") == [65536 // 100, 65536 // 16]
+    assert steps.pop("precoder") == [65536 // 16]
     # on a 1024-word 4-slot code the budget sets the first strips
     heights = strip_heights(1024, 8)
     assert heights[:3] == [131072 // (8 * 1023), 131072 // (8 * 1007), 131072 // (8 * 991)]
