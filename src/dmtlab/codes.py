@@ -374,8 +374,10 @@ def _torus_bound_score(maps, per_dim):
 
     For affine slot maps the image coordinate difference is congruent to the
     mapped difference mod per_dim, so its magnitude is at least the circular
-    distance. ``maps`` is (candidates, num_slots, 6); returns per candidate
-    (min 2-smallest product, min full product) over all nonzero index
+    distance. ``maps`` is (candidates, num_slots, 6) with the identity map
+    in slot 0 of every candidate, as ``search_permutations`` draws them:
+    that slot's distances are computed once. Returns per candidate (min
+    2-smallest product, min full product) over all nonzero index
     differences, in grid units. A difference and its negation mod per_dim
     have the same circular distances in every slot, since each map is
     linear in the difference, so only the one of lower linear index is
@@ -383,20 +385,23 @@ def _torus_bound_score(maps, per_dim):
     """
     q = per_dim
     dtype = _lattice_dtype(q)
-    maps = np.asarray(maps).astype(dtype).transpose(1, 0, 2)  # slot axis first
-    slots, count, _ = maps.shape
+    maps = np.asarray(maps).astype(dtype)[:, 1:].transpose(1, 0, 2)  # slot axis first
+    rest, count, _ = maps.shape
     idx = np.arange(1, q * q)
     da, db = np.divmod(idx, q)
     half = idx <= (-da % q) * q + (-db % q)
     da, db = da[half].astype(dtype), db[half].astype(dtype)
+    first = np.minimum(da, q - da) ** 2 + np.minimum(db, q - db) ** 2
     two_small, full = np.empty(count), np.empty(count)
-    for batch in batches(count, 2 * slots * q * q):
+    for batch in batches(count, 2 * (rest + 1) * q * q):
         a, b, c, d = (maps[:, batch, k, None] for k in range(4))
         va, vb = a * da + b * db, c * da + d * db
         va -= va // q * q  # mod q: numpy vectorizes a floor division by a scalar, not %
         vb -= vb // q * q
-        dist = _sort_slots(np.minimum(va, q - va) ** 2
-                           + np.minimum(vb, q - vb) ** 2).astype(float)
+        dist = np.empty((rest + 1,) + va.shape[1:], dtype)
+        dist[0] = first
+        np.add(np.minimum(va, q - va) ** 2, np.minimum(vb, q - vb) ** 2, out=dist[1:])
+        dist = _sort_slots(dist).astype(float)
         two_small[batch] = (dist[0] * dist[1]).min(axis=-1)
         full[batch] = dist.prod(axis=0).min(axis=-1)
     return two_small, full
@@ -701,14 +706,42 @@ def effective_difference(cov, e):
     return EffectiveDifference(matrix=matrix, eigvals=eigvals, rank=eig_rank(eigvals, n))
 
 
+# a few ulps of a word's norm: a projection within it drops nothing the ML
+# metric resolves
+_SPAN_TOL = 2.0 ** -44
+
+
+def _slot_spans(slot_words):
+    """(basis, coords) of slot-major words x (words, slots, T), read by the
+    decode on effective channels H_n B_n (``sim.error_curve``) and by the
+    screen of ``screened_eigs``: orthonormal (slots, T, d) bases B_n of the
+    top d singular directions of each slot's words, and the coordinates
+    B_n^H x_{w,n}, (words, slots, d), for the least d at which every word is
+    within _SPAN_TOL of its norm of its projection in every slot. (None,
+    slot_words) when that d is T: the words are used as they are."""
+    # the words are the rows of each slot's matrix, so they span the rows of vh
+    vh = np.linalg.svd(np.swapaxes(slot_words, 0, 1), full_matrices=False)[2]
+    norms = np.linalg.norm(slot_words, axis=-1)
+    for d in range(slot_words.shape[-1]):
+        basis = np.swapaxes(vh[:, :d], 1, 2)
+        coords = np.einsum("ndt,wnt->wnd", vh[:, :d].conj(), slot_words)
+        residual = slot_words - np.einsum("ntd,wnd->wnt", basis, coords)
+        if np.all(np.linalg.norm(residual, axis=-1) <= _SPAN_TOL * norms):
+            return basis, coords
+    return None, slot_words
+
+
 def _eig_slack(weight, num_tx):
     """Per unit of trace, a bound on how far an effective difference M (as
-    computed) lies from a PSD matrix M* and on how far each ``eigvalsh``
-    eigenvalue of M lies from M*'s: the rounding of the Gram, the product
-    and the eigensolve, plus the weight's own distance from a PSD matrix
-    (its asymmetry, and the negative part of the Hermitian matrix of its
-    lower triangle, the one ``eigvalsh`` reads), scaled by the weight's
-    smallest diagonal entry, since ||A o G|| <= ||A|| max G_ii for a PSD G."""
+    computed) of a difference e lies from the PSD M* = W* o (e^H e), W* the
+    PSD part of the Hermitian matrix of the weight's lower triangle (the one
+    ``eigvalsh`` reads), and on how far each ``eigvalsh`` eigenvalue of M
+    lies from M*'s: the rounding of the Gram, the product and the
+    eigensolve, plus the weight's distance from W* (its asymmetry and that
+    negative part, the ``defect``), scaled by the weight's smallest diagonal
+    entry r_min, since ||A o G|| <= ||A|| max G_ii for a PSD G. The slack
+    is at least defect / r_min + 2**-46 (n + num_tx): ``_span_sweep`` reads
+    both parts."""
     n = weight.shape[0]
     lower = np.tril(weight) + np.tril(weight, -1).conj().T
     defect = (np.linalg.norm(weight - lower, 2)
@@ -763,33 +796,110 @@ def _xi_bounds(diag, eps, top, det_lo, lam_lo, m):
     return (low * (1 - 2.0 ** -48 * n))[None], (up * (1 + 2.0 ** -48 * n))[None]
 
 
+def _span_sweep(words, weight, basis, coords, slack):
+    """The ``_psd_terms`` (d, eps, top, det_lo, lam_lo) of every pair of a
+    codebook whose slots each span one dimension, b_n (the ``_slot_spans``
+    basis, or 1 for one antenna) with coordinates c = b_n^H x, as (ii, jj,
+    terms) per ``pair_chunks`` batch of ``effective_matrices``' size,
+    without an n x n matrix.
+
+    With e_n = b_n delta_n, the effective difference is D^H K D for D =
+    diag(delta) and K = R^T o B^H B, so its determinant is det K prod
+    |delta_n|**2. The sweep reads y = fl(s_n c) for s_n = fl(sqrt(K_nn)):
+    d_n are a pair's squared slot distances, sigma their sum, u = 2**-53,
+    h = 1 + 2**-49 (n + T), r_min and r_max the extreme diagonal entries of
+    R (equal only to 1e-9), W* and the defect those of ``_eig_slack``. The
+    terms hold
+    for the PSD M0 = D'^H K0 D', K0 = W* o B^H B, within eps of whose
+    eigenvalues the ``eigvalsh`` eigenvalues of the pair's computed matrix
+    lie:
+    - delta'_n = (y_i,n - y_j,n) / s_n exactly; d_n rounds four times, so
+      d_n = s_n**2 |delta'_n|**2 (1 + t_n), |t_n| <= 4.01 u. Then e_n =
+      b_n delta'_n + p_n, where p_n holds both words' span residuals (within
+      2**-44 of their slot norms by the check of ``_slot_spans``, plus a few
+      (T + 2) u of them for its rounding) and b_n (c - y / s_n), at most
+      u |c| each: |p_n| <= 2**-43 (|x_i,n| + |x_j,n|), so ||P||_F <= pi =
+      2**-42 max_w ||x_w||.
+    - s_n**2 is R_nn |b_n|**2 within (T + 4) u, so ||B D'||_F**2 <= h sigma
+      / r_min = a**2, the rounding of sigma included, and ||e||_F <= a + pi.
+      By the Schur bound ||W* o X|| <= max W*_nn ||X|| <= r_max (1 + slack)
+      ||X||, M* = W* o (e^H e) lies within r_max (1 + slack) pi (2 a + pi)
+      of M0, and the computed matrix's trace is at most r_max h (a + pi)**2,
+      so its eigenvalues lie within slack times that of M*'s. eps is the sum.
+    - |M0_nn - d_n| <= (defect / r_min + (T + 9) u) d_n <= slack sigma <=
+      eps, and top = sigma + n eps >= tr M0 with the sum's rounding.
+    - det M0 = det K0 prod |delta'_n|**2 >= det_lo(K) prod d_n / prod
+      (s_n**2 (1 + t_n)), with det_lo(K) of ``_psd_terms`` on K (the
+      effective difference of the word B), clipped at 0. The factor 1 -
+      2**-48 n covers the 7 n + 4 roundings of the products, and of lam_lo,
+      ``_psd_terms``' AM-GM bound.
+    The products are taken to stay in the normal range."""
+    _, num_tx, n = words.shape
+    b = np.ones((1, n)) if basis is None else basis[..., 0].T
+    kmat = weight * (b.conj().T @ b)
+    scale = np.sqrt(kmat.diagonal().real)
+    with np.errstate(all="ignore"):  # a singular K gives a NaN bound, read as 0
+        k_det = np.fmax(_psd_terms(kmat[None], slack)[3][0], 0.0) / np.prod(scale ** 2)
+    r_min, r_max = np.min(weight.diagonal().real), np.max(weight.diagonal().real)
+    pi = 2.0 ** -42 * np.sqrt(np.max(np.sum(np.abs(words) ** 2, axis=(1, 2))))
+    h = 1 + 2.0 ** -49 * (n + num_tx)
+    shrink = 1 - 2.0 ** -48 * n
+    y = (coords[..., 0] * scale).T
+    for ii, jj in pair_chunks(len(words), 2 * n * n):
+        diff = y[:, ii] - y[:, jj]
+        d = diff.real ** 2 + diff.imag ** 2
+        sigma = d.sum(axis=0)
+        a = np.sqrt(sigma * (h / r_min))
+        eps = r_max * (slack * h * (a + pi) ** 2 + (1 + slack) * pi * (2 * a + pi))
+        top = sigma + n * eps
+        det_lo = k_det * d.prod(axis=0) * shrink
+        yield ii, jj, (d.T, eps, top, det_lo, det_lo * ((n - 1) / top) ** (n - 1) * shrink)
+
+
 def screened_eigs(codebook, cov, bounds, best):
     """Eigenvalues of the codeword pairs that a bound screen keeps for a
     running minimum, as ``(ii, jj, eig)`` in ``np.triu_indices`` order.
 
-    The minimum starts at ``best`` (points,). Each ``effective_matrices``
-    batch gets one batched ``det``; ``bounds`` of its ``_psd_terms`` (d,
-    eps, top, det_lo, lam_lo) gives lower and upper bounds (points, pairs)
-    on each pair's computed statistic. The minimum falls to the smallest
-    upper bound, and a pair is dropped when its lower bound exceeds the
-    minimum at every point (a NaN bound never does); the batch's other
-    pairs are eigensolved. The minimum only falls, so every pair that could
-    tie or beat the final one is solved. The bounds assume a PSD matrix
-    with nonzero determinant, so when cov.rank * num_tx < block_len, where
-    det M = 0 structurally, every pair is kept: the dense sweep."""
+    The minimum starts at ``best`` (points,). ``bounds`` of a batch's screen
+    terms (d, eps, top, det_lo, lam_lo) gives lower and upper bounds
+    (points, pairs) on each pair's computed statistic. The minimum falls to
+    the smallest upper bound, and a pair is dropped when its lower bound
+    exceeds the minimum at every point (a NaN bound never does); the
+    batch's other pairs are eigensolved. The minimum only falls, so every
+    pair that could tie or beat the final one is solved.
+
+    When every slot of the code spans one dimension (a precoded or a
+    single-antenna code, ``_slot_spans``), the terms come from the slot
+    distances of ``_span_sweep``, and only the kept pairs' matrices are
+    built. Otherwise every ``effective_matrices`` batch gets one batched
+    ``det`` (``_psd_terms``). The bounds assume a PSD matrix with nonzero
+    determinant, so when cov.rank * num_tx < block_len, where det M = 0
+    structurally, every pair is kept: the dense sweep."""
     words, weight = codebook.words, cov.entries.T
     _, num_tx, n = words.shape
-    screens = structural_count(cov, num_tx, n, clip=True) == n
-    slack = _eig_slack(weight, num_tx) if screens else None
+    if len(words) < 2:
+        raise ValueError("need at least two codewords")
+    if structural_count(cov, num_tx, n, clip=True) < n:
+        for ii, jj, mat in effective_matrices(words, weight):
+            yield ii, jj, np.linalg.eigvalsh(mat)
+        return
+    slack = _eig_slack(weight, num_tx)
     best = np.array(best, dtype=float)
-    for ii, jj, mat in effective_matrices(words, weight):
-        if screens:
-            with np.errstate(all="ignore"):  # a zero difference gives NaN bounds
-                low, up = bounds(*_psd_terms(mat, slack))
-                best = np.minimum(best, up.min(axis=-1))
-                keep = ~np.all(low > best[:, None], axis=0)
-            ii, jj, mat = ii[keep], jj[keep], mat[keep]
+    basis, coords = _slot_spans(np.ascontiguousarray(np.swapaxes(words, 1, 2)))
+    if coords.shape[-1] == 1:
+        sweep = ((ii, jj, None, terms)
+                 for ii, jj, terms in _span_sweep(words, weight, basis, coords, slack))
+    else:
+        sweep = ((ii, jj, mat, None) for ii, jj, mat in effective_matrices(words, weight))
+    for ii, jj, mat, terms in sweep:
+        with np.errstate(all="ignore"):  # a zero difference gives NaN bounds
+            low, up = bounds(*(_psd_terms(mat, slack) if terms is None else terms))
+            best = np.minimum(best, up.min(axis=-1))
+            keep = ~np.all(low > best[:, None], axis=0)
+        ii, jj = ii[keep], jj[keep]
         if ii.size:
+            mat = (_pair_matrices(words, weight, ii, jj, _pair_buffers(words, weight, ii.size))
+                   if mat is None else mat[keep])
             yield ii, jj, np.linalg.eigvalsh(mat)
 
 

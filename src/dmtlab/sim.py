@@ -11,7 +11,7 @@ import numpy as np
 
 from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 from .channel import draw_white, mix_white
-from .codes import screened_eigs, structural_count
+from .codes import _slot_spans, screened_eigs, structural_count
 
 
 def chernoff_bound(eigs, snr, num_tx, num_rx):
@@ -142,30 +142,6 @@ class ErrorEstimate:
 def _check_nonnegative(value, name):
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
-
-
-# a few ulps of a word's norm: a projection within it drops nothing the ML
-# metric resolves
-_SPAN_TOL = 2.0 ** -44
-
-
-def _slot_spans(slot_words):
-    """(basis, coords) of slot-major words x (words, slots, T) for the decode
-    on effective channels H_n B_n: orthonormal (slots, T, d) bases B_n of
-    the top d singular directions of each slot's words, and the coordinates
-    B_n^H x_{w,n}, (words, slots, d), for the least d at which every word is
-    within _SPAN_TOL of its norm of its projection in every slot. (None,
-    slot_words) when that d is T: the words are decoded as they are."""
-    # the words are the rows of each slot's matrix, so they span the rows of vh
-    vh = np.linalg.svd(np.swapaxes(slot_words, 0, 1), full_matrices=False)[2]
-    norms = np.linalg.norm(slot_words, axis=-1)
-    for d in range(slot_words.shape[-1]):
-        basis = np.swapaxes(vh[:, :d], 1, 2)
-        coords = np.einsum("ndt,wnt->wnd", vh[:, :d].conj(), slot_words)
-        residual = slot_words - np.einsum("ntd,wnd->wnt", basis, coords)
-        if np.all(np.linalg.norm(residual, axis=-1) <= _SPAN_TOL * norms):
-            return basis, coords
-    return None, slot_words
 
 
 def _word_table(x, amp):

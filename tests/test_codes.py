@@ -29,11 +29,13 @@ from dmtlab.codes import (
     permutation_codebook,
     qam_family,
     search_permutations,
+    structural_count,
     verify_dmt_criterion,
     verify_rank_r0,
     xi_metric,
 )
-from dmtlab._util import spawn_rng, unitary_fft
+from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
+from dmtlab._util import complex_normal, spawn_rng, unitary_fft
 
 from _oracles import (block_fading_check, cyclic_shift_matrix, float_best_candidate,
                       gather_min_products, min_entry_criterion, numerical_rank, psd_root,
@@ -566,6 +568,38 @@ def test_effective_difference_matches_explicit_stack():
         oracle = np.linalg.eigvalsh(upsilon.conj().T @ upsilon)
         assert np.allclose(np.linalg.eigvalsh(eff.matrix), oracle,
                            atol=1e-10 * max(1.0, np.max(oracle)))
+
+
+_TF_SPEC = ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)
+
+
+@pytest.mark.parametrize("model", [Flat(), BlockFading(2, 2), CyclicIsi(2, (1.0, 0.5)),
+                                   TimeFrequency(_TF_SPEC)], ids=lambda model: model.kind)
+@pytest.mark.parametrize("kind", ["cdd", "phase-rolling", "tf"])
+@pytest.mark.parametrize("num_tx", [1, 2])
+def test_precoded_difference_is_the_slot_gram_scaled_by_the_outer_difference(model, kind,
+                                                                            num_tx):
+    # slot n of a precoded pair's difference is p_n delta_n, so M = D^H K D
+    # with D = diag(delta) and K = R^T o P^H P, the precoder's effective
+    # difference: det M = det K prod |delta_n|**2, the identity the screen
+    # of the pair criteria reads
+    pre = (design_tf_shift_precoder(_TF_SPEC, num_tx) if kind == "tf"
+           else classic_precoder(kind, num_tx=num_tx, n_slots=4, stride=2))
+    cov = build_covariance(model, 4)
+    kmat = effective_difference(cov, pre.matrix).matrix
+    rng = spawn_rng(30, num_tx)
+    for _ in range(20):
+        one, two = complex_normal(rng, (2, 4))
+        delta = one - two
+        mat = effective_difference(cov, apply_precoder(pre, one) - apply_precoder(pre, two)).matrix
+        assert (np.max(np.abs(mat - delta.conj()[:, None] * kmat * delta))
+                <= 1e-14 * np.trace(mat).real)
+        expect = np.linalg.det(kmat) * np.prod(np.abs(delta) ** 2)
+        if structural_count(cov, num_tx, 4, clip=True) < 4:  # both are rounding: Hadamard's scale
+            expect, scale = 0.0, np.prod(np.diag(mat).real)
+        else:
+            scale = abs(expect)
+        assert abs(np.linalg.det(mat) - expect) <= 1e-12 * scale
 
 
 def test_hadamard_rank_bound_property():

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from dmtlab import _util, cli, codes
 from dmtlab.channel import (BlockFading, CovarianceMatrix, CyclicIsi, Fast, Flat,
-                            build_covariance)
+                            ScatteringSpec, TimeFrequency, build_covariance)
 from dmtlab.codes import Codebook, qam_family, verify_dmt_criterion, verify_rank_r0, xi_metric
-from dmtlab.precoder import apply_precoder, classic_precoder
+from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
 from dmtlab.sim import worst_pep
 
 from _oracles import dense_rank_r0, dense_worst_pep, dense_xi
@@ -72,8 +72,78 @@ def _near_singular_code(rng):
     return words, build_covariance(Flat(), n)
 
 
+def _single_antenna_code(rng):
+    # scalar words: every slot spans one dimension, so the screen reads the
+    # slot distances; a covariance of rank below n takes the dense sweep
+    num, n = rng.integers(2, 14), rng.integers(1, 6)
+    words = rng.standard_normal((num, 1, n)) + 1j * rng.standard_normal((num, 1, n))
+    return 0.3 * words, _random_cov(rng, n, rng.integers(max(1, n - 1), n + 1))
+
+
+_TF_SPEC = ScatteringSpec.from_normalized(0.5, 0.5, 2, 2)
+
+
+def _precoded_code(rng, rows=None):
+    # QAM permutation (tying pairs) or random outer words under a
+    # phase-rolling, TF-shift or CDD precoder of ``rows``, over a covariance
+    # whose diagonal may vary by 1e-10
+    if rows is None:
+        kind = ["phase-rolling", "tf"][rng.integers(2)]
+        pre = (design_tf_shift_precoder(_TF_SPEC, 2) if kind == "tf"
+               else classic_precoder(kind, num_tx=2, n_slots=4, stride=2))
+        rows = pre.matrix
+    if rng.integers(2):
+        fam = qam_family(float(rng.choice([4, 9, 16])), 1.0)
+        outer = np.stack([fam.points[rng.permutation(len(fam))] for _ in range(4)], axis=1)
+    else:
+        num = rng.integers(2, 14)
+        outer = 0.3 * (rng.standard_normal((num, 4)) + 1j * rng.standard_normal((num, 4)))
+    model = [CyclicIsi(2, (1.0, 0.5)), BlockFading(2, 2), TimeFrequency(_TF_SPEC), Flat(),
+             Fast()][rng.integers(5)]
+    entries = build_covariance(model, 4).entries
+    if rng.integers(2):
+        tilt = 1 + rng.uniform(-5e-11, 5e-11, 4)
+        entries = entries * np.outer(tilt, tilt)
+    return rows * outer[:, None, :], CovarianceMatrix.from_entries(entries)
+
+
+def _duplicate_shift_code(rng):
+    # CDD with one shift on both antennas: K = R^T o P^H P is singular, so no
+    # determinant bound certifies a pair
+    return _precoded_code(rng, classic_precoder("cdd", num_tx=2, n_slots=4, stride=2,
+                                                shifts=[1, 1]).matrix)
+
+
+def _constant_slot_code(rng):
+    # one slot sends the same symbol in every word: every pair's effective
+    # difference is singular
+    words, cov = _cdd_code(rng)
+    slot = rng.integers(4)
+    words[:, :, slot] = words[:1, :, slot]
+    return words, cov
+
+
+def _tilted_code(rng):
+    # a 16-word CDD-precoded code with word 0 moved off its slot's line by
+    # 2**-43 (above the span tolerance: the dense sweep) or 2**-47 (below
+    # it: the slot distances) of its norm
+    fam = qam_family(16.0, 1.0)
+    rows = classic_precoder("cdd", num_tx=2, n_slots=4, stride=2).matrix
+    words = rows * np.stack([fam.points[rng.permutation(16)] for _ in range(4)], axis=1)[:, None]
+    tilt, dims = [(2.0 ** -43, 2), (2.0 ** -47, 1)][rng.integers(2)]
+    slot = rng.integers(4)
+    off = np.array([-rows[1, slot].conj(), rows[0, slot].conj()])  # orthogonal to the line
+    words[0, :, slot] += tilt * np.linalg.norm(words[0, :, slot]) * off / np.linalg.norm(off)
+    assert codes._slot_spans(np.swapaxes(words, 1, 2))[1].shape[-1] == dims
+    model = [CyclicIsi(2, (1.0, 0.5)), BlockFading(2, 2), TimeFrequency(_TF_SPEC),
+             Fast()][rng.integers(4)]
+    return words, build_covariance(model, 4)
+
+
 _FAMILIES = {"random": _random_code, "cdd": _cdd_code, "diagonal": _diagonal_code,
-             "near-singular": _near_singular_code}
+             "near-singular": _near_singular_code, "single-antenna": _single_antenna_code,
+             "precoded": _precoded_code, "duplicate-shift": _duplicate_shift_code,
+             "constant-slot": _constant_slot_code, "tilted": _tilted_code}
 
 
 def _both(fn, oracle, *args):
@@ -86,7 +156,7 @@ def _both(fn, oracle, *args):
         return None, None
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(family=st.sampled_from(sorted(_FAMILIES)), seed=st.integers(0, 2 ** 32 - 1),
        duplicates=st.integers(0, 2), num_rx=st.integers(1, 3), small_batches=st.booleans(),
        snr_db=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=10))
@@ -171,6 +241,48 @@ def test_screen_eigensolves_few_pairs(monkeypatch):
     solved.clear()
     worst_pep(book, cov, [10.0 ** (db / 10.0) for db in range(0, 41, 5)], 2)
     assert 0 < sum(solved) < 4950 // 20
+
+
+def test_screen_builds_few_pair_matrices(monkeypatch):
+    # a precoded code's screen reads slot distances: only the pairs it
+    # keeps get an n x n matrix
+    book, cov = _benchmark_like_code(5)
+    built, pair_matrices = [], codes._pair_matrices
+
+    def counting(words, weight, ii, jj, bufs):
+        built.append(len(ii))
+        return pair_matrices(words, weight, ii, jj, bufs)
+
+    monkeypatch.setattr(codes, "_pair_matrices", counting)
+    snrs = [10.0 ** (db / 10.0) for db in range(0, 41, 5)]
+    for sweep in (lambda: verify_rank_r0(book, cov), lambda: xi_metric(book, cov, 2),
+                  lambda: worst_pep(book, cov, snrs, 2)):
+        built.clear()
+        sweep()
+        assert sum(built) < 4950 // 20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["cdd", "diagonal", "single-antenna", "precoded", "tilted"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_span_terms_bound_the_computed_matrices(family, seed):
+    # each term of the slot-distance screen against the matrix the dense
+    # sweep computes: the diagonal within 2 eps, every eigenvalue within eps
+    # of [lam_lo, top], and det_lo below the determinant those allow
+    words, cov = _FAMILIES[family](np.random.default_rng(seed))
+    weight, (_, num_tx, n) = cov.entries.T, words.shape
+    basis, coords = codes._slot_spans(np.ascontiguousarray(np.swapaxes(words, 1, 2)))
+    if coords.shape[-1] != 1:
+        return
+    slack = codes._eig_slack(weight, num_tx)
+    for ii, jj, (diag, eps, top, det_lo, lam_lo) in codes._span_sweep(words, weight, basis,
+                                                                     coords, slack):
+        mat = codes._pair_matrices(words, weight, ii, jj,
+                                   codes._pair_buffers(words, weight, len(ii)))
+        eig = np.linalg.eigvalsh(mat)
+        assert np.all(np.abs(np.diagonal(mat, axis1=1, axis2=2).real - diag) <= 2 * eps[:, None])
+        assert np.all(eig[:, 0] >= lam_lo - eps) and np.all(eig[:, -1] <= top + eps)
+        assert np.all(det_lo <= np.prod(np.maximum(eig + eps[:, None], 0.0), axis=-1))
 
 
 def test_screened_eigs_keeps_open_pairs_in_order(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmtlab import _util, sim
+from dmtlab import _util, codes, sim
 from dmtlab.channel import (
     BlockFading,
     ChannelDims,
@@ -311,7 +311,7 @@ def test_effective_channel_metric_matches_dense(num_tx, num_rx, num_words, kind,
         words = _precoded_words(kind, num_tx, complex_normal(rng, (num_words, 4)))
     expect = max(min(d, num_words) for d in dims_n)
     slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
-    basis, coords = sim._slot_spans(slot_words)
+    basis, coords = codes._slot_spans(slot_words)
     assert (basis is None) == (expect == num_tx)
     assert coords.shape == (num_words, 4, expect)
     dims, amp = ChannelDims(num_tx, num_rx, 4), np.sqrt(20.0 / num_tx)
@@ -343,7 +343,7 @@ def test_span_tolerance_decides_the_decode(tilt, dims_kept):
     # channels, as the dense decode
     cov, dims = _DECODE_COVS["tf"], ChannelDims(2, 2, 4)
     book = _rank_one_book(spawn_rng(75), 16, tilt)
-    basis, coords = sim._slot_spans(np.ascontiguousarray(np.swapaxes(book.words, 1, 2)))
+    basis, coords = codes._slot_spans(np.ascontiguousarray(np.swapaxes(book.words, 1, 2)))
     assert coords.shape[-1] == dims_kept and (basis is None) == (dims_kept == 2)
     snrs, trials = (1.0, 10.0), MC_CHUNK + 700
     curve = error_curve(cov, dims, book, snrs, trials, 76)
