@@ -23,7 +23,6 @@ from .codes import (
     Codebook,
     EffectiveDifference,
     QamFamily,
-    delta_decomposition,
     effective_difference,
     pairwise_min_products,
     permutation_codebook,
@@ -42,11 +41,8 @@ from .precoder import (
     verify_precoder_rank,
 )
 from .sim import (
-    TraceBoundInstance,
     error_curve,
-    least_favorable_trace,
     simulate_error_prob,
-    trace_oracle,
     worst_pep,
 )
 from .tradeoff import (

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import FieldError, db_to_linear, json_field, json_floats, json_value, spawn_rng
+from ._util import FieldError, db_to_linear, json_field, json_floats, json_value
 from .channel import (MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance,
                       circulant_covariance)
 from .codes import Codebook, verify_dmt_criterion, verify_rank_r0
 from .precoder import design_tf_shift_precoder, verify_precoder_rank
-from .sim import (TRACE_ORACLE_MAX_SIZE, TraceBoundInstance, error_curve, trace_oracle,
-                  worst_pep)
+from .sim import error_curve, worst_pep
 from .tradeoff import FixedRate, ScalingRate, SnrPoint, jensen_dmt_curve, outage_curve
 
 _LN2 = float(np.log(2.0))
@@ -252,46 +251,6 @@ def _cmd_pep(args):
     return 0
 
 
-def _cmd_oracle_check(args):
-    if args.what == "theorem4" and not 1 <= args.n <= TRACE_ORACLE_MAX_SIZE:
-        raise ValueError(f"--n: theorem4 sizes must lie in [1, {TRACE_ORACLE_MAX_SIZE}], "
-                         f"got {args.n}")
-    if args.what == "identities" and args.n < 2:
-        raise ValueError(f"--n: identities need a block length of at least 2, got {args.n}")
-    rng = spawn_rng(args.seed)
-    if args.what == "theorem4":
-        for trial in range(args.instances):
-            n = int(rng.integers(1, args.n + 1))
-            m = int(rng.integers(1, n + 1))
-            inst = TraceBoundInstance(np.sort(rng.uniform(0, 5, m)),
-                                      np.sort(rng.uniform(0, 5, n)))
-            try:
-                trace_oracle(inst, num_random_unitaries=args.unitaries,
-                             master_seed=args.seed + trial + 1)
-            except RuntimeError as exc:
-                print(f"FAIL instance {trial}: {exc}", file=sys.stderr)
-                return 1
-        print(f"theorem4: {args.instances} instances passed")
-        return 0
-    from .codes import delta_decomposition, effective_difference
-    for trial in range(args.instances):
-        n = int(rng.integers(2, args.n + 1))
-        rho = int(rng.integers(1, n + 1))
-        mat = rng.standard_normal((n, rho)) + 1j * rng.standard_normal((n, rho))
-        raw = mat @ mat.conj().T
-        scale = 1.0 / np.sqrt(np.real(np.diag(raw)))
-        cov = CovarianceMatrix.from_entries(raw * np.outer(scale, scale))
-        e = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        delta = delta_decomposition(cov, e)
-        lhs = np.linalg.eigvalsh(delta.conj().T @ delta)
-        rhs = np.linalg.eigvalsh(effective_difference(cov, e).matrix)
-        if not np.allclose(lhs, rhs, atol=1e-10 * max(1.0, rhs[-1])):
-            print(f"FAIL instance {trial}: eigen mismatch", file=sys.stderr)
-            return 1
-    print(f"identities: {args.instances} instances passed")
-    return 0
-
-
 def _int_at_least(low):
     """argparse type: an integer no smaller than ``low``."""
     def integer(text):
@@ -391,14 +350,6 @@ def build_parser():
     p.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pep)
-
-    p = sub.add_parser("oracle-check", help="brute-force oracle comparisons")
-    p.add_argument("--what", choices=["theorem4", "identities"], required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--instances", type=_int_at_least(1), default=100)
-    p.add_argument("--unitaries", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(func=_cmd_oracle_check)
 
     return parser
 

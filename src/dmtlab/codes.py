@@ -29,12 +29,20 @@ _LISTED_FAILURES = 100  # failing pairs a rank report lists
 
 def criterion_threshold(snr, mux_rate, epsilon):
     """Pass level for rate-r criteria: snr ** -(r + epsilon). The one check
-    of the slack and the SNR: both must be finite, epsilon > 0 and snr > 1."""
+    of the rate, the slack and the SNR: all must be finite, r >= 0,
+    epsilon > 0 and snr > 1, and the level must not round to 0, where every
+    metric would pass."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive")
     if not (math.isfinite(snr) and snr > 1):
         raise ValueError("grid SNRs must exceed 1")
-    return float(snr) ** (-(mux_rate + epsilon))
+    if not (math.isfinite(mux_rate) and mux_rate >= 0):
+        raise ValueError(f"multiplexing rate r must be finite and nonnegative, got {mux_rate:g}")
+    threshold = float(snr) ** (-(mux_rate + epsilon))
+    if threshold == 0:
+        raise ValueError(f"threshold snr ** -(r + epsilon) rounds to 0 at snr = {snr:g}, "
+                         f"r = {mux_rate:g}")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -952,7 +960,7 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon, num_rx):
             xi = xi_metric(book, cov, num_rx)
         results.append({"snr": float(snr), "xi": xi.value,
                         "threshold": threshold, "worst_pair": list(xi.pair),
-                        "margin": xi.value / threshold if threshold > 0 else np.inf,
+                        "margin": xi.value / threshold,
                         "passed": bool(xi.value >= threshold)})
     return {"passed": all(row["passed"] for row in results), "per_snr": results}
 
@@ -973,15 +981,3 @@ def verify_rank_r0(codebook, cov):
                      for k in bad[:_LISTED_FAILURES - len(failures)]]
     return {"passed": failure_count == 0, "expected_rank": expected,
             "failure_count": failure_count, "failures": failures}
-
-
-def delta_decomposition(cov, e):
-    """Stacked eigen-weighted difference whose Gram mirrors the effective
-    difference matrix: rows are sqrt(eigval) * diag(conj(eigvec)) @ e^H,
-    stacked over the covariance eigenpairs and conjugate transposed.
-    """
-    e = np.asarray(e, dtype=complex)
-    blocks = []
-    for lam, vec in zip(cov.eigvals, cov.eigvecs.T):
-        blocks.append(np.sqrt(lam) * (vec.conj()[:, None] * e.conj().T))
-    return np.concatenate(blocks, axis=1).conj().T

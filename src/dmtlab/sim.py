@@ -1,15 +1,14 @@
 """Error-probability machinery: the closed-form Chernoff bound on pairwise
-error, the least-favorable-rotation trace minimum with brute-force oracles,
-and an exhaustive maximum-likelihood decoding Monte Carlo.
+error, its worst pair over a codebook, and an exhaustive maximum-likelihood
+decoding Monte Carlo.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import batches, complex_normal, run_chunks, spawn_rng, wilson_interval
+from ._util import batches, complex_normal, run_chunks, wilson_interval
 from .channel import draw_white, mix_white
 from .codes import _slot_spans, screened_eigs, structural_count
 
@@ -58,76 +57,6 @@ def worst_pep(codebook, cov, snrs, num_rx):
             worst[k] = max(worst[k], chernoff_bound(eig[:, n - keep:], snr, num_tx,
                                                     num_rx).max())
     return worst.tolist()
-
-
-@dataclass(frozen=True)
-class TraceBoundInstance:
-    """Two ascending nonnegative weight profiles, the shorter applied first."""
-
-    lam: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "theta", theta)
-        if lam.size > theta.size:
-            raise ValueError("lam must not be longer than theta")
-        for arr, name in ((lam, "lam"), (theta, "theta")):
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            if np.any(np.diff(arr) < 0):
-                raise ValueError(f"{name} must be sorted ascending")
-
-
-def least_favorable_trace(inst):
-    """Minimum of Tr(L Q T Q^H L^H) over unitary Q: anti-sorted pairing.
-
-    L embeds sqrt(lam) on the main diagonal of an m x n matrix and T is
-    diag(theta); the minimum pairs the largest lam with the smallest theta.
-    """
-    m = inst.lam.size
-    return float(np.dot(inst.lam, inst.theta[:m][::-1]))
-
-
-def _trace_value(inst, unitary):
-    m = inst.lam.size
-    weights = np.abs(unitary[:m]) ** 2
-    return float(inst.lam @ (weights @ inst.theta))
-
-
-TRACE_ORACLE_MAX_SIZE = 7
-
-
-def trace_oracle(inst, num_random_unitaries=1000, master_seed=0):
-    """Brute-force check of the trace minimum.
-
-    Exhausts all permutation matrices (so theta sizes are capped at
-    ``TRACE_ORACLE_MAX_SIZE``) and samples Haar-distributed unitaries from
-    QR factorizations of Gaussian matrices. Raises if the closed form misses
-    the permutation minimum or is beaten by any sampled rotation.
-    """
-    n = inst.theta.size
-    if n > TRACE_ORACLE_MAX_SIZE:
-        raise ValueError(f"permutation exhaustion capped at size {TRACE_ORACLE_MAX_SIZE}")
-    m = inst.lam.size
-    perm_min = min(
-        float(np.dot(inst.lam, np.asarray(perm)[:m]))
-        for perm in itertools.permutations(inst.theta))
-    closed = least_favorable_trace(inst)
-    rng = spawn_rng(master_seed)
-    sampled_min = np.inf
-    for _ in range(num_random_unitaries):
-        gauss = complex_normal(rng, (n, n))
-        q = np.linalg.qr(gauss)[0]
-        sampled_min = min(sampled_min, _trace_value(inst, q))
-    if abs(closed - perm_min) > 1e-12 * max(1.0, abs(perm_min)):
-        raise RuntimeError(f"closed form {closed} != permutation minimum {perm_min}")
-    if sampled_min < closed - 1e-12 * max(1.0, abs(closed)):
-        raise RuntimeError(f"sampled rotation beat the closed form: {sampled_min} < {closed}")
-    return {"closed_form": closed, "perm_min": perm_min,
-            "sampled_min": float(sampled_min)}
 
 
 @dataclass(frozen=True)

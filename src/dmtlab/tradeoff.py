@@ -293,12 +293,17 @@ def fit_diversity_slope(curve, window_db):
     Returns
     -------
     (slope, stderr)
+
+    Raises ``ValueError`` on a non-finite probability inside the window and
+    when fewer than 3 usable points or 2 distinct SNRs remain.
     """
     lo, hi = window_db
     xs, ys = [], []
     for snr, prob in curve:
         if not lo - 1e-9 <= linear_to_db(snr) <= hi + 1e-9:
             continue
+        if not np.isfinite(prob):
+            raise ValueError(f"probability {prob} at snr={snr:g} is not finite")
         if prob <= 0:
             warnings.warn(f"excluding zero-probability point at snr={snr!r}")
             continue
@@ -306,6 +311,8 @@ def fit_diversity_slope(curve, window_db):
         ys.append(-np.log(prob))
     if len(xs) < 3:
         raise ValueError("need at least 3 usable points inside the window")
+    if len(set(xs)) < 2:
+        raise ValueError("need at least 2 distinct SNRs inside the window")
     x = np.array(xs) - np.mean(xs)
     y = np.array(ys)
     slope = float(np.dot(x, y) / np.dot(x, x))

@@ -1,14 +1,17 @@
 """Test-side oracles that the library does not carry: dense and brute-force
-references for the fast paths, and single-draw or single-pair helpers that
-no command reads."""
+references for the fast paths, the proof steps behind the paper's results
+(the Theorem-4 trace minimum over unitary rotations and the eigen-weighted
+stack of the effective difference), and single-draw or single-pair helpers
+that no command reads."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from dmtlab import sim
 from dmtlab._util import (batches, complex_normal, eig_rank, rank_tolerance, run_chunks,
-                          wilson_interval)
+                          spawn_rng, wilson_interval)
 from dmtlab.channel import (BlockFading, build_covariance, draw_white, mix_white,
                             sample_channel_batch)
 from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _slot_words, _sort_slots,
@@ -178,6 +181,18 @@ def numerical_rank(mat):
     """Rank from singular values with the common scaled tolerance."""
     sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
     return int(np.count_nonzero(sv > rank_tolerance(sv, max(mat.shape))))
+
+
+def delta_decomposition(cov, e):
+    """Stacked eigen-weighted difference whose Gram mirrors the effective
+    difference matrix: rows are sqrt(eigval) * diag(conj(eigvec)) @ e^H,
+    stacked over the covariance eigenpairs and conjugate transposed.
+    """
+    e = np.asarray(e, dtype=complex)
+    blocks = []
+    for lam, vec in zip(cov.eigvals, cov.eigvecs.T):
+        blocks.append(np.sqrt(lam) * (vec.conj()[:, None] * e.conj().T))
+    return np.concatenate(blocks, axis=1).conj().T
 
 
 def effective_eigs(codebook, cov):
@@ -448,6 +463,76 @@ def pep_monte_carlo(cov, e, snr, dims, trials=100_000, master_seed=0):
 
     (total,), (trials,) = run_chunks(run_chunk, trials, master_seed)
     return total / trials
+
+
+@dataclass(frozen=True)
+class TraceBoundInstance:
+    """Two ascending nonnegative weight profiles, the shorter applied first."""
+
+    lam: np.ndarray
+    theta: np.ndarray
+
+    def __post_init__(self):
+        lam = np.asarray(self.lam, dtype=float)
+        theta = np.asarray(self.theta, dtype=float)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "theta", theta)
+        if lam.size > theta.size:
+            raise ValueError("lam must not be longer than theta")
+        for arr, name in ((lam, "lam"), (theta, "theta")):
+            if np.any(arr < 0):
+                raise ValueError(f"{name} must be nonnegative")
+            if np.any(np.diff(arr) < 0):
+                raise ValueError(f"{name} must be sorted ascending")
+
+
+def least_favorable_trace(inst):
+    """Minimum of Tr(L Q T Q^H L^H) over unitary Q: anti-sorted pairing.
+
+    L embeds sqrt(lam) on the main diagonal of an m x n matrix and T is
+    diag(theta); the minimum pairs the largest lam with the smallest theta.
+    """
+    m = inst.lam.size
+    return float(np.dot(inst.lam, inst.theta[:m][::-1]))
+
+
+def _trace_value(inst, unitary):
+    m = inst.lam.size
+    weights = np.abs(unitary[:m]) ** 2
+    return float(inst.lam @ (weights @ inst.theta))
+
+
+TRACE_ORACLE_MAX_SIZE = 7
+
+
+def trace_oracle(inst, num_random_unitaries=1000, master_seed=0):
+    """Brute-force check of the trace minimum.
+
+    Exhausts all permutation matrices (so theta sizes are capped at
+    ``TRACE_ORACLE_MAX_SIZE``) and samples Haar-distributed unitaries from
+    QR factorizations of Gaussian matrices. Raises if the closed form misses
+    the permutation minimum or is beaten by any sampled rotation.
+    """
+    n = inst.theta.size
+    if n > TRACE_ORACLE_MAX_SIZE:
+        raise ValueError(f"permutation exhaustion capped at size {TRACE_ORACLE_MAX_SIZE}")
+    m = inst.lam.size
+    perm_min = min(
+        float(np.dot(inst.lam, np.asarray(perm)[:m]))
+        for perm in itertools.permutations(inst.theta))
+    closed = least_favorable_trace(inst)
+    rng = spawn_rng(master_seed)
+    sampled_min = np.inf
+    for _ in range(num_random_unitaries):
+        gauss = complex_normal(rng, (n, n))
+        q = np.linalg.qr(gauss)[0]
+        sampled_min = min(sampled_min, _trace_value(inst, q))
+    if abs(closed - perm_min) > 1e-12 * max(1.0, abs(perm_min)):
+        raise RuntimeError(f"closed form {closed} != permutation minimum {perm_min}")
+    if sampled_min < closed - 1e-12 * max(1.0, abs(closed)):
+        raise RuntimeError(f"sampled rotation beat the closed form: {sampled_min} < {closed}")
+    return {"closed_form": closed, "perm_min": perm_min,
+            "sampled_min": float(sampled_min)}
 
 
 def shift_index_sets(precoder):

@@ -18,7 +18,6 @@ from dmtlab.channel import (
 )
 from dmtlab.codes import (
     Codebook,
-    delta_decomposition,
     effective_difference,
     permutation_codebook,
     qam_family,
@@ -30,12 +29,7 @@ from dmtlab.precoder import (
     verify_composed_design,
     verify_precoder_rank,
 )
-from dmtlab.sim import (
-    TraceBoundInstance,
-    least_favorable_trace,
-    simulate_error_prob,
-    trace_oracle,
-)
+from dmtlab.sim import simulate_error_prob
 from dmtlab.tradeoff import (
     FixedRate,
     ScalingRate,
@@ -46,8 +40,10 @@ from dmtlab.tradeoff import (
 )
 from dmtlab._util import db_to_linear, spawn_rng
 
-from _oracles import (build_block_circulant, jensen_mutual_information, mutual_information,
-                      numerical_rank, pep_chernoff, pep_monte_carlo, psd_root, sample_channel)
+from _oracles import (TraceBoundInstance, build_block_circulant, delta_decomposition,
+                      jensen_mutual_information, least_favorable_trace, mutual_information,
+                      numerical_rank, pep_chernoff, pep_monte_carlo, psd_root, sample_channel,
+                      trace_oracle)
 
 
 def _verdict(name, ok, detail=""):

@@ -1,5 +1,7 @@
+import argparse
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,12 +158,25 @@ def test_negative_config_seed_exits_2_naming_seed(tmp_path, capsys):
     assert "seed: must be nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["outage", "error-sim", "oracle-check"])
+def _subparsers():
+    """The subcommand parsers of ``cli.build_parser()`` by name, in order."""
+    action = next(action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
+_SEED_COMMANDS = [name for name, parser in _subparsers().items()
+                  if "--seed" in parser._option_string_actions]
+
+
+@pytest.mark.parametrize("command", _SEED_COMMANDS)
 def test_negative_seed_option_exits_2_naming_option(tmp_path, capsys, command):
+    # only the Monte-Carlo commands draw random numbers
+    assert _SEED_COMMANDS == ["outage", "error-sim"]
     cfg = _write_config(tmp_path / "c.json")
     extra = {"outage": ["--config", str(cfg)],
-             "error-sim": ["--config", str(cfg), "--codebook", str(_antipodal_book(tmp_path))],
-             "oracle-check": ["--what", "identities"]}[command]
+             "error-sim": ["--config", str(cfg), "--codebook",
+                           str(_antipodal_book(tmp_path))]}[command]
     assert dispatch([command, "--seed", "-1"] + extra) == 2
     assert "argument --seed" in capsys.readouterr().err
 
@@ -499,6 +514,21 @@ def test_bad_snr_grid_or_epsilon_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate,message", [(400, "rounds to 0"), (-1, "multiplexing rate")],
+                         ids=["underflow", "negative"])
+def test_verify_code_dmt_rate_without_a_threshold_exits_2(tmp_path, capsys, rate, message):
+    # at r = 400 snr ** -(r + epsilon) underflowed to 0 and the criterion
+    # passed; at r = -1 it exited 1 naming no bad input
+    book = _antipodal_book(tmp_path)
+    book.write_text(json.dumps({**json.loads(book.read_text()), "r": rate}))
+    out = tmp_path / "out.json"
+    assert dispatch(["verify-code", "--criterion", "dmt", "--snr-db", "10", "20",
+                     "--codebook", str(book), "--cov", str(_flat_cov(tmp_path)),
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["pep", "verify-code"])
 @pytest.mark.parametrize("snr_db", ["-1e3", "-1E3", "-.5e1", "-1e-3", "-1e308"])
 def test_negative_snr_db_in_scientific_notation_is_a_value(tmp_path, capsys, command, snr_db):
@@ -833,51 +863,30 @@ def test_pep_command_matches_per_pair_bound(tmp_path, monkeypatch, num_tx):
         assert value == pytest.approx(worst, rel=1e-12)
 
 
-def test_oracle_check_command():
-    assert dispatch(["oracle-check", "--what", "theorem4", "--n", "3",
-                     "--instances", "20", "--unitaries", "50", "--seed", "7"]) == 0
-    assert dispatch(["oracle-check", "--what", "identities", "--n", "4",
-                     "--instances", "20", "--seed", "7"]) == 0
-    # the ends of the --n ranges
-    for what, n in (("theorem4", "1"), ("theorem4", "7"), ("identities", "2")):
-        assert dispatch(["oracle-check", "--what", what, "--n", n, "--instances", "3",
-                         "--unitaries", "5"]) == 0
-    assert dispatch(["oracle-check", "--what", "nonsense"]) == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["--what", "theorem4", "--instances", "-3"],
-    ["--what", "theorem4", "--instances", "0"],
-    ["--what", "identities", "--instances", "0"],
-    ["--what", "theorem4", "--unitaries", "-5"],
-    ["--what", "theorem4", "--unitaries", "0"],
-], ids=["theorem4-instances-negative", "theorem4-instances-zero",
-        "identities-instances-zero", "unitaries-negative", "unitaries-zero"])
-def test_oracle_check_counts_below_one_exit_2(capsys, argv):
-    # these used to report a pass for checks that never ran
-    assert dispatch(["oracle-check", "--n", "3"] + argv) == 2
-    captured = capsys.readouterr()
-    assert "passed" not in captured.out
-    assert "at least 1" in captured.err
-
-
-@pytest.mark.parametrize("what,n", [
-    ("theorem4", "0"), ("theorem4", "-1"), ("theorem4", "8"),
-    ("identities", "1"), ("identities", "0"),
-])
-def test_oracle_check_n_out_of_range_exit_2(capsys, what, n):
-    # these used to fail inside numpy's sampler or, for theorem4 above the
-    # oracle's size cap, pass or fail by seed
-    assert dispatch(["oracle-check", "--what", what, "--n", n, "--instances", "3",
-                     "--unitaries", "5"]) == 2
-    captured = capsys.readouterr()
-    assert "passed" not in captured.out
-    assert "--n" in captured.err
-
-
 def test_unknown_subcommand_exit_code():
     assert dispatch(["frobnicate"]) == 2
     assert dispatch([]) == 2
+
+
+def test_subcommands_are_the_six_result_commands():
+    assert list(_subparsers()) == ["dmt-curve", "outage", "error-sim", "verify-code",
+                                   "design-precoder", "pep"]
+
+
+def test_oracle_check_is_an_unknown_subcommand(capsys):
+    # the brute-force oracles are tests (tests/_oracles.py), not a command
+    assert dispatch(["oracle-check", "--what", "theorem4"]) == 2
+    assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_every_subcommand():
+    # the sh block under README's "## CLI" heading shows each subcommand and
+    # no other
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines() if line.startswith("dmtlab ")}
+    assert shown == set(_subparsers())
 
 
 def test_write_report_deterministic(tmp_path):

@@ -20,7 +20,6 @@ from dmtlab.channel import (
 from dmtlab.codes import (
     Codebook,
     criterion_threshold,
-    delta_decomposition,
     distance_strips,
     effective_difference,
     pair_chunks,
@@ -34,12 +33,13 @@ from dmtlab.codes import (
     verify_rank_r0,
     xi_metric,
 )
-from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
+from dmtlab.precoder import (apply_precoder, classic_precoder, design_tf_shift_precoder,
+                             verify_composed_design)
 from dmtlab._util import complex_normal, spawn_rng, unitary_fft
 
-from _oracles import (block_fading_check, cyclic_shift_matrix, float_best_candidate,
-                      gather_min_products, min_entry_criterion, numerical_rank, psd_root,
-                      sorted_pair_distances, stacked_isi_difference)
+from _oracles import (block_fading_check, cyclic_shift_matrix, delta_decomposition,
+                      float_best_candidate, gather_min_products, min_entry_criterion,
+                      numerical_rank, psd_root, sorted_pair_distances, stacked_isi_difference)
 
 
 def _scalar_codebook(words, snr=10.0, r=0.0):
@@ -871,6 +871,24 @@ def test_criteria_reject_grid_snr_not_above_one(snr, monkeypatch):
         verify_dmt_criterion(lambda s: book, cov, [snr], 0.1, 1)
     with pytest.raises(ValueError):  # an SNR of 1 passed before
         search_permutations([snr], 1.0, 2, budget=5)
+
+
+@pytest.mark.parametrize("rate", [400.0, -1.0, float("nan"), float("inf")],
+                         ids=["underflow", "negative", "nan", "inf"])
+def test_criteria_reject_a_rate_without_a_threshold(rate):
+    # at r = 400 the threshold underflowed to 0 and every criterion passed;
+    # at r = -1 it rose above 1
+    book = _scalar_codebook([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]],
+                            snr=10.0, r=rate)
+    cov = build_covariance(Fast(), 2)
+    pre = classic_precoder("cdd", num_tx=1, n_slots=2, stride=1)
+    with pytest.raises(ValueError, match="multiplexing rate|rounds to 0"):
+        criterion_threshold(10.0, rate, 0.1)
+    with pytest.raises(ValueError, match="multiplexing rate|rounds to 0"):
+        verify_dmt_criterion(lambda snr: book, cov, [10.0, 100.0], 0.1, 1)
+    with pytest.raises(ValueError, match="multiplexing rate|rounds to 0"):
+        verify_composed_design(pre, lambda snr: book, cov, [10.0, 100.0], 0.1, 1)
+
 
 def test_block_fading_multiset_identity_random():
     rng = spawn_rng(35)

@@ -16,17 +16,12 @@ from dmtlab.channel import (
 )
 from dmtlab.codes import Codebook, permutation_codebook, qam_family
 from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
-from dmtlab.sim import (
-    TraceBoundInstance,
-    error_curve,
-    least_favorable_trace,
-    simulate_error_prob,
-    trace_oracle,
-)
+from dmtlab.sim import error_curve, simulate_error_prob
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
 from dmtlab._util import MC_CHUNK, complex_normal, spawn_rng
 
-from _oracles import pep_chernoff, pep_monte_carlo, single_snr_errors
+from _oracles import (TraceBoundInstance, least_favorable_trace, pep_chernoff, pep_monte_carlo,
+                      single_snr_errors, trace_oracle)
 
 
 def test_pep_zero_difference_is_one():

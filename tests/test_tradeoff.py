@@ -502,6 +502,17 @@ def test_slope_fit_input_policing():
         fit_diversity_slope(curve, (10, 30))
 
 
+@pytest.mark.parametrize("curve,match", [
+    ([(100.0, p) for p in (0.1, 0.01, 0.001)], "2 distinct SNRs"),
+    ([(10.0, 0.1), (100.0, float("nan")), (1000.0, 1e-3)], "not finite"),
+    ([(10.0, 0.1), (100.0, float("inf")), (1000.0, 1e-3)], "not finite"),
+], ids=["one-snr", "nan", "inf"])
+def test_slope_fit_rejects_a_window_it_cannot_fit(curve, match):
+    # each returned (nan, nan)
+    with pytest.raises(ValueError, match=match):
+        fit_diversity_slope(curve, (10, 30))
+
+
 def test_window_selection_uses_db():
     snrs = [10.0, 100.0, 1000.0, 10000.0]
     curve = [(s, s ** -1.0) for s in snrs]
