@@ -30,8 +30,9 @@ _LISTED_FAILURES = 100  # failing pairs a rank report lists
 def criterion_threshold(snr, mux_rate, epsilon):
     """Pass level for rate-r criteria: snr ** -(r + epsilon). The one check
     of the rate, the slack and the SNR: all must be finite, r >= 0,
-    epsilon > 0 and snr > 1, and the level must not round to 0, where every
-    metric would pass."""
+    epsilon > 0 and snr > 1, and the level must be a normal float: at 0 every
+    metric would pass, and below the normal range a margin metric / level
+    overflows."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive")
     if not (math.isfinite(snr) and snr > 1):
@@ -39,9 +40,9 @@ def criterion_threshold(snr, mux_rate, epsilon):
     if not (math.isfinite(mux_rate) and mux_rate >= 0):
         raise ValueError(f"multiplexing rate r must be finite and nonnegative, got {mux_rate:g}")
     threshold = float(snr) ** (-(mux_rate + epsilon))
-    if threshold == 0:
-        raise ValueError(f"threshold snr ** -(r + epsilon) rounds to 0 at snr = {snr:g}, "
-                         f"r = {mux_rate:g}")
+    if threshold < np.finfo(float).tiny:
+        raise ValueError(f"threshold snr ** -(r + epsilon) rounds to 0 or a subnormal at "
+                         f"snr = {snr:g}, r = {mux_rate:g}")
     return threshold
 
 
@@ -958,9 +959,12 @@ def verify_dmt_criterion(codebook_gen, cov, snr_grid, epsilon, num_rx):
         threshold = criterion_threshold(snr, book.mux_rate, epsilon)
         if book is not prev:
             xi = xi_metric(book, cov, num_rx)
+        margin = xi.value / threshold
+        if not math.isfinite(margin):
+            raise ValueError(f"margin xi / threshold overflows at snr = {snr:g}, r = {book.mux_rate:g}")
         results.append({"snr": float(snr), "xi": xi.value,
                         "threshold": threshold, "worst_pair": list(xi.pair),
-                        "margin": xi.value / threshold,
+                        "margin": margin,
                         "passed": bool(xi.value >= threshold)})
     return {"passed": all(row["passed"] for row in results), "per_snr": results}
 

@@ -151,7 +151,8 @@ def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_s
     def run_chunk(rng, size, live):
         white = draw_white(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
-        noise = noise_scale * complex_normal(rng, (size, n, dims.num_rx))
+        noise = complex_normal(rng, (size, n, dims.num_rx))
+        noise *= noise_scale
         wrong = [0] * len(snrs)
         # the (trials, words) decode product is the sub-block's largest temporary
         for block in batches(size, num_words):

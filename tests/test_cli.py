@@ -529,6 +529,29 @@ def test_verify_code_dmt_rate_without_a_threshold_exits_2(tmp_path, capsys, rate
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block_len,rate,message", [
+    (1, 309, "rounds to 0 or a subnormal at snr = 10, r = 309"),
+    (4, 307, "margin xi / threshold overflows at snr = 10, r = 307")],
+    ids=["subnormal-threshold", "margin-overflow"])
+def test_verify_code_dmt_margin_without_a_float_exits_2(tmp_path, capsys, block_len, rate,
+                                                        message):
+    # at r = 309 the 2-word antipodal code passed at 10 dB with threshold
+    # 7.9e-310 and margin Infinity; at r = 307 the threshold 7.9e-308 is a
+    # normal float, but xi = 16 of the 4-slot code over it overflows
+    words = np.ones((2, 1, block_len), dtype=complex)
+    words[1] *= -1
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({**Codebook(words=words, snr=10.0, mux_rate=0.0).to_json(),
+                                "r": rate}))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(build_covariance(Flat(), block_len).to_json()))
+    out = tmp_path / "out.json"
+    assert dispatch(["verify-code", "--criterion", "dmt", "--snr-db", "10",
+                     "--codebook", str(book), "--cov", str(cov), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["pep", "verify-code"])
 @pytest.mark.parametrize("snr_db", ["-1e3", "-1E3", "-.5e1", "-1e-3", "-1e308"])
 def test_negative_snr_db_in_scientific_notation_is_a_value(tmp_path, capsys, command, snr_db):

@@ -18,7 +18,7 @@ from dmtlab.codes import Codebook, permutation_codebook, qam_family
 from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
 from dmtlab.sim import error_curve, simulate_error_prob
 from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
-from dmtlab._util import MC_CHUNK, complex_normal, spawn_rng
+from dmtlab._util import MC_CHUNK, chunk_rng, complex_normal, spawn_rng
 
 from _oracles import (TraceBoundInstance, least_favorable_trace, pep_chernoff, pep_monte_carlo,
                       single_snr_errors, trace_oracle)
@@ -203,8 +203,9 @@ def test_pep_monte_carlo_rejects_bad_trials(trials):
         pep_monte_carlo(cov, np.ones((1, 2)), 4.0, ChannelDims(1, 1, 2), trials=trials)
 
 
-def _old_complex_normal(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _one_draw_complex_normal(rng, shape):
+    g = rng.standard_normal((*shape, 2))
+    return (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5)
 
 
 def _faded(blocks, words):
@@ -218,10 +219,10 @@ def _dense_metric(faded, received, amp):
 
 
 def _dense_draws(cov, dims, num_words, size, rng, noise_scale):
-    white = _old_complex_normal(rng, (size, cov.rank, dims.num_rx, dims.num_tx))
+    white = _one_draw_complex_normal(rng, (size, cov.rank, dims.num_rx, dims.num_tx))
     blocks = np.einsum("nk,ckij->cnij", cov.eigvecs * np.sqrt(cov.eigvals), white)
     sent = rng.integers(0, num_words, size)
-    noise = noise_scale * _old_complex_normal(rng, (size, dims.block_len, dims.num_rx))
+    noise = noise_scale * _one_draw_complex_normal(rng, (size, dims.block_len, dims.num_rx))
     return blocks, sent, noise
 
 
@@ -231,7 +232,7 @@ def _dense_errors(cov, dims, words, snr, trials, master_seed, noise_scale):
     errors = 0
     for chunk in range((trials + MC_CHUNK - 1) // MC_CHUNK):
         size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
-        rng = spawn_rng(master_seed, chunk)
+        rng = chunk_rng(master_seed, chunk)
         blocks, sent, noise = _dense_draws(cov, dims, len(words), size, rng, noise_scale)
         faded = _faded(blocks, words)
         received = amp * faded[np.arange(size), sent] + noise

@@ -31,7 +31,8 @@ from dmtlab.tradeoff import (
     jensen_dmt_curve,
     outage_curve,
 )
-from dmtlab._util import MC_CHUNK, MC_WAVE, complex_normal, db_to_linear, run_chunks, spawn_rng
+from dmtlab._util import (MC_CHUNK, MC_WAVE, chunk_rng, complex_normal, db_to_linear, run_chunks,
+                          spawn_rng)
 
 from _oracles import (_information, jensen_mutual_information, logdet_identity_plus,
                       mutual_information, sample_channel, single_point_outage,
@@ -406,7 +407,7 @@ def test_run_chunks_grid_waves_and_order(workers):
                              trials, 7, workers)
     expected = 0.0
     for chunk in range(21):
-        expected += spawn_rng(7, chunk).standard_normal() * min(MC_CHUNK, trials - chunk * MC_CHUNK)
+        expected += chunk_rng(7, chunk).standard_normal() * min(MC_CHUNK, trials - chunk * MC_CHUNK)
     assert (total, done) == ([expected], [trials])
 
 
@@ -544,7 +545,7 @@ def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trial
         events = 0
         for chunk in range(2 if trials > MC_CHUNK else 1):
             size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
-            info = _information(sample_channel_batch(cov, dims, size, spawn_rng(68, chunk)),
+            info = _information(sample_channel_batch(cov, dims, size, chunk_rng(68, chunk)),
                                 bound, point.snr)
             events += int(np.count_nonzero(info < point.rate_nats()))
         if block_trials is not None:

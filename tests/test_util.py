@@ -13,20 +13,54 @@ from dmtlab.codes import (Codebook, pair_strips, pairwise_min_products, permutat
 from dmtlab.precoder import classic_precoder, verify_composed_design
 from dmtlab.sim import simulate_error_prob
 from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
-from dmtlab._util import MC_CHUNK, batches, complex_normal, spawn_rng, wilson_interval
+from dmtlab._util import MC_CHUNK, batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (5, 3, 2)])
-def test_complex_normal_is_bitwise_the_two_draws_combined(shape):
-    # every random stream (channels, words, noise) is built on this identity
+def test_complex_normal_is_bitwise_one_interleaved_draw(shape):
+    # every random stream (channels, words, noise) is built on this identity:
+    # z[k] = (g[2k] + i g[2k+1]) * sqrt(1/2) for one draw g of twice the size
     rng = spawn_rng(20, len(shape))
     z = complex_normal(rng, shape)
     ref_rng = spawn_rng(20, len(shape))
-    a, b = ref_rng.standard_normal(shape), ref_rng.standard_normal(shape)
-    ref = (a + 1j * b) / np.sqrt(2)
-    assert z.dtype == ref.dtype == np.complex128 and z.shape == shape
-    assert z.tobytes() == ref.tobytes()
+    g = ref_rng.standard_normal(2 * int(np.prod(shape))) * np.sqrt(0.5)
+    assert z.dtype == np.complex128 and z.shape == shape and z.flags.c_contiguous
+    assert z.tobytes() == g.tobytes()
     assert rng.standard_normal() == ref_rng.standard_normal()  # same draws consumed
+
+
+def test_complex_normal_moments():
+    # unit-variance circular Gaussians: E|z|^2 = 1 and E z^2 = 0 (Re and Im of
+    # equal variance 1/2 and uncorrelated), each sample mean within 5 sigma
+    count = 200_000
+    z = complex_normal(spawn_rng(21), (count,))
+    power, square = np.abs(z) ** 2, z * z
+    cross = z.real * z.imag
+    # sigma of one term: |z|^2 ~ Exp(1), Re z^2 and Im z^2 have variance 1,
+    # Re z Im z has variance 1/4
+    for terms, sigma in ((power - 1, 1.0), (square.real, 1.0), (square.imag, 1.0),
+                         (cross, 0.5)):
+        assert abs(terms.mean()) < 5 * sigma / np.sqrt(count)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunks_hands_each_chunk_its_sfc64_stream(workers):
+    # chunk c draws from SFC64 seeded by SeedSequence((master_seed, c)); the
+    # permutation search keeps spawn_rng's PCG64
+    seen = []
+
+    def chunk(rng, size, live):
+        seen.append((rng.bit_generator.seed_seq.entropy, type(rng.bit_generator),
+                     rng.standard_normal()))
+        return [size]
+
+    assert run_chunks(chunk, 3 * MC_CHUNK + 1, 9, workers) == ([3 * MC_CHUNK + 1],
+                                                               [3 * MC_CHUNK + 1])
+    expected = [((9, c), np.random.SFC64,
+                 np.random.Generator(np.random.SFC64(np.random.SeedSequence((9, c))))
+                 .standard_normal()) for c in range(4)]
+    assert sorted(seen) == expected
+    assert type(spawn_rng(9, 0).bit_generator) is np.random.PCG64
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
