@@ -201,6 +201,17 @@ def json_field(doc, key, where, kind=None, default=_REQUIRED):
     return doc[key] if kind is None else json_value(doc[key], kind, f"{where}.{key}")
 
 
+def json_keys(doc, keys, where):
+    """Raise a FieldError naming the first key of the JSON object ``doc`` at
+    ``where`` that is not among ``keys``, so that a misspelt field is never
+    silently read as its default."""
+    if not isinstance(doc, dict):
+        raise FieldError(f"{where}: expected a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise FieldError(f"{where}.{key}: unknown field")
+
+
 def json_floats(doc, key, where):
     """``doc[key]`` read as a tuple of floats: a JSON list of finite numbers."""
     values = json_field(doc, key, where)

@@ -19,6 +19,7 @@ from ._util import (
     json_complex,
     json_field,
     json_floats,
+    json_keys,
     rank_tolerance,
     unitary_fft,
 )
@@ -118,14 +119,17 @@ class FadingModel:
     """Fading across the slots of a block: a config ``kind``, the raw slot
     covariance ``entries(n)`` (before unit-power normalisation), and the
     reader ``from_doc(doc)`` of its config section, whose errors name the
-    field as ``model.<key>``. ``MODELS`` maps each kind to its class. The
-    reader here serves models whose parameters are all counts."""
+    field as ``model.<key>``, an unknown key too. ``MODELS`` maps each kind
+    to its class. The reader here serves models whose parameters are all
+    counts."""
 
     kind = None
 
     @classmethod
     def from_doc(cls, doc):
-        return cls(**{f.name: _count(doc, f.name) for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        json_keys(doc, ("kind", *names), "model")
+        return cls(**{name: _count(doc, name) for name in names})
 
 
 def _count(doc, key):
@@ -201,6 +205,7 @@ class CyclicIsi(FadingModel):
 
     @classmethod
     def from_doc(cls, doc):
+        json_keys(doc, ("kind", "num_taps", "power_delay_profile"), "model")
         num_taps = _count(doc, "num_taps")
         profile = json_floats(doc, "power_delay_profile", "model")
         try:  # with a valid tap count, only the profile can be at fault
@@ -230,6 +235,7 @@ class TimeFrequency(FadingModel):
 
     @classmethod
     def from_doc(cls, doc):
+        json_keys(doc, ("kind", "nu0_t", "tau0_f", "num_time", "num_freq"), "model")
         return cls(ScatteringSpec.from_normalized(
             json_field(doc, "nu0_t", "model", float), json_field(doc, "tau0_f", "model", float),
             json_field(doc, "num_time", "model", int), json_field(doc, "num_freq", "model", int)))
@@ -355,7 +361,9 @@ def sample_channel_batch(cov, dims, count, rng):
     is driven by rho white (M_R, M_T) matrices W_k of i.i.d. unit-variance
     circularly-symmetric Gaussians, H_n = sum_k sqrt(lambda_k) v_k[n] W_k,
     so each draw takes rho * M_R * M_T complex normals from ``rng``, not
-    N * M_R * M_T.
+    N * M_R * M_T. Every Monte Carlo draws its channels this way but
+    ``tradeoff.outage_curve`` on a rank-one covariance with min_ant <= 2,
+    which samples their Wishart statistics instead.
     """
     return mix_white(cov, draw_white(cov, dims, count, rng))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import FieldError, db_to_linear, json_field, json_floats, json_value
+from ._util import FieldError, db_to_linear, json_field, json_floats, json_keys, json_value
 from .channel import (MODELS, ChannelDims, CovarianceMatrix, ScatteringSpec, build_covariance,
                       circulant_covariance)
 from .codes import Codebook, verify_dmt_criterion, verify_rank_r0
@@ -67,11 +67,14 @@ def load_config(path):
 
 
 def _config_from_doc(doc):
-    """The validated config of a parsed JSON document."""
+    """The validated config of a parsed JSON document, none of whose sections
+    may hold a key outside its schema."""
+    json_keys(doc, ("model", "dims", "snr_db", "rate", "trials", "seed", "output"), "config")
     model = _parse_model(json_field(doc, "model", "config"))
     dims_doc = json_field(doc, "dims", "config")
-    sizes = {key: json_field(dims_doc, key, "dims", int)
-             for key in ("num_tx", "num_rx", "block_len")}
+    names = ("num_tx", "num_rx", "block_len")
+    json_keys(dims_doc, names, "dims")
+    sizes = {key: json_field(dims_doc, key, "dims", int) for key in names}
     try:
         dims = ChannelDims(**sizes)
     except ValueError as exc:
@@ -89,11 +92,13 @@ def _config_from_doc(doc):
     rate_doc = json_field(doc, "rate", "config")
     mode = json_field(rate_doc, "mode", "rate")
     if mode == "fixed":
+        json_keys(rate_doc, ("mode", "bits"), "rate")
         bits = json_field(rate_doc, "bits", "rate", float)
         if bits < 0:
             raise ConfigError("rate.bits: must be nonnegative")
         rate_mode = FixedRate(nats=bits * _LN2)
     elif mode == "scaling":
+        json_keys(rate_doc, ("mode", "mux_rate"), "rate")
         rate_mode = ScalingRate(mux_rate=json_field(rate_doc, "mux_rate", "rate", float))
         if not 0 <= rate_mode.mux_rate <= dims.min_ant:
             raise ConfigError(f"rate.mux_rate: must lie in [0, {dims.min_ant}], "

@@ -139,6 +139,26 @@ def _snr_free(blocks, bound):
     return np.stack(((np.abs(h) ** 2).sum(axis=(-2, -1)), det), axis=-1)
 
 
+def _rank_one_stats(exps, m, power):
+    """``_snr_free``'s statistics of draws of a rank-one covariance, from a
+    (count, k * m) batch ``exps`` of Exp(1) variates, k = min_ant <= 2 and
+    m = max_ant. Every slot's channel is then sqrt(lambda_1) v_1[n] W for one
+    white k x m matrix W, which enters only through its complex Wishart Gram
+    W W^H = L L^H. By the Bartlett decomposition |L_11|^2 ~ Gamma(m) (the sum
+    of the first m variates), |L_22|^2 ~ Gamma(m - 1) (the next m - 1) and
+    |L_21|^2 ~ Exp(1) (the last), all independent, so ||W||_F^2 is the sum of
+    all of them and det(W W^H) = |L_11|^2 |L_22|^2, with no cancellation. They
+    are scaled by ``power``: lambda_1 |v_1[n]|^2 per slot (an (N,) array, for
+    "full") or lambda_1 (a scalar, for the Jensen Gram lambda_1 W W^H)."""
+    first = sum(exps[:, j] for j in range(m))
+    if exps.shape[1] == m:
+        return np.multiply.outer(first, power)[..., None]
+    second = sum(exps[:, j] for j in range(m, 2 * m - 1))
+    trace = first + second + exps[:, -1]
+    return np.stack((np.multiply.outer(trace, power),
+                     np.multiply.outer(first * second, power * power)), axis=-1)
+
+
 def _snr_step(stats, bound, a):
     """Per-draw information from ``_snr_free``'s statistics at power ``a`` per
     entry: log det(I + a h h^H), averaged over the slots for "full". One or two
@@ -194,15 +214,20 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
     statistics of its draws are computed once. "jensen" never mixes: the
     eigenvectors are orthonormal, so the Jensen Gram sum_n H_n H_n^H is
     sum_k lambda_k W_k W_k^H, and its statistics come from the white matrices
-    sqrt(lambda_k) W_k side by side. Information never falls as the SNR rises,
-    so the points still running are cut into chains (``_chains``): sorted by
-    SNR, then by falling rate, a point whose rate is no larger than the
-    previous point's joins that point's chain, and its outage draws are among
-    that point's. Each chain's first point is evaluated on every draw, each
-    later point on the draws kept at the point before it: those whose information
-    there lies below its rate plus a slack of 1e-9 * max(1, |rate|). The slack
-    keeps a superset, so a log-det whose rounding falls below its value at a
-    lower SNR drops no draw. The kept draws are evaluated at the end of the
+    sqrt(lambda_k) W_k side by side. A rank-one covariance with min_ant <= 2
+    draws no channel at all: each trial takes M_R * M_T Exp(1) variates, and
+    ``_rank_one_stats`` reads the statistics of its Wishart Gram off their
+    Bartlett decomposition, which is exact in distribution but not the
+    Gaussian draws of ``sample_channel_batch`` for the same seed.
+    Information never falls as the SNR rises, so the points still running
+    are cut into chains (``_chains``): sorted by SNR, then by falling rate, a
+    point whose rate is no larger than the previous point's joins that
+    point's chain, and its outage draws are among that point's. Each chain's
+    first point is evaluated on every draw, each later point on the draws
+    kept at the point before it: those whose information there lies below
+    its rate plus a slack of 1e-9 * max(1, |rate|). The slack keeps a
+    superset, so a log-det whose rounding falls below its value at a lower
+    SNR drops no draw. The kept draws are evaluated at the end of the
     chunk or once they fill a sub-block, so they never hold two sub-blocks,
     and are copied only when fewer than half of them are in outage (else all
     are kept). A ``ScalingRate`` grid has a rate that rises with the SNR, so
@@ -220,6 +245,8 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
                 raise ValueError("multiplexing rate must lie in [0, min_ant]")
     if bound not in ("full", "jensen"):
         raise ValueError(f"unknown bound: {bound!r}")
+    if cov.block_len != dims.block_len:
+        raise ValueError("covariance size does not match the block length")
     rates = [point.rate_nats() for point in points]
 
     # a trial's channel-sized complex temporaries (the mix, the log-det
@@ -244,15 +271,25 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
             return stats[info < rates[j] + 1e-9 * max(1.0, abs(rates[j]))]
         return stats
 
+    rank_one = cov.rank == 1 and dims.min_ant <= 2
+    if rank_one:
+        power = cov.eigvals[0] * (np.abs(cov.eigvecs[:, 0]) ** 2 if bound == "full" else 1.0)
+
     def run_chunk(rng, size, live):
-        white = draw_white(cov, dims, size, rng)
-        if bound == "jensen":  # the white Jensen stack, which is never mixed
-            white *= np.sqrt(cov.eigvals)[:, None, None]
+        if not rank_one:
+            white = draw_white(cov, dims, size, rng)
+            if bound == "jensen":  # the white Jensen stack, which is never mixed
+                white *= np.sqrt(cov.eigvals)[:, None, None]
         events = [0] * len(points)
         chains = [(chain, []) for chain in _chains(points, rates, live)]
         for block in batches(size, per_trial):
-            channels = white[block] if bound == "jensen" else mix_white(cov, white[block])
-            stats = _snr_free(channels, bound)
+            if rank_one:  # each trial's Bartlett variates, a row of the chunk's stream
+                exps = rng.standard_exponential((block.stop - block.start,
+                                                 dims.num_rx * dims.num_tx))
+                stats = _rank_one_stats(exps, dims.max_ant, power)
+            else:
+                channels = white[block] if bound == "jensen" else mix_white(cov, white[block])
+                stats = _snr_free(channels, bound)
             for chain, rows in chains:
                 rows.append(evaluate(stats, chain[0], events, len(chain) > 1))
                 # the later points run on the rows kept so far at the end of

@@ -64,20 +64,50 @@ def _information(blocks, bound, snr):
     return _snr_step(_snr_free(blocks, bound), bound, snr / scale)
 
 
+def rank_one_channels(cov, dims, count, rng):
+    """``count`` draws of a rank-one covariance with min_ant = k <= 2 as
+    (count, N, k, k) channels sqrt(lambda_1) v_1[n] L, where L is the lower
+    Bartlett factor of the Wishart Gram W W^H of one white k x max_ant W,
+    built from the Exp(1) variates that ``outage_curve`` takes from ``rng``:
+    |L_11|^2 sums the first max_ant of a trial's row, |L_22|^2 the next
+    max_ant - 1 and |L_21|^2 is the last. Their information is that of
+    channels with the Gram of W, apart from the SNR scale, which stays
+    M_T."""
+    k, m = dims.min_ant, dims.max_ant
+    exps = rng.standard_exponential((count, k * m))
+    factor = np.zeros((count, k, k))
+    factor[:, 0, 0] = np.sqrt(exps[:, :m].sum(axis=1))
+    if k == 2:
+        factor[:, 1, 0] = np.sqrt(exps[:, -1])
+        factor[:, 1, 1] = np.sqrt(exps[:, m:-1].sum(axis=1))
+    slots = np.sqrt(cov.eigvals[0]) * cov.eigvecs[:, 0]
+    return slots[None, :, None, None] * factor[:, None]
+
+
+def outage_information(cov, dims, count, rng, bound, snr):
+    """Per-draw information at ``snr`` of ``count`` draws as ``outage_curve``
+    takes them from one chunk's ``rng``: a rank-one covariance with min_ant
+    <= 2 by ``rank_one_channels``, any other by ``draw_white``, mixed on the
+    estimator's sub-blocks."""
+    scale = dims.num_tx * (1 if bound == "full" else dims.block_len)
+    if cov.rank == 1 and dims.min_ant <= 2:
+        blocks = [rank_one_channels(cov, dims, count, rng)]
+    else:
+        white = draw_white(cov, dims, count, rng)
+        per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
+        blocks = [mix_white(cov, white[block]) for block in batches(count, per_trial)]
+    return np.concatenate([_snr_step(_snr_free(b, bound), bound, snr / scale) for b in blocks])
+
+
 def single_point_outage(cov, dims, point, bound, trials, master_seed, min_events, workers):
     """The outage estimate of one SNR point by the per-point chunk loop that
     ran once per grid SNR before the grid became the unit of work: each chunk
-    is drawn, mixed and evaluated for this point alone."""
+    is drawn and evaluated for this point alone (``outage_information``)."""
     rate = point.rate_nats()
-    per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
 
     def run_chunk(rng, size, live):
-        white = draw_white(cov, dims, size, rng)
-        events = 0
-        for block in batches(size, per_trial):
-            info = _information(mix_white(cov, white[block]), bound, point.snr)
-            events += int(np.count_nonzero(info < rate))
-        return [events]
+        return [int(np.count_nonzero(outage_information(cov, dims, size, rng, bound,
+                                                        point.snr) < rate))]
 
     (events,), (done,) = run_chunks(run_chunk, trials, master_seed, workers, min_events)
     low, high = wilson_interval(events, done)

