@@ -6,6 +6,7 @@ Submodules: ``channel`` (covariance models and correlated sampling),
 codes), ``sim`` (pairwise error bounds and ML error simulation), ``cli``.
 """
 
+from ._util import Estimate
 from .channel import (
     BlockFading,
     ChannelDims,
@@ -42,16 +43,13 @@ from .precoder import (
 )
 from .sim import (
     error_curve,
-    simulate_error_prob,
     worst_pep,
 )
 from .tradeoff import (
     DmtCurve,
     FixedRate,
-    OutageEstimate,
     ScalingRate,
     SnrPoint,
-    estimate_outage,
     fit_diversity_slope,
     jensen_dmt_curve,
     outage_curve,

@@ -1,9 +1,11 @@
 """Shared numerical helpers: FFT matrices, rank tolerances, seeding, the
-Monte-Carlo chunk runner, the batch slicer, intervals, and typed JSON fields."""
+Monte-Carlo chunk runner, the batch slicer, intervals and estimates, and
+typed JSON fields."""
 
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,6 +165,22 @@ def wilson_interval(events, trials):
     half = z * np.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
     return (max(0.0, center - half) if events > 0 else 0.0,
             min(1.0, center + half) if events < trials else 1.0)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A binomial Monte-Carlo estimate: ``events`` among ``trials``, their
+    ratio ``probability`` and its 95% Wilson interval."""
+
+    probability: float
+    trials: int
+    events: int
+    ci_low: float
+    ci_high: float
+
+    @classmethod
+    def of(cls, events, trials):
+        return cls(events / trials, trials, events, *wilson_interval(events, trials))
 
 
 def db_to_linear(snr_db):

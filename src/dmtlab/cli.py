@@ -200,7 +200,7 @@ def _cmd_error_sim(args):
     estimates = error_curve(cov, config.dims, book, snrs, trials=trials, master_seed=seed,
                             workers=args.workers)
     columns = ["snr_db", "error_rate", "ci_low", "ci_high", "trials"]
-    rows = [[snr_db, est.error_rate, est.ci_low, est.ci_high, est.trials]
+    rows = [[snr_db, est.probability, est.ci_low, est.ci_high, est.trials]
             for snr_db, est in zip(config.snr_db, estimates)]
     if args.with_outage:
         columns.append("outage_rate")

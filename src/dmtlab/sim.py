@@ -4,11 +4,10 @@ decoding Monte Carlo.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import batches, complex_normal, run_chunks, wilson_interval
+from ._util import Estimate, batches, complex_normal, run_chunks
 from .channel import draw_white, mix_white
 from .codes import _slot_spans, screened_eigs, structural_count
 
@@ -59,15 +58,6 @@ def worst_pep(codebook, cov, snrs, num_rx):
     return worst.tolist()
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    error_rate: float
-    trials: int
-    errors: int
-    ci_low: float
-    ci_high: float
-
-
 def _check_nonnegative(value, name):
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -105,20 +95,17 @@ def _trial_features(gram, blocks, received):
     return np.concatenate((gram, matched.real, matched.imag), axis=-1).reshape(len(blocks), -1)
 
 
-def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_scale=1.0,
-                workers=1):
+def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, workers=1):
     """Exhaustive-ML decoding error rates of a ``Codebook`` over a grid of
-    SNRs, one ``ErrorEstimate`` with a Wilson 95% interval per SNR, in grid
-    order.
+    SNRs, one ``Estimate`` of the decoding errors per SNR, in grid order.
 
     Per trial: draw a correlated channel, pick a codeword uniformly, add
-    white complex Gaussian noise (scaled by ``noise_scale``; zero gives a
-    sanity mode that must decode perfectly), decode by minimizing the
-    slot-summed distance over the whole codebook. Designed for desk-scale
-    codebooks; decoding cost is linear in the codebook size. Every SNR sees
-    the same channels, words and noise (common random numbers): each chunk
-    is drawn and mixed once and decoded at every SNR, and an SNR's estimate
-    is that of a grid of that SNR alone.
+    white complex Gaussian noise, decode by minimizing the slot-summed
+    distance over the whole codebook. Designed for desk-scale codebooks;
+    decoding cost is linear in the codebook size. Every SNR sees the same
+    channels, words and noise (common random numbers): each chunk is drawn
+    and mixed once and decoded at every SNR, and an SNR's estimate is that
+    of a grid of that SNR alone.
 
     The distance is expanded as ||r||**2 - 2 amp Re<H^H r, x_w> +
     amp**2 sum_n x_{w,n}^H H_n^H H_n x_{w,n}; ||r||**2 is common to all
@@ -137,7 +124,6 @@ def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_s
         raise ValueError("the SNR grid must not be empty")
     for snr in snrs:
         _check_nonnegative(snr, "snr")
-    _check_nonnegative(noise_scale, "noise_scale")
     words = codebook.words
     num_words, num_tx, n = words.shape
     if num_words < 1:
@@ -152,7 +138,6 @@ def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_s
         white = draw_white(cov, dims, size, rng)
         sent = rng.integers(0, num_words, size)
         noise = complex_normal(rng, (size, n, dims.num_rx))
-        noise *= noise_scale
         wrong = [0] * len(snrs)
         # the (trials, words) decode product is the sub-block's largest temporary
         for block in batches(size, num_words):
@@ -174,16 +159,4 @@ def error_curve(cov, dims, codebook, snrs, trials=10_000, master_seed=0, noise_s
         return wrong
 
     errors, done = run_chunks(run_chunk, trials, master_seed, workers, num_points=len(snrs))
-    estimates = []
-    for count, runs in zip(errors, done):
-        low, high = wilson_interval(count, runs)
-        estimates.append(ErrorEstimate(error_rate=count / runs, trials=runs, errors=count,
-                                       ci_low=low, ci_high=high))
-    return estimates
-
-
-def simulate_error_prob(cov, dims, codebook, snr, trials=10_000, master_seed=0,
-                        noise_scale=1.0, workers=1):
-    """``error_curve`` on the grid of the one SNR ``snr``."""
-    return error_curve(cov, dims, codebook, (snr,), trials, master_seed, noise_scale,
-                       workers)[0]
+    return [Estimate.of(count, runs) for count, runs in zip(errors, done)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import batches, linear_to_db, run_chunks, wilson_interval
+from ._util import Estimate, batches, linear_to_db, run_chunks
 from .channel import draw_white, mix_white
 
 
@@ -20,6 +20,10 @@ class FixedRate:
     """Rate held constant in SNR, in nats."""
 
     nats: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.nats) and self.nats >= 0):
+            raise ValueError("rate must be a finite nonnegative number of nats")
 
     def rate_at(self, snr):
         return self.nats
@@ -60,15 +64,6 @@ class DmtCurve:
             raise ValueError("diversity must be nonincreasing in the multiplexing rate")
         if abs(diversities[-1]) > 1e-12:
             raise ValueError("diversity must vanish at the maximal multiplexing rate")
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    probability: float
-    trials: int
-    outage_events: int
-    ci_low: float
-    ci_high: float
 
 
 def jensen_dmt_curve(rho, dims, variant="jensen"):
@@ -190,7 +185,7 @@ def _chains(points, rates, live):
 def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
                  min_events=100, workers=1):
     """Monte-Carlo outage probabilities over a grid of SNR points, one
-    ``OutageEstimate`` with a 95% Wilson interval per point, in grid order.
+    ``Estimate`` of the outage events per point, in grid order.
 
     Parameters
     ----------
@@ -302,19 +297,7 @@ def outage_curve(cov, dims, points, bound="full", trials=100_000, master_seed=0,
         return events
 
     events, done = run_chunks(run_chunk, trials, master_seed, workers, min_events, len(points))
-    estimates = []
-    for count, runs in zip(events, done):
-        low, high = wilson_interval(count, runs)
-        estimates.append(OutageEstimate(probability=count / runs, trials=runs,
-                                        outage_events=count, ci_low=low, ci_high=high))
-    return estimates
-
-
-def estimate_outage(cov, dims, point, bound="full", trials=100_000, master_seed=0,
-                    min_events=100, workers=1):
-    """``outage_curve`` on the grid of one SnrPoint ``point``."""
-    return outage_curve(cov, dims, (point,), bound, trials, master_seed, min_events,
-                        workers)[0]
+    return [Estimate.of(count, runs) for count, runs in zip(events, done)]
 
 
 def fit_diversity_slope(curve, window_db):

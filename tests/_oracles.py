@@ -10,15 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from dmtlab import sim
-from dmtlab._util import (batches, complex_normal, eig_rank, rank_tolerance, run_chunks,
-                          spawn_rng, wilson_interval)
+from dmtlab._util import (Estimate, batches, complex_normal, eig_rank, rank_tolerance,
+                          run_chunks, spawn_rng)
 from dmtlab.channel import (BlockFading, build_covariance, draw_white, mix_white,
                             sample_channel_batch)
 from dmtlab.codes import (_LISTED_FAILURES, WorstPair, _slot_words, _sort_slots,
                           criterion_threshold, effective_difference, effective_matrices,
                           pair_eigvals, pairwise_min_products, structural_count)
-from dmtlab.sim import ErrorEstimate, _check_nonnegative, chernoff_bound
-from dmtlab.tradeoff import OutageEstimate, _jensen_stack, _snr_free, _snr_step
+from dmtlab.sim import _check_nonnegative, chernoff_bound
+from dmtlab.tradeoff import _jensen_stack, _snr_free, _snr_step
 
 
 def psd_root(cov):
@@ -110,9 +110,7 @@ def single_point_outage(cov, dims, point, bound, trials, master_seed, min_events
                                                         point.snr) < rate))]
 
     (events,), (done,) = run_chunks(run_chunk, trials, master_seed, workers, min_events)
-    low, high = wilson_interval(events, done)
-    return OutageEstimate(probability=events / done, trials=done,
-                          outage_events=events, ci_low=low, ci_high=high)
+    return Estimate.of(events, done)
 
 
 def _one_pass_features(blocks, received):
@@ -130,7 +128,8 @@ def _one_pass_features(blocks, received):
 def single_snr_errors(cov, dims, codebook, snr, trials, master_seed, noise_scale, workers):
     """The ML error estimate at one SNR by the per-SNR chunk loop that ran
     once per grid SNR before the grid became the unit of work: each chunk is
-    drawn, mixed and decoded at this SNR alone."""
+    drawn, mixed and decoded at this SNR alone, with the noise scaled by
+    ``noise_scale`` (0 decodes without noise)."""
     words = codebook.words
     num_words, num_tx, n = words.shape
     amp = np.sqrt(snr / num_tx)
@@ -151,9 +150,7 @@ def single_snr_errors(cov, dims, codebook, snr, trials, master_seed, noise_scale
         return [wrong]
 
     (errors,), (done,) = run_chunks(run_chunk, trials, master_seed, workers)
-    low, high = wilson_interval(errors, done)
-    return ErrorEstimate(error_rate=errors / done, trials=done, errors=errors,
-                         ci_low=low, ci_high=high)
+    return Estimate.of(errors, done)
 
 
 def sorted_pair_distances(words, ii, jj):

@@ -29,14 +29,14 @@ from dmtlab.precoder import (
     verify_composed_design,
     verify_precoder_rank,
 )
-from dmtlab.sim import simulate_error_prob
+from dmtlab.sim import error_curve
 from dmtlab.tradeoff import (
     FixedRate,
     ScalingRate,
     SnrPoint,
-    estimate_outage,
     fit_diversity_slope,
     jensen_dmt_curve,
+    outage_curve,
 )
 from dmtlab._util import db_to_linear, spawn_rng
 
@@ -199,10 +199,10 @@ def test_criterion_5_jensen_ordering():
     dims = ChannelDims(2, 2, 4)
     for snr_db in (5.0, 10.0, 15.0):
         point = SnrPoint(float(db_to_linear(snr_db)), ScalingRate(0.8))
-        full = estimate_outage(cov, dims, point, bound="full", trials=100_000,
-                               master_seed=1505, min_events=None)
-        jensen = estimate_outage(cov, dims, point, bound="jensen", trials=100_000,
-                                 master_seed=1505, min_events=None)
+        full = outage_curve(cov, dims, [point], bound="full", trials=100_000,
+                            master_seed=1505, min_events=None)[0]
+        jensen = outage_curve(cov, dims, [point], bound="jensen", trials=100_000,
+                              master_seed=1505, min_events=None)[0]
         slack = (full.ci_high - full.ci_low) + (jensen.ci_high - jensen.ci_low)
         if jensen.probability > full.probability + slack:
             _verdict("criterion-5 jensen-ordering", False, f"outage at {snr_db} dB")
@@ -217,8 +217,8 @@ def test_criterion_6a_siso_flat_slope():
     curve = []
     for snr_db in (10.0, 15.0, 20.0, 25.0, 30.0):
         point = SnrPoint(float(db_to_linear(snr_db)), rate)
-        est = estimate_outage(cov, dims, point, trials=1_000_000,
-                              master_seed=1600 + int(snr_db), min_events=None)
+        est = outage_curve(cov, dims, [point], trials=1_000_000,
+                           master_seed=1600 + int(snr_db), min_events=None)[0]
         curve.append((point.snr, est.probability))
     slope, err = fit_diversity_slope(curve, (10.0, 30.0))
     _verdict("criterion-6a siso-flat-slope", 0.85 <= slope <= 1.15,
@@ -232,8 +232,8 @@ def test_criterion_6b_siso_isi_slope():
     curve = []
     for snr_db in (10.0, 13.0, 16.0, 19.0, 22.0, 25.0):
         point = SnrPoint(float(db_to_linear(snr_db)), rate)
-        est = estimate_outage(cov, dims, point, trials=2_000_000,
-                              master_seed=1660 + int(snr_db), min_events=None)
+        est = outage_curve(cov, dims, [point], trials=2_000_000,
+                           master_seed=1660 + int(snr_db), min_events=None)[0]
         curve.append((point.snr, est.probability))
     slope, err = fit_diversity_slope(curve, (10.0, 25.0))
     _verdict("criterion-6b siso-isi-slope", 1.7 <= slope <= 2.3,
@@ -250,8 +250,8 @@ def test_criterion_6c_mimo_flat_slope_windows():
     curve = []
     for snr_db in (6.0, 8.0, 10.0, 12.0, 14.0, 16.0):
         point = SnrPoint(float(db_to_linear(snr_db)), rate)
-        est = estimate_outage(cov, dims, point, trials=10_000_000,
-                              master_seed=1690 + int(snr_db), min_events=None)
+        est = outage_curve(cov, dims, [point], trials=10_000_000,
+                           master_seed=1690 + int(snr_db), min_events=None)[0]
         curve.append((point.snr, est.probability))
     slopes = [fit_diversity_slope(curve, win)[0]
               for win in ((6.0, 12.0), (8.0, 14.0), (10.0, 16.0))]
@@ -329,14 +329,14 @@ def test_criterion_9_determinism_across_workers():
     cov = build_covariance(CyclicIsi(2, (1.0, 1.0)), 4)
     dims = ChannelDims(2, 2, 4)
     point = SnrPoint(float(db_to_linear(10.0)), ScalingRate(1.0))
-    outage = [estimate_outage(cov, dims, point, trials=80_000, master_seed=1009,
-                              min_events=None, workers=w) for w in (1, 4)]
+    outage = [outage_curve(cov, dims, [point], trials=80_000, master_seed=1009,
+                           min_events=None, workers=w)[0] for w in (1, 4)]
     outer = permutation_codebook(qam_family(16.0, 0.5), [range(4)] * 4)
     book = Codebook(apply_precoder(classic_precoder("cdd", 2, 4, 2), outer.scalar_words),
                     outer.snr, outer.mux_rate)
-    errors = [simulate_error_prob(cov, dims, book, snr=16.0, trials=40_000, master_seed=1010,
-                                  workers=w) for w in (1, 4)]
+    errors = [error_curve(cov, dims, book, (16.0,), trials=40_000, master_seed=1010,
+                          workers=w)[0] for w in (1, 4)]
     ok = outage[0] == outage[1] and errors[0] == errors[1]
     _verdict("criterion-9 determinism", ok,
-             f"outage {outage[0].probability:.6f}, error {errors[0].error_rate:.6f} "
+             f"outage {outage[0].probability:.6f}, error {errors[0].probability:.6f} "
              "identical for 1 and 4 workers")

@@ -16,8 +16,8 @@ from dmtlab.channel import (
 )
 from dmtlab.codes import Codebook, permutation_codebook, qam_family
 from dmtlab.precoder import apply_precoder, classic_precoder, design_tf_shift_precoder
-from dmtlab.sim import error_curve, simulate_error_prob
-from dmtlab.tradeoff import ScalingRate, SnrPoint, estimate_outage
+from dmtlab.sim import error_curve
+from dmtlab.tradeoff import ScalingRate, SnrPoint, outage_curve
 from dmtlab._util import MC_CHUNK, chunk_rng, complex_normal, spawn_rng
 
 from _oracles import (TraceBoundInstance, least_favorable_trace, pep_chernoff, pep_monte_carlo,
@@ -113,13 +113,13 @@ def test_arithmetic_geometric_step():
 
 
 def test_zero_noise_decodes_perfectly():
+    # at SNR 1e12 the noise is 1e-6 of the signal's amplitude
     cov = build_covariance(Fast(), 2)
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
     code = permutation_codebook(fam, [range(4), range(4)])
-    est = simulate_error_prob(cov, dims, code, snr=10.0, trials=2000,
-                              master_seed=54, noise_scale=0.0)
-    assert est.errors == 0
+    est = error_curve(cov, dims, code, (1e12,), trials=2000, master_seed=54)[0]
+    assert est.events == 0
 
 
 def test_antipodal_error_rate_matches_analytic():
@@ -128,10 +128,10 @@ def test_antipodal_error_rate_matches_analytic():
     words = np.array([[[1.0]], [[-1.0]]], dtype=complex)
     book = Codebook(words=words, snr=4.0, mux_rate=0.0)
     snr = 4.0
-    est = simulate_error_prob(cov, dims, book, snr=snr, trials=400_000, master_seed=55)
+    est = error_curve(cov, dims, book, (snr,), trials=400_000, master_seed=55)[0]
     analytic = 0.5 * (1.0 - np.sqrt(snr / (1.0 + snr)))
     assert est.ci_low <= analytic <= est.ci_high
-    assert est.error_rate == pytest.approx(analytic, rel=0.05)
+    assert est.probability == pytest.approx(analytic, rel=0.05)
 
 
 def test_error_rate_dominates_outage_at_scaling_rate():
@@ -143,10 +143,9 @@ def test_error_rate_dominates_outage_at_scaling_rate():
     for snr in (64.0, 256.0):
         fam = qam_family(snr, r)
         code = permutation_codebook(fam, [range(len(fam))])
-        err = simulate_error_prob(cov, dims, code, snr=snr, trials=100_000,
-                                  master_seed=56)
-        out = estimate_outage(cov, dims, SnrPoint(snr, ScalingRate(r)),
-                              trials=100_000, master_seed=56, min_events=None)
+        err = error_curve(cov, dims, code, (snr,), trials=100_000, master_seed=56)[0]
+        out = outage_curve(cov, dims, [SnrPoint(snr, ScalingRate(r))],
+                           trials=100_000, master_seed=56, min_events=None)[0]
         assert err.ci_high >= out.ci_low
 
 
@@ -157,8 +156,8 @@ def test_precoded_pair_input():
     fam = qam_family(9.0, 0.5)
     outer = permutation_codebook(fam, [range(len(fam))] * 4)
     book = Codebook(apply_precoder(pre, outer.scalar_words), outer.snr, outer.mux_rate)
-    est = simulate_error_prob(cov, dims, book, snr=9.0, trials=4000, master_seed=57)
-    assert 0.0 <= est.error_rate <= 1.0
+    est = error_curve(cov, dims, book, (9.0,), trials=4000, master_seed=57)[0]
+    assert 0.0 <= est.probability <= 1.0
 
 
 def test_simulate_deterministic_across_workers():
@@ -166,16 +165,16 @@ def test_simulate_deterministic_across_workers():
     dims = ChannelDims(1, 1, 2)
     fam = qam_family(16.0, 0.5)
     code = permutation_codebook(fam, [range(4), range(4)])
-    kwargs = dict(snr=8.0, trials=50_000, master_seed=58)
-    one = simulate_error_prob(cov, dims, code, workers=1, **kwargs)
-    four = simulate_error_prob(cov, dims, code, workers=4, **kwargs)
+    kwargs = dict(trials=50_000, master_seed=58)
+    one = error_curve(cov, dims, code, (8.0,), workers=1, **kwargs)
+    four = error_curve(cov, dims, code, (8.0,), workers=4, **kwargs)
     assert one == four
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(snr=float("nan")), dict(snr=-1.0), dict(snr=float("inf")),
-    dict(noise_scale=float("nan")), dict(noise_scale=-0.5),
-    dict(noise_scale=float("inf")), dict(workers=0), dict(workers=-1),
+    dict(snr=float("-inf")), dict(trials=0), dict(trials=-5), dict(workers=0),
+    dict(workers=-1),
 ])
 def test_simulate_rejects_bad_inputs(kwargs):
     cov = build_covariance(Fast(), 2)
@@ -185,7 +184,7 @@ def test_simulate_rejects_bad_inputs(kwargs):
     args = dict(snr=8.0, trials=100, master_seed=59)
     args.update(kwargs)
     with pytest.raises(ValueError):
-        simulate_error_prob(cov, dims, code, **args)
+        error_curve(cov, dims, code, (args.pop("snr"),), **args)
 
 
 @pytest.mark.parametrize("snr", [float("nan"), -1.0, float("inf")])
@@ -227,7 +226,8 @@ def _dense_draws(cov, dims, num_words, size, rng, noise_scale):
 
 
 def _dense_errors(cov, dims, words, snr, trials, master_seed, noise_scale):
-    """Error count of simulate_error_prob's draws decoded with the dense metric."""
+    """Error count of error_curve's draws at the one SNR ``snr``, decoded with
+    the dense metric and the noise scaled by ``noise_scale``."""
     amp = np.sqrt(snr / dims.num_tx)
     errors = 0
     for chunk in range((trials + MC_CHUNK - 1) // MC_CHUNK):
@@ -286,6 +286,38 @@ def _precoded_words(kind, num_tx, outer):
     return apply_precoder(pre, outer)
 
 
+def _span_words(rng, kind, num_tx, num_words, spans):
+    """(words, per-slot spans) of a test book: slot n of a "spans" book holds
+    random words of a random span of dimension spans[n] (clipped to T); a
+    precoded slot's words are multiples of one precoder column, so that every
+    slot is one-dimensional."""
+    if kind == "spans":
+        dims_n = [min(d, num_tx) for d in spans]
+        words = np.stack([complex_normal(rng, (num_words, d)) @ complex_normal(rng, (d, num_tx))
+                          for d in dims_n], axis=2)
+        return words, dims_n
+    return _precoded_words(kind, num_tx, complex_normal(rng, (num_words, 4))), [1] * 4
+
+
+def _effective_and_dense(words, num_rx, rng):
+    """(expanded, dense, power, scale) on 40 draws of the ISI channel at SNR
+    20: the effective-channel metric that ``error_curve`` decodes on, which
+    is the dense metric less ||r||**2, the dense metric, ||r||**2 and the
+    per-entry scale ||r||**2 + amp**2 ||H x_w||**2 of their difference."""
+    num_words, num_tx, _ = words.shape
+    basis, coords = codes._slot_spans(np.ascontiguousarray(np.swapaxes(words, 1, 2)))
+    dims, amp = ChannelDims(num_tx, num_rx, 4), np.sqrt(20.0 / num_tx)
+    blocks, sent, noise = _dense_draws(_DECODE_COVS["isi"], dims, num_words, 40, rng, 1.0)
+    received = amp * np.einsum("cnij,cjn->cni", blocks, words[sent]) + noise
+    faded = _faded(blocks, words)
+    eff = blocks if basis is None else np.einsum("cnrt,ntd->cnrd", blocks, basis)
+    table = sim._word_table(coords, amp)
+    power = np.sum(np.abs(received) ** 2, axis=(1, 2))[:, None]
+    expanded = sim._trial_features(sim._gram_features(eff), eff, received) @ table.T
+    scale = power + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
+    return expanded, _dense_metric(faded, received, amp), power, scale
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(num_tx=st.integers(1, 3), num_rx=st.integers(1, 2), num_words=st.integers(1, 9),
        kind=st.sampled_from(["cdd", "phase-rolling", "tf", "spans"]),
@@ -294,34 +326,51 @@ def _precoded_words(kind, num_tx, outer):
 @example(num_tx=2, num_rx=1, num_words=1, kind="spans", spans=[2, 0, 1, 0], seed=1)
 @example(num_tx=2, num_rx=2, num_words=4, kind="spans", spans=[0, 0, 0, 0], seed=2)
 def test_effective_channel_metric_matches_dense(num_tx, num_rx, num_words, kind, spans, seed):
-    # slot n of a "spans" book holds random words of a random span of
-    # dimension spans[n] (clipped to T); a precoded slot's words are
-    # multiples of one precoder column, so that every slot is one-dimensional
     rng = spawn_rng(74, seed)
-    if kind == "spans":
-        dims_n = [min(d, num_tx) for d in spans]
-        words = np.stack([complex_normal(rng, (num_words, d)) @ complex_normal(rng, (d, num_tx))
-                          for d in dims_n], axis=2)
-    else:
-        dims_n = [1] * 4
-        words = _precoded_words(kind, num_tx, complex_normal(rng, (num_words, 4)))
+    words, dims_n = _span_words(rng, kind, num_tx, num_words, spans)
     expect = max(min(d, num_words) for d in dims_n)
-    slot_words = np.ascontiguousarray(np.swapaxes(words, 1, 2))
-    basis, coords = codes._slot_spans(slot_words)
+    basis, coords = codes._slot_spans(np.ascontiguousarray(np.swapaxes(words, 1, 2)))
     assert (basis is None) == (expect == num_tx)
     assert coords.shape == (num_words, 4, expect)
-    dims, amp = ChannelDims(num_tx, num_rx, 4), np.sqrt(20.0 / num_tx)
-    blocks, sent, noise = _dense_draws(_DECODE_COVS["isi"], dims, num_words, 40, rng, 1.0)
-    received = amp * np.einsum("cnij,cjn->cni", blocks, words[sent]) + noise
-    faded = _faded(blocks, words)
-    dense = _dense_metric(faded, received, amp)
-    eff = blocks if basis is None else np.einsum("cnrt,ntd->cnrd", blocks, basis)
-    table = sim._word_table(coords, amp)
-    expanded = sim._trial_features(sim._gram_features(eff), eff, received) @ table.T
-    power = np.sum(np.abs(received) ** 2, axis=(1, 2))
-    scale = power[:, None] + amp ** 2 * np.sum(np.abs(faded) ** 2, axis=(2, 3))
-    assert np.max(np.abs(expanded + power[:, None] - dense) / scale) < 1e-12
+    expanded, dense, power, scale = _effective_and_dense(words, num_rx, rng)
+    assert np.max(np.abs(expanded + power - dense) / scale) < 1e-12
     assert np.array_equal(np.argmin(expanded, axis=1), np.argmin(dense, axis=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_tx=st.integers(1, 3), num_rx=st.integers(1, 2), num_words=st.integers(2, 9),
+       kind=st.sampled_from(["cdd", "phase-rolling", "tf", "spans"]),
+       spans=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       ties=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                               st.sampled_from([0.0, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13]),
+                               st.booleans()), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+@example(num_tx=2, num_rx=1, num_words=3, kind="cdd", spans=[1, 1, 1, 1],
+         ties=[(0, 1, 0.0, True), (0, 2, 1e-13, True)], seed=0)
+@example(num_tx=3, num_rx=2, num_words=4, kind="spans", spans=[3, 1, 2, 0],
+         ties=[(1, 0, 1e-9, False), (1, 3, 1e-12, False)], seed=1)
+def test_effective_channel_metric_matches_dense_near_ties(num_tx, num_rx, num_words, kind,
+                                                          spans, ties, seed):
+    # word j becomes word i moved by ``gap`` of its norm, a duplicate at 0:
+    # along itself (a complex multiple, which keeps every slot's span) or
+    # along a random direction (which may widen it)
+    rng = spawn_rng(78, seed)
+    words, _ = _span_words(rng, kind, num_tx, num_words, spans)
+    for i, j, gap, along in ties:
+        word = words[i % num_words]
+        step = word * np.exp(2j * np.pi * rng.uniform()) if along else complex_normal(
+            rng, word.shape) * np.linalg.norm(word) / np.sqrt(word.size)
+        words[j % num_words] = word + gap * step
+    expanded, dense, power, scale = _effective_and_dense(words, num_rx, rng)
+    assert np.max(np.abs(expanded + power - dense) / scale) < 1e-12
+    # where the two least dense values lie further apart than both bounds,
+    # the decode picks the dense argmin
+    rows = np.arange(len(dense))
+    order = np.argsort(dense, axis=1)
+    best, second = order[:, 0], order[:, 1]
+    apart = (dense[rows, second] - dense[rows, best]
+             > 1e-12 * (scale[rows, best] + scale[rows, second]))
+    assert np.array_equal(np.argmin(expanded, axis=1)[apart], best[apart])
 
 
 def _rank_one_book(rng, num_words, tilt):
@@ -346,9 +395,9 @@ def test_span_tolerance_decides_the_decode(tilt, dims_kept):
     if basis is None:
         assert curve == [single_snr_errors(cov, dims, book, snr, trials, 76, 1.0, 1)
                          for snr in snrs]
-    assert [est.errors for est in curve] == [
+    assert [est.events for est in curve] == [
         _dense_errors(cov, dims, book.words, snr, trials, 76, 1.0) for snr in snrs]
-    assert curve[0].errors > 0
+    assert curve[0].events > 0
 
 
 @pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
@@ -361,8 +410,8 @@ def test_precoded_decode_matches_dense_for_any_sub_blocks(monkeypatch, block_tri
     trials = 3000 if block_trials == 1 else MC_CHUNK + 700
     if block_trials is not None:
         monkeypatch.setattr(_util, "BATCH_BUDGET", len(words) * block_trials)
-    est = simulate_error_prob(cov, dims, book, 2.0, trials, 77, workers=workers)
-    assert est.errors == _dense_errors(cov, dims, words, 2.0, trials, 77, 1.0) > 0
+    est = error_curve(cov, dims, book, (2.0,), trials, 77, workers)[0]
+    assert est.events == _dense_errors(cov, dims, words, 2.0, trials, 77, 1.0) > 0
 
 
 @pytest.mark.parametrize("cov_name", sorted(_DECODE_COVS))
@@ -370,15 +419,17 @@ def test_precoded_decode_matches_dense_for_any_sub_blocks(monkeypatch, block_tri
 @pytest.mark.parametrize("num_rx", [1, 2, 3])
 @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
 def test_simulate_matches_dense_decode(cov_name, num_tx, num_rx, noise_scale):
+    # noise_scale is the dense oracle's; against its noiseless decode the
+    # estimator runs at SNR 1e12, where the noise is 1e-6 of the signal's
+    # amplitude, and neither errs
     cov = _DECODE_COVS[cov_name]
     book = _random_book(spawn_rng(61, num_tx, num_rx), 16, num_tx)
     dims = ChannelDims(num_tx, num_rx, 4)
-    est = simulate_error_prob(cov, dims, book, snr=10.0, trials=2500,
-                              master_seed=62, noise_scale=noise_scale)
-    assert est.errors == _dense_errors(cov, dims, book.words, 10.0, 2500, 62,
-                                       noise_scale)
+    snr = 10.0 if noise_scale else 1e12
+    est = error_curve(cov, dims, book, (snr,), trials=2500, master_seed=62)[0]
+    assert est.events == _dense_errors(cov, dims, book.words, snr, 2500, 62, noise_scale)
     if noise_scale == 0.0:
-        assert est.errors == 0
+        assert est.events == 0
 
 
 def test_simulate_precoded_pair_matches_dense_decode():
@@ -391,22 +442,22 @@ def test_simulate_precoded_pair_matches_dense_decode():
     # at SNR 9 about one trial in 6000 errs, so that match may count none; at
     # SNR 1 the two decoders must agree on hundreds of errors
     for snr, least in ((9.0, 0), (1.0, 100)):
-        est = simulate_error_prob(cov, dims, book, snr=snr, trials=3000, master_seed=63)
-        assert est.errors >= least
-        assert est.errors == _dense_errors(cov, dims, words, snr, 3000, 63, 1.0)
+        est = error_curve(cov, dims, book, (snr,), trials=3000, master_seed=63)[0]
+        assert est.events >= least
+        assert est.events == _dense_errors(cov, dims, words, snr, 3000, 63, 1.0)
 
 
 def test_decode_slices_do_not_change_results(monkeypatch):
     cov = _DECODE_COVS["isi"]
     book = _random_book(spawn_rng(64), 16, 2)
-    kwargs = dict(snr=10.0, trials=MC_CHUNK + 500, master_seed=65)
+    kwargs = dict(trials=MC_CHUNK + 500, master_seed=65)
     dims = ChannelDims(2, 2, 4)
-    whole = simulate_error_prob(cov, dims, book, **kwargs)
+    whole = error_curve(cov, dims, book, (10.0,), **kwargs)[0]
     # 1003 trials per slice: uneven slices within both chunks
     monkeypatch.setattr(_util, "BATCH_BUDGET", 16 * 1003)
-    sliced = simulate_error_prob(cov, dims, book, **kwargs)
+    sliced = error_curve(cov, dims, book, (10.0,), **kwargs)[0]
     assert whole == sliced
-    assert whole.errors > 0
+    assert whole.events > 0
 
 
 @pytest.mark.parametrize("block_trials", [1, 7, None, MC_CHUNK])
@@ -418,15 +469,15 @@ def test_sub_blocks_do_not_change_error_estimate(monkeypatch, block_trials, work
     book = _random_book(spawn_rng(66), 12, 2)
     dims = ChannelDims(2, 2, 4)
     trials = 3000 if block_trials == 1 else MC_CHUNK + 700
-    kwargs = dict(snr=4.0, trials=trials, master_seed=67, workers=workers)
+    kwargs = dict(trials=trials, master_seed=67, workers=workers)
     monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * MC_CHUNK)
-    whole = simulate_error_prob(cov, dims, book, **kwargs)
+    whole = error_curve(cov, dims, book, (4.0,), **kwargs)[0]
     if block_trials is not None:
         monkeypatch.setattr(_util, "BATCH_BUDGET", 12 * block_trials)
     else:
         monkeypatch.undo()
-    assert simulate_error_prob(cov, dims, book, **kwargs) == whole
-    assert whole.errors > 0
+    assert error_curve(cov, dims, book, (4.0,), **kwargs)[0] == whole
+    assert whole.events > 0
 
 
 # one case per fading model kind and a 3 x 3 link
@@ -443,16 +494,20 @@ _ERROR_CURVE_CASES = {
 @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
 @pytest.mark.parametrize("case", sorted(_ERROR_CURVE_CASES))
 def test_error_curve_equals_single_snr_oracle(case, noise_scale):
+    # noise_scale is the oracle's; against its noiseless decode the estimator
+    # runs at 1e12 times each SNR, where the noise is 1e-6 of the signal's
+    # amplitude, and neither errs
     cov, dims = _ERROR_CURVE_CASES[case]
     book = _random_book(spawn_rng(69, dims.num_tx), 16, dims.num_tx)
     snrs = (1.0, 4.0, 10.0, 40.0)
     trials = MC_CHUNK + 700
     expected = [single_snr_errors(cov, dims, book, snr, trials, 70, noise_scale, 1)
                 for snr in snrs]
+    grid = [snr * (1.0 if noise_scale else 1e12) for snr in snrs]
     for workers in (1, 2):
-        assert error_curve(cov, dims, book, snrs, trials, 70, noise_scale, workers) == expected
-    assert sum(est.errors for est in expected) > 0 if noise_scale else all(
-        est.errors == 0 for est in expected)
+        assert error_curve(cov, dims, book, grid, trials, 70, workers) == expected
+    assert sum(est.events for est in expected) > 0 if noise_scale else all(
+        est.events == 0 for est in expected)
 
 
 def test_error_curve_rejects_empty_grid():

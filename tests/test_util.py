@@ -11,8 +11,8 @@ from dmtlab.channel import ChannelDims, CyclicIsi, Flat, build_covariance
 from dmtlab.codes import (Codebook, pair_strips, pairwise_min_products, permutation_codebook,
                           qam_family)
 from dmtlab.precoder import classic_precoder, verify_composed_design
-from dmtlab.sim import simulate_error_prob
-from dmtlab.tradeoff import FixedRate, SnrPoint, estimate_outage
+from dmtlab.sim import error_curve
+from dmtlab.tradeoff import FixedRate, SnrPoint, outage_curve
 from dmtlab._util import MC_CHUNK, batches, complex_normal, run_chunks, spawn_rng, wilson_interval
 
 
@@ -138,11 +138,11 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
     assert heights[:3] == [131072 // (8 * 1023), 131072 // (8 * 1007), 131072 // (8 * 991)]
     assert max(heights) == 45 and sum(heights) == 1023
     flat = build_covariance(Flat(), 2)
-    estimate_outage(flat, ChannelDims(2, 2, 2), SnrPoint(10.0, FixedRate(1.0)),
-                    trials=10, min_events=0)
+    outage_curve(flat, ChannelDims(2, 2, 2), [SnrPoint(10.0, FixedRate(1.0))],
+                 trials=10, min_events=0)
     assert steps.pop("tradeoff") == [131072 // (16 * 2 * 2 * 2)]
     sim_book = Codebook(words=np.full((100, 1, 2), 0.5), snr=10.0, mux_rate=0.0)
-    simulate_error_prob(flat, ChannelDims(1, 1, 2), sim_book, snr=10.0, trials=MC_CHUNK + 1)
+    error_curve(flat, ChannelDims(1, 1, 2), sim_book, (10.0,), trials=MC_CHUNK + 1)
     assert steps.pop("sim") == [131072 // 100, 131072 // 100]  # one a chunk
     assert steps == {}
 
@@ -151,8 +151,6 @@ def test_default_batch_sizes_are_pinned(monkeypatch):
 # the package
 _ENTRY_POINTS = {
     "sample_channel_batch",  # perfbench's channel-draw probe
-    "estimate_outage",  # the single-point library API of outage_curve
-    "simulate_error_prob",  # the single-point library API of error_curve
     "search_permutations",  # perfbench's design chain (design_verify)
     "classic_precoder",  # perfbench's design chain (design_verify)
     "verify_composed_design",  # perfbench's design chain (design_verify)

@@ -1,11 +1,12 @@
-"""Count code lines and physical lines of the Python files under a directory.
+"""Count code lines and physical lines of one Python file or of the Python
+files under a directory.
 
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the leading string literal of a module, class or function
 body). Blank lines, comment-only lines and docstring lines are not code.
 Physical lines are all lines of the file.
 
-Usage: python tools/count_code_lines.py <dir>
+Usage: python tools/count_code_lines.py <dir or .py file>
 """
 
 import ast
@@ -47,10 +48,19 @@ def count_file(path):
 
 def main(argv):
     if len(argv) != 1:
-        print("usage: count_code_lines.py <dir>", file=sys.stderr)
+        print("usage: count_code_lines.py <dir or .py file>", file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    if root.is_dir():
+        paths = sorted(root.rglob("*.py"))
+    elif root.is_file() and root.suffix == ".py":
+        paths = [root]
+    else:
+        print(f"count_code_lines.py: {root} is neither a directory nor a .py file",
+              file=sys.stderr)
         return 2
     total_code = total_physical = 0
-    for path in sorted(Path(argv[0]).rglob("*.py")):
+    for path in paths:
         code, physical = count_file(path)
         total_code += code
         total_physical += physical
